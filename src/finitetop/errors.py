@@ -126,3 +126,7 @@ class SquareNotCommuting(FinitetopError):
 
 class InputFormatError(Exception):
     """Malformed input file or schema (CLI exit code 2)."""
+
+
+class InputCapExceeded(CapExceeded, InputFormatError):
+    """An input over a documented cap, refused while parsing (CLI exit code 2)."""

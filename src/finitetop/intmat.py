@@ -3,15 +3,25 @@
 Everything here is arbitrary-precision on purpose: pivot growth overflows
 fixed-width integers even for small inputs.  The solver reduces A·x = b to
 the diagonal case through the recorded unimodular transforms.
+
+A matrix is factored at most once: the (U, D, V) of its Smith normal form
+is kept on the immutable matrix, and every later ``smith_normal_form``,
+``solve`` and ``kernel_basis`` on it answers from that one factorisation.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 
 class IntMatrix:
-    """Immutable dense integer matrix."""
+    """Immutable dense integer matrix.
 
-    __slots__ = ("rows", "cols", "entries")
+    Entries are a tuple of row tuples.  ``_snf`` holds the Smith normal
+    form once ``smith_normal_form`` has computed it.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_snf")
 
     def __init__(self, entries, rows=None, cols=None):
         entries = tuple(tuple(int(v) for v in row) for row in entries)
@@ -24,17 +34,34 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
+        self._snf = None
+
+    @classmethod
+    def _trusted(cls, entries, rows, cols):
+        """Wrap a tuple of int row tuples of the given shape, unchecked.
+
+        For results built in this module from entries it already holds;
+        outside data goes through the coercing, shape-checking constructor.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._snf = None
+        return m
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(((0,) * cols,) * rows, rows, cols)
+        return cls._trusted(((0,) * cols,) * rows, rows, cols)
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n, n)
+        return cls._trusted(_identity_rows(n), n, n)
 
     @classmethod
     def from_columns(cls, columns, rows):
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column length does not match the row count")
         return cls(tuple(tuple(col[i] for col in columns) for i in range(rows)),
                    rows, len(columns))
 
@@ -51,44 +78,52 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        data = [[sum(self.entries[i][k] * other.entries[k][j]
-                     for k in range(self.cols))
-                 for j in range(other.cols)] for i in range(self.rows)]
-        return IntMatrix(data, self.rows, other.cols)
+        columns = other.transpose().entries
+        return IntMatrix._trusted(
+            tuple(tuple(sum(map(mul, row, col)) for col in columns)
+                  for row in self.entries),
+            self.rows, other.cols)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in difference")
-        return IntMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)],
-                         self.rows, self.cols)
+        return IntMatrix._trusted(
+            tuple(tuple(a - b for a, b in zip(r1, r2))
+                  for r1, r2 in zip(self.entries, other.entries)),
+            self.rows, self.cols)
 
     def transpose(self):
         # a 0 x n matrix flips to n rows of width zero, not to nothing
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries
-                         else ((),) * self.cols,
-                         self.cols, self.rows)
+        return IntMatrix._trusted(tuple(zip(*self.entries)) if self.entries
+                                  else ((),) * self.cols,
+                                  self.cols, self.rows)
 
     def column(self, j):
         return tuple(self.entries[i][j] for i in range(self.rows))
 
+    def top(self, n):
+        """The first n rows."""
+        if not 0 <= n <= self.rows:
+            raise ValueError("row count out of range")
+        return IntMatrix._trusted(self.entries[:n], n, self.cols)
+
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix(tuple(a + b for a, b in zip(self.entries, other.entries)),
-                         self.rows, self.cols + other.cols)
+        return IntMatrix._trusted(
+            tuple(a + b for a, b in zip(self.entries, other.entries)),
+            self.rows, self.cols + other.cols)
 
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.entries + other.entries,
-                         self.rows + other.rows, self.cols)
+        return IntMatrix._trusted(self.entries + other.entries,
+                                  self.rows + other.rows, self.cols)
 
     def apply(self, vector):
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.entries[i][k] * vector[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(sum(map(mul, row, vector)) for row in self.entries)
 
     def is_zero(self):
         return all(v == 0 for row in self.entries for v in row)
@@ -97,17 +132,28 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
+def _identity_rows(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def smith_normal_form(matrix):
     """Return (U, D, V) with U·A·V = D diagonal, d_i >= 0 and d_i | d_{i+1}.
 
     Classic pivoting by smallest absolute value with a divisibility repair
     step; U and V are built from the same elementary operations, so the
-    identity U·A·V = D is re-checked exactly before returning.
+    identity U·A·V = D is re-checked exactly before the result is kept on
+    the matrix.  Later calls on the same matrix return the kept result.
     """
+    if matrix._snf is None:
+        matrix._snf = _factor(matrix)
+    return matrix._snf
+
+
+def _factor(matrix):
     r, c = matrix.rows, matrix.cols
     m = [list(row) for row in matrix.entries]
-    u = [list(row) for row in IntMatrix.identity(r).entries]
-    v = [list(row) for row in IntMatrix.identity(c).entries]
+    u = [list(row) for row in _identity_rows(r)]
+    v = [list(row) for row in _identity_rows(c)]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -176,9 +222,9 @@ def smith_normal_form(matrix):
         if t < r and t < c and m[t][t] < 0:
             negate_row(t)
 
-    um = IntMatrix(u, r, r)
-    dm = IntMatrix(m, r, c)
-    vm = IntMatrix(v, c, c)
+    um = IntMatrix._trusted(tuple(map(tuple, u)), r, r)
+    dm = IntMatrix._trusted(tuple(map(tuple, m)), r, c)
+    vm = IntMatrix._trusted(tuple(map(tuple, v)), c, c)
     if (um @ matrix) @ vm != dm:
         raise AssertionError("normal form transforms are inconsistent")
     return um, dm, vm
@@ -188,34 +234,37 @@ def solve(matrix, rhs):
     """One integer solution x of A·x = b, or None.
 
     rhs may be a vector (length = rows) or an IntMatrix of stacked columns;
-    the result matches the input shape.
+    the result matches the input shape, and a matrix rhs gives None as soon
+    as one of its columns has no solution.
     """
-    if isinstance(rhs, IntMatrix):
-        cols = []
-        for j in range(rhs.cols):
-            x = solve(matrix, rhs.column(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return IntMatrix.from_columns(cols, matrix.cols)
     u, d, v = smith_normal_form(matrix)
-    ub = u.apply(tuple(rhs))
-    y = [0] * matrix.cols
-    for i in range(matrix.rows):
-        di = d.entries[i][i] if i < min(matrix.rows, matrix.cols) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di:
-                return None
-            y[i] = ub[i] // di
-    return v.apply(tuple(y))
+    diag = d.diagonal()
+    single = not isinstance(rhs, IntMatrix)
+    columns = (tuple(rhs),) if single else rhs.transpose().entries
+    solutions = []
+    for b in columns:
+        y = [0] * matrix.cols
+        for i, ub in enumerate(u.apply(b)):
+            di = diag[i] if i < len(diag) else 0
+            if di == 0:
+                if ub != 0:
+                    return None
+            else:
+                if ub % di:
+                    return None
+                y[i] = ub // di
+        solutions.append(v.apply(y))
+    if single:
+        return solutions[0]
+    return IntMatrix._trusted(tuple(solutions), len(solutions),
+                              matrix.cols).transpose()
 
 
 def kernel_basis(matrix):
     """Columns generating {x : A·x = 0}, as an IntMatrix (cols x k)."""
     _, d, v = smith_normal_form(matrix)
-    free = [j for j in range(matrix.cols)
-            if j >= min(matrix.rows, matrix.cols) or d.entries[j][j] == 0]
-    return IntMatrix.from_columns([v.column(j) for j in free], matrix.cols)
+    diag = d.diagonal()
+    free = [j for j in range(matrix.cols) if j >= len(diag) or diag[j] == 0]
+    return IntMatrix._trusted(tuple(tuple(row[j] for j in free)
+                                    for row in v.entries),
+                              matrix.cols, len(free))

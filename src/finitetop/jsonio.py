@@ -6,14 +6,21 @@ row-major integer lists, group relations as a list of relator vectors
 raise InputFormatError; inputs that parse but fail a mathematical check
 (a family that is not a topology, a map that is not continuous) raise
 the usual FinitetopError subclasses so callers can tell the two apart.
+A group with more than GENERATORS_CAP generators is refused with
+InputCapExceeded, which is both kinds, before anything is built for it.
 """
 
 from .action import ActionOverX, IdealAssignment
-from .errors import InputFormatError
+from .errors import InputCapExceeded, InputFormatError
 from .intmat import IntMatrix
 from .ktheory import FGAbelianGroup, GradedGroup, GroupHom, SixTermCycle
 from .spaces import (ContinuousMap, Preorder, alexandrov_topology, bits,
                      family_key, validate_topology)
+
+# Most generators a group may have on input.  Each group and map costs a
+# Smith normal form of a matrix with about this many rows; the point-count
+# data the tools build stay under ten.
+GENERATORS_CAP = 64
 
 
 def _obj(value, what):
@@ -49,6 +56,21 @@ def _mask(value, size, what):
     return m
 
 
+def _labels(value, size):
+    """Display labels: None, or unique strings or integers, one per point."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or len(value) != size:
+        raise InputFormatError(f"points must list one label per point ({size})")
+    for label in value:
+        if isinstance(label, bool) or not isinstance(label, (str, int)):
+            raise InputFormatError(
+                f"point label {label!r} is not a string or an integer")
+    if len(set(value)) != size:
+        raise InputFormatError("point labels must be unique")
+    return tuple(value)
+
+
 def indices(mask):
     return sorted(bits(mask))
 
@@ -62,17 +84,14 @@ def space_from_json(obj):
     {"size": n, "opens": [[0], [0, 1], ...]}  or
     {"preorder": {"size": n, "leq": [[x, y], ...]}}   (diagonal implied)
 
-    Either form may carry "points", a list of display labels.
+    Either form may carry "points", a list of display labels: unique
+    strings or integers, one per point.
     """
     obj = _obj(obj, "space")
-    labels = obj.get("points")
-    if labels is not None:
-        if not isinstance(labels, list):
-            raise InputFormatError("points must be a list of labels")
-        labels = tuple(labels)
     if "preorder" in obj:
         pre = _obj(obj["preorder"], "preorder")
         n = _size(pre, "preorder")
+        labels = _labels(obj.get("points"), n)
         rows = [1 << x for x in range(n)]
         for pair in pre.get("leq", []):
             if not isinstance(pair, list) or len(pair) != 2:
@@ -87,6 +106,7 @@ def space_from_json(obj):
             space = validate_topology(space.size, space.opens, labels)
         return space
     n = _size(obj, "space")
+    labels = _labels(obj.get("points"), n)
     opens = obj.get("opens")
     if not isinstance(opens, list):
         raise InputFormatError("space needs an opens list")
@@ -206,6 +226,10 @@ def group_from_json(obj):
     n = _int(obj.get("generators"), "generators")
     if n < 0:
         raise InputFormatError("generators must be nonnegative")
+    if n > GENERATORS_CAP:
+        raise InputCapExceeded(
+            f"groups are capped at {GENERATORS_CAP} generators, got {n}",
+            generators=n, cap=GENERATORS_CAP)
     relators = matrix_from_json(obj.get("relations", []), "relations")
     if relators.rows and relators.cols != n:
         raise InputFormatError("each relation needs one coordinate per generator")

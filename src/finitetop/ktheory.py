@@ -118,7 +118,7 @@ class GroupHom:
     means every domain relator maps into the span of codomain relators.
     """
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "matrix", "_reach")
 
     def __init__(self, domain, codomain, matrix):
         if matrix.rows != codomain.generators or matrix.cols != domain.generators:
@@ -130,6 +130,18 @@ class GroupHom:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
+        self._reach = None
+
+    def reach(self):
+        """[matrix | codomain relations], built once and factored once.
+
+        A vector of the codomain lies in the image exactly when it solves
+        against this matrix, and the first domain.generators rows of its
+        kernel generate the kernel of the map modulo domain relations.
+        """
+        if self._reach is None:
+            self._reach = self.matrix.hstack(self.codomain.relations)
+        return self._reach
 
     @classmethod
     def zero(cls, domain, codomain):
@@ -169,21 +181,22 @@ def _subgroup_presentation(generating, ambient):
     relation span of the ambient presentation.
     """
     rel = kernel_basis(generating.hstack(ambient.relations))
-    top = IntMatrix(rel.entries[:generating.cols] if generating.cols else (),
-                    generating.cols, rel.cols)
-    return FGAbelianGroup(generating.cols, top)
+    return FGAbelianGroup(generating.cols, rel.top(generating.cols))
+
+
+def _kernel_generators(f):
+    """Columns generating the kernel of f.
+
+    Projections of the kernel of f.reach(), together with the domain
+    relators (which always map to zero).
+    """
+    sols = kernel_basis(f.reach())
+    return sols.top(f.domain.generators).hstack(f.domain.relations)
 
 
 def kernel(f):
-    """The kernel subgroup with its inclusion into the domain.
-
-    Generators: projections of the kernel of [matrix | codomain relations],
-    together with the domain relators (which always map to zero).
-    """
-    n = f.domain.generators
-    sols = kernel_basis(f.matrix.hstack(f.codomain.relations))
-    gens = IntMatrix(sols.entries[:n] if n else (), n, sols.cols)
-    gens = gens.hstack(f.domain.relations)
+    """The kernel subgroup with its inclusion into the domain."""
+    gens = _kernel_generators(f)
     group = _subgroup_presentation(gens, f.domain)
     return group, GroupHom(group, f.domain, gens)
 
@@ -225,10 +238,8 @@ def is_exact_at(f, g):
         if solve(g.codomain.relations, comp.column(j)) is None:
             return ExactnessReport(False, "composite is not zero",
                                    ("generator", j))
-    _, incl = kernel(g)
-    reach = f.matrix.hstack(f.codomain.relations)
-    for j in range(incl.matrix.cols):
-        k = incl.matrix.column(j)
+    reach = f.reach()
+    for k in _kernel_generators(g).transpose().entries:
         if solve(reach, k) is None:
             return ExactnessReport(False, "kernel element not in the image",
                                    ("kernel generator", k))

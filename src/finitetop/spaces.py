@@ -542,30 +542,6 @@ class ContinuousMap:
             cod.leq[self.assignment[x]] >> self.assignment[y] & 1
             for x in range(self.domain.size) for y in bits(dom.leq[x]))
 
-    def preserves_all_infima(self):
-        """Check preimage(interior of an intersection) = intersection of preimages.
-
-        Runs over every subset of the codomain opens when there are at most
-        20 of them, otherwise over pairs plus the empty meet; on a finite
-        lattice the two checks are equivalent.
-        """
-        opens = self.codomain.opens
-        k = len(opens)
-        pre = [self.preimage(u) for u in opens]
-        if k <= 20:
-            def rec(i, inter_cod, inter_dom):
-                if i == k:
-                    return self.preimage(self.codomain.interior(inter_cod)) == inter_dom
-                return (rec(i + 1, inter_cod, inter_dom)
-                        and rec(i + 1, inter_cod & opens[i], inter_dom & pre[i]))
-
-            return rec(0, self.codomain.full, self.domain.full)
-        if self.preimage(self.codomain.full) != self.domain.full:
-            return False
-        return all(
-            self.preimage(self.codomain.interior(opens[i] & opens[j])) == pre[i] & pre[j]
-            for i in range(k) for j in range(i, k))
-
 
 @dataclass(frozen=True)
 class LocallyClosedSet:

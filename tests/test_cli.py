@@ -1,16 +1,19 @@
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
 from finitetop.jsonio import assignment_to_json, datum_to_json
 from finitetop.spaces import ContinuousMap, FiniteSpace
 from fixtures import constant_zero_datum, point_count_datum
-from finitetop.ktheory import FGAbelianGroup
+from finitetop.ktheory import FGAbelianGroup, GroupHom, SixTermCycle
 
 SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]], "points": [1, 2]}
 DISCRETE2 = {"size": 2, "opens": [[], [0], [1], [0, 1]]}
@@ -357,9 +360,62 @@ def test_output_bytes_stable(tmp_path, capsys):
     assert len(outs) == 1
 
 
+def test_info_rejects_repeated_labels(tmp_path, capsys):
+    space = {"size": 2, "opens": [[], [0], [0, 1]], "points": [1, 1]}
+    code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_info_rejects_unhashable_labels(tmp_path, capsys):
+    space = {"size": 2, "opens": [[], [0], [0, 1]], "points": [[1], [2]]}
+    code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_ktheory_refuses_oversized_group(tmp_path, capsys):
+    huge = {"generators": 10 ** 12}
+    pair = {"f": {"domain": huge, "codomain": huge, "matrix": []},
+            "g": {"domain": huge, "codomain": huge, "matrix": []}}
+    code, out, err = run(capsys, "ktheory", "exact",
+                         jfile(tmp_path, "e.json", pair))
+    assert code == 2 and out == ""
+    parsed = json.loads(err)
+    assert parsed["error"] == "input" and "64" in parsed["message"]
+
+
+def test_ktheory_datum_verify_defect_bytes(tmp_path, capsys):
+    # point-count datum over the Sierpinski space with the inclusion of
+    # the cycle ({0}, {0, 1}) replaced by zero
+    space = FiniteSpace.sierpinski()
+    datum = point_count_datum(space)
+    cycle = datum.cycles[(0b01, 0b11)]
+    maps = list(cycle.maps)
+    maps[0] = GroupHom.zero(maps[0].domain, maps[0].codomain)
+    datum.cycles[(0b01, 0b11)] = SixTermCycle(cycle.groups, maps)
+    path = jfile(tmp_path, "defect.json", datum_to_json(datum))
+    code, out, err = run(capsys, "ktheory", "datum-verify", path)
+    assert code == 1 and out == ""
+    failures = [r for r in json.loads(err)["cycles"]["results"]
+                if not r["report"]["ok"]]
+    assert [(r["open"], r["set"]) for r in failures] == [("0", "0,1")]
+    assert failures[0]["report"]["first_failure"] == 0
+    assert [n["witness"] for n in failures[0]["report"]["nodes"][:2]] == [
+        ["kernel generator", [1]], ["kernel generator", [1, 0]]]
+    # every byte of the report is pinned, not just its parsed content
+    assert len(err) == 7127
+    assert (hashlib.sha256(err.encode()).hexdigest()
+            == "50b7fbbb28d1e4a51fefac2ce195448765d4a421ecfe6deab6e856b01bd7a4ad")
+
+
 def test_module_entry_point(tmp_path):
     path = jfile(tmp_path, "s.json", SIERPINSKI)
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(finitetop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "finitetop.cli", "info", path],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["strata"] == [[1], [2]]

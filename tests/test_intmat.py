@@ -115,3 +115,50 @@ def test_kernel_basis():
         # the generated subgroup is saturated: solve succeeds on each member
         for j in range(k.cols):
             assert solve(m, m.apply(k.column(j))) is not None
+
+
+def test_normal_form_is_computed_once_per_matrix():
+    m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    first = smith_normal_form(m)
+    again = smith_normal_form(m)
+    assert again is first
+    assert all(x is y for x, y in zip(again, first))
+    # an equal matrix built separately factors to the same result
+    assert smith_normal_form(IntMatrix(m.entries)) == first
+
+
+def test_solve_matrix_rhs_with_unsolvable_second_column():
+    m = IntMatrix([[2, 0], [0, 3]])
+    assert solve(m, IntMatrix([[2], [3]])) == IntMatrix([[1], [1]])
+    assert solve(m, IntMatrix([[2, 1], [3, 0]])) is None
+
+
+def test_solve_matrix_rhs_without_columns():
+    x = solve(IntMatrix([[1, 2, 3]]), IntMatrix.zeros(1, 0))
+    assert (x.rows, x.cols) == (3, 0)
+
+
+def test_self_check_rejects_inconsistent_transforms(monkeypatch):
+    m = IntMatrix([[2, 1], [0, 3]])
+    monkeypatch.setattr(IntMatrix, "__matmul__",
+                        lambda a, b: IntMatrix.zeros(a.rows, b.cols))
+    with pytest.raises(AssertionError):
+        smith_normal_form(m)
+    monkeypatch.undo()
+    # the failed factorisation was not kept
+    assert_normal_form(m)
+
+
+def test_constructor_coerces_and_checks_outside_data():
+    m = IntMatrix([[True, 2.0], ["3", -4]])
+    assert m.entries == ((1, 2), (3, -4))
+    assert all(type(v) is int for row in m.entries for v in row)
+    assert IntMatrix.from_columns([(True,), (2.0,)], rows=1).entries == ((1, 2),)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], rows=2)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3, 4]], cols=3)
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2), (3,)], rows=2)
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2, 3)], rows=2)

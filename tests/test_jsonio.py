@@ -4,8 +4,8 @@ import pytest
 
 from finitetop import jsonio
 from finitetop.action import ActionOverX
-from finitetop.errors import (InputFormatError, NotContinuous, NotTransitive,
-                              ShapeMismatch)
+from finitetop.errors import (CapExceeded, InputFormatError, NotContinuous,
+                              NotTransitive, ShapeMismatch)
 from finitetop.intmat import IntMatrix
 from finitetop.ktheory import (FGAbelianGroup, GroupHom, is_exact_at,
                                two_point_sequence, verify_datum,
@@ -32,6 +32,18 @@ def test_space_labels():
     assert jsonio.space_to_json(space)["points"] == ["a", "b"]
     with pytest.raises(InputFormatError):
         jsonio.space_from_json(dict(SIERPINSKI_JSON, points="ab"))
+
+
+def test_space_label_errors():
+    preorder = {"preorder": {"size": 2, "leq": [[1, 0]]}}
+    for labels in ([1, 1], [[1], [2]], ["a"], ["a", "b", "c"], [True, False],
+                   [1.5, 2], [None, "b"], [{"a": 1}, "b"]):
+        for base in (SIERPINSKI_JSON, preorder):
+            with pytest.raises(InputFormatError):
+                jsonio.space_from_json(dict(base, points=labels))
+    # strings and integers may mix as long as they stay distinct
+    space = jsonio.space_from_json(dict(preorder, points=[1, "1"]))
+    assert space.labels == (1, "1")
 
 
 def test_space_from_preorder_form():
@@ -139,6 +151,17 @@ def test_group_roundtrip_and_errors():
         jsonio.group_from_json({"generators": -1})
     with pytest.raises(InputFormatError):
         jsonio.group_from_json({"generators": 2, "relations": [[2]]})
+
+
+def test_group_generator_cap():
+    cap = jsonio.GENERATORS_CAP
+    assert jsonio.group_from_json({"generators": cap}).rank == cap
+    # refused before anything of that size is built
+    for n in (cap + 1, 10 ** 12):
+        with pytest.raises(CapExceeded) as err:
+            jsonio.group_from_json({"generators": n})
+        assert isinstance(err.value, InputFormatError)
+        assert err.value.details == {"generators": n, "cap": cap}
 
 
 def test_hom_roundtrip():

@@ -169,6 +169,19 @@ def test_exactness_requires_meeting_maps():
         is_exact_at(GroupHom.zero(Z(1), Z(2)), GroupHom.zero(Z(1), Z(1)))
 
 
+def test_kernel_generator_witness_is_pinned():
+    # B = Z^2 + Z/4 onto C = Z/6 + Z; f is zero, so the first kernel
+    # generator of g is the witness
+    b = FGAbelianGroup(3, IntMatrix([[0], [0], [4]]))
+    c = FGAbelianGroup(2, IntMatrix([[6], [0]]))
+    g = GroupHom(b, c, IntMatrix([[2, 3, 3], [1, 1, 0]]))
+    report = is_exact_at(GroupHom.zero(Z(1), b), g)
+    assert not report.ok
+    assert report.reason == "kernel element not in the image"
+    assert report.witness == ("kernel generator", (3, -3, 1))
+    assert g((3, -3, 1)) == (0, 0)
+
+
 def test_composite_not_zero_witness():
     ident = GroupHom.identity(Z(1))
     report = is_exact_at(ident, ident)
