@@ -134,17 +134,6 @@ def build_yprime(base):
     return _assemble(base, filters)
 
 
-def build_power_space(base):
-    """Every subset of the open family, topologized the same way (demo scale)."""
-    k = len(base.opens)
-    if k > 8:
-        raise CapExceeded("power space capped at 8 base opens", opens=k)
-    filters = []
-    for pick in range(1 << k):
-        filters.append([base.opens[j] for j in bits(pick)])
-    return _assemble(base, filters)
-
-
 def neighborhood_filter_embedding(base, completion=None):
     """Send each point to the filter of opens around it."""
     comp = completion if completion is not None else build_yprime(base)

@@ -1,9 +1,8 @@
 """Exhaustive generation and classification of small finite spaces.
 
-Two independent generation routes are kept side by side on purpose: direct
-filtering of subset families (tiny n only) and row-by-row extension of
-relation matrices.  They serve as each other's oracle where their ranges
-overlap.  Classification up to homeomorphism goes through a canonical byte
+Spaces are generated one labeled preorder at a time, by row-by-row
+extension of relation matrices, and each preorder gives its Alexandrov
+topology.  Classification up to homeomorphism goes through a canonical byte
 encoding minimised over relabelings, refined by cheap point invariants so
 the permutation set stays small.
 """
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded
 from .spaces import (
-    FiniteSpace,
     Preorder,
     alexandrov_topology,
     bits,
@@ -91,41 +89,20 @@ def enumerate_labeled_preorders(n, t0=False):
             for rows in _extend_relations(n, t0, [], []))
 
 
-def topologies_by_family_filter(n):
-    """Brute force: keep every subset family closed under union and meet.
-
-    Candidate families range over all subsets of the proper nonempty masks,
-    so this is only usable for very small n; it exists as an oracle for the
-    relation-extension route.
-    """
-    full = (1 << n) - 1
-    proper = [m for m in range(1, full)]
-    out = []
-    for choice in range(1 << len(proper)):
-        fam = [0, full] if n else [0]
-        fam += [proper[k] for k in range(len(proper)) if choice >> k & 1]
-        ok = True
-        for a, b in itertools.combinations(fam, 2):
-            if a | b not in fam or a & b not in fam:
-                ok = False
-                break
-        if ok:
-            out.append(FiniteSpace(n, fam, validate=False))
-    return out
-
-
 def topologies_from_preorders(n, t0=False):
     return (alexandrov_topology(pre)
             for pre in enumerate_labeled_preorders(n, t0=t0))
 
 
 def enumerate_labeled_topologies(n):
-    """Every topology on n labeled points exactly once; n is capped at 5."""
+    """Every topology on n labeled points exactly once; n is capped at 5.
+
+    Sorted by the family read as a number, bit m-1 marking each proper open m.
+    """
     if n > TOPOLOGY_CAP:
         raise CapExceeded(f"topology enumeration capped at {TOPOLOGY_CAP} points", n=n)
-    if n <= 4:
-        return tuple(topologies_by_family_filter(n))
-    return tuple(topologies_from_preorders(n))
+    return tuple(sorted(topologies_from_preorders(n), key=lambda s: sum(
+        1 << (m - 1) for m in s.opens if 0 < m < s.full)))
 
 
 def enumerate_labeled_t0(n):
@@ -209,20 +186,6 @@ def are_homeomorphic(x1, x2):
     if sorted(m.bit_count() for m in x1.opens) != sorted(m.bit_count() for m in x2.opens):
         return False
     return canonical_form(x1) == canonical_form(x2)
-
-
-def homeomorphism_oracle(x1, x2):
-    """Search all bijections for one matching the open families (tiny n only)."""
-    if x1.size != x2.size:
-        return False
-    fam2 = set(x2.opens)
-    if len(x1.opens) != len(fam2):
-        return False
-    for perm in itertools.permutations(range(x1.size)):
-        image = {sum(1 << perm[p] for p in bits(u)) for u in x1.opens}
-        if image == fam2:
-            return True
-    return False
 
 
 # -- census ------------------------------------------------------------------

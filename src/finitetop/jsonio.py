@@ -6,16 +6,18 @@ row-major integer lists, group relations as a list of relator vectors
 raise InputFormatError; inputs that parse but fail a mathematical check
 (a family that is not a topology, a map that is not continuous) raise
 the usual FinitetopError subclasses so callers can tell the two apart.
-A group with more than GENERATORS_CAP generators is refused with
-InputCapExceeded, which is both kinds, before anything is built for it.
+A group with more than GENERATORS_CAP generators, a space with more than
+MAX_POINTS points and an opens list longer than OPEN_FAMILY_CAP are refused
+with InputCapExceeded, which is both kinds, before anything is built for
+them.
 """
 
 from .action import ActionOverX, IdealAssignment
 from .errors import InputCapExceeded, InputFormatError
 from .intmat import IntMatrix
 from .ktheory import FGAbelianGroup, GradedGroup, GroupHom, SixTermCycle
-from .spaces import (ContinuousMap, Preorder, alexandrov_topology, bits,
-                     family_key, validate_topology)
+from .spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap, Preorder,
+                     alexandrov_topology, bits, family_key, validate_topology)
 
 # Most generators a group may have on input.  Each group and map costs a
 # Smith normal form of a matrix with about this many rows; the point-count
@@ -39,6 +41,10 @@ def _size(obj, what):
     n = _int(obj.get("size"), f"{what} size")
     if n < 0:
         raise InputFormatError(f"{what} size must be nonnegative")
+    if n > MAX_POINTS:
+        raise InputCapExceeded(
+            f"spaces are capped at {MAX_POINTS} points, got {n}",
+            size=n, cap=MAX_POINTS)
     return n
 
 
@@ -110,6 +116,10 @@ def space_from_json(obj):
     opens = obj.get("opens")
     if not isinstance(opens, list):
         raise InputFormatError("space needs an opens list")
+    if len(opens) > OPEN_FAMILY_CAP:
+        raise InputCapExceeded(
+            f"open families are capped at {OPEN_FAMILY_CAP} sets, got {len(opens)}",
+            opens=len(opens), cap=OPEN_FAMILY_CAP)
     return validate_topology(n, (_mask(u, n, "open set") for u in opens), labels)
 
 

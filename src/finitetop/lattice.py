@@ -97,62 +97,43 @@ class LatticeMap:
         return self.table[a]
 
 
-def preserves_joins(m):
-    """True when the table respects unions of every subset of the source.
+def _preservation_failures(m):
+    """Yield (kind, a, b) for each join or meet the table breaks.
 
-    All 2^k subsets are tried while the source has at most 20 elements;
-    beyond that, pairs plus the empty join, which is equivalent on a finite
-    lattice (any union is a fold of pairwise unions).
+    The order is fixed: the empty join (bottom to bottom), the empty meet
+    (top to top), then "join" and "meet" for each pair a <= b in element
+    order.  Pairs suffice on a finite lattice, because any union or
+    intersection is a fold of pairwise ones.
     """
+    table = m.table
+    if table[0] != 0:
+        yield ("empty join", 0, 0)
+    top = m.source.top
+    if table[top] != m.target.top:
+        yield ("empty meet", top, top)
     elems = m.source.elements
-    k = len(elems)
-    if m.table[0] != 0:
-        return False
-    if k <= 20:
-        def rec(i, join_src, join_tgt):
-            if i == k:
-                return m.table[join_src] == join_tgt
-            return (rec(i + 1, join_src, join_tgt)
-                    and rec(i + 1, join_src | elems[i], join_tgt | m.table[elems[i]]))
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            if table[a | b] != (table[a] | table[b]):
+                yield ("join", a, b)
+            if table[a & b] != (table[a] & table[b]):
+                yield ("meet", a, b)
 
-        return rec(0, 0, 0)
-    return all(m.table[a | b] == (m.table[a] | m.table[b])
-               for i, a in enumerate(elems) for b in elems[i:])
+
+def preserves_joins(m):
+    """The table respects unions of every subset, the empty one included."""
+    return not any(kind.endswith("join") for kind, _, _ in _preservation_failures(m))
 
 
 def preserves_finite_meets(m):
-    """Pairwise meets plus the empty meet (top goes to top)."""
-    elems = m.source.elements
-    if m.table[m.source.top] != m.target.top:
-        return False
-    return all(m.table[a & b] == (m.table[a] & m.table[b])
-               for i, a in enumerate(elems) for b in elems[i:])
+    """The table respects pairwise meets and the empty meet (top to top)."""
+    return not any(kind.endswith("meet") for kind, _, _ in _preservation_failures(m))
 
 
 def is_monotone(m):
     elems = m.source.elements
     return all(m.table[a] & ~m.table[b] == 0
                for a in elems for b in elems if a & ~b == 0)
-
-
-def _preservation_witness(m):
-    """Pairwise certificate: None when joins, meets and endpoints all hold.
-
-    Equivalent to the exhaustive subset check on a finite lattice, but cheap
-    enough to sit on the reconstruction hot path.
-    """
-    if m.table[0] != 0:
-        return ("empty join", 0, 0)
-    if m.table[m.source.top] != m.target.top:
-        return ("empty meet", m.source.top, m.source.top)
-    elems = m.source.elements
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            if m.table[a | b] != (m.table[a] | m.table[b]):
-                return ("join", a, b)
-            if m.table[a & b] != (m.table[a] & m.table[b]):
-                return ("meet", a, b)
-    return None
 
 
 def continuous_to_lattice_map(psi):
@@ -172,11 +153,11 @@ def lattice_map_to_continuous(m, space_x, space_p):
         raise DomainMismatch("table does not match the given open families")
     if not space_x.is_sober():
         raise NotSober("reconstruction needs a sober space of points")
-    witness = _preservation_witness(m)
+    witness = next(_preservation_failures(m), None)
     if witness is not None:
         raise PreservationFailure(
             f"table fails {witness[0]} preservation", witness=witness)
-    irreducible = set(space_x.irreducible_closed_sets())
+    # on a sober space the irreducible closed sets are the point closures
     generic = {space_x.closure(1 << x): x for x in range(space_x.size)}
     assignment = []
     for p in range(space_p.size):
@@ -185,7 +166,7 @@ def lattice_map_to_continuous(m, space_x, space_p):
             if not m.table[u] >> p & 1:
                 u_p |= u
         a_p = space_x.full ^ u_p
-        if a_p == 0 or a_p not in irreducible:
+        if a_p not in generic:
             raise ReducibleClosedSet(
                 f"complement for point {p} is not irreducible", point=p, carrier=a_p)
         assignment.append(generic[a_p])

@@ -124,9 +124,6 @@ class FiniteSpace:
     def is_open(self, m):
         return m in self._open_set
 
-    def is_closed(self, m):
-        return (self.full ^ m) in self._open_set
-
     def closed_sets(self):
         return tuple(sorted((self.full ^ m for m in self.opens), key=family_key))
 
@@ -169,37 +166,26 @@ class FiniteSpace:
         return len({self.minimal_open(x) for x in range(self.size)}) == self.size
 
     def irreducible_closed_sets(self):
-        """Nonempty closed sets that are not a union of two proper closed subsets."""
-        closed = self.closed_sets()
-        out = []
-        for c in closed:
-            if c == 0:
-                continue
-            proper = [d for d in closed if d != c and d & ~c == 0]
-            if not any(d1 | d2 == c for d1 in proper for d2 in proper):
-                out.append(c)
-        return tuple(out)
+        """The distinct point closures: in a finite space, all the irreducible ones."""
+        return tuple(sorted({self.closure(1 << x) for x in range(self.size)},
+                            key=family_key))
 
     def is_sober(self):
-        """Every irreducible closed set is the closure of exactly one point."""
-        points = [self.closure(1 << x) for x in range(self.size)]
-        return all(points.count(c) == 1 for c in self.irreducible_closed_sets())
+        """Finite spaces are sober exactly when they are T0."""
+        return self.is_t0()
 
     def sobrification(self):
-        """The space of irreducible closed sets plus the canonical map into it.
+        """The T0 quotient: points are the irreducible closed sets.
 
-        Closed sets of the result are {A : A is contained in S} for S closed
-        here; the map sends x to closure({x}).  The preimage map on opens is
-        a lattice isomorphism, tested as a property.
+        The map sends x to closure({x}) and the opens of the result are the
+        images of the opens here.  The preimage map on opens is a lattice
+        isomorphism, tested as a property.
         """
         irr = self.irreducible_closed_sets()
         index = {c: i for i, c in enumerate(irr)}
-        hat_closed = set()
-        for s in self.closed_sets():
-            hat_closed.add(mask_of(i for i, c in enumerate(irr) if c & ~s == 0))
-        hat_full = (1 << len(irr)) - 1
-        hat = FiniteSpace(len(irr), (hat_full ^ m for m in hat_closed), validate=False)
         assignment = [index[self.closure(1 << x)] for x in range(self.size)]
+        hat = FiniteSpace(len(irr), {mask_of(assignment[x] for x in bits(u))
+                                     for u in self.opens}, validate=False)
         return hat, ContinuousMap(self, hat, assignment)
 
     def connected_components(self):
@@ -396,18 +382,6 @@ class Preorder:
     def down_set(self, x):
         return mask_of(y for y in range(self.size) if self.leq[y] >> x & 1)
 
-    def is_partial_order(self):
-        return all(
-            not (self.leq[x] >> y & 1 and self.leq[y] >> x & 1)
-            for x in range(self.size) for y in range(x + 1, self.size))
-
-    @classmethod
-    def from_pairs(cls, size, pairs):
-        rows = [1 << x for x in range(size)]
-        for x, y in pairs:
-            rows[x] |= 1 << y
-        return cls(size, rows)
-
     @classmethod
     def generated_by(cls, size, pairs):
         """Reflexive-transitive closure of the given pairs."""
@@ -523,9 +497,6 @@ class ContinuousMap:
     def is_injective(self):
         return len(set(self.assignment)) == self.domain.size
 
-    def is_surjective(self):
-        return len(set(self.assignment)) == self.codomain.size
-
     def is_open_map(self):
         return all(self.image_mask(u) in self.codomain._open_set
                    for u in self.domain.opens)
@@ -533,14 +504,6 @@ class ContinuousMap:
     def is_homeomorphism(self):
         return (self.domain.size == self.codomain.size
                 and self.is_injective() and self.is_open_map())
-
-    def is_monotone(self):
-        """Monotone for the specialisation preorders (= continuity, tested)."""
-        dom = self.domain.specialization()
-        cod = self.codomain.specialization()
-        return all(
-            cod.leq[self.assignment[x]] >> self.assignment[y] & 1
-            for x in range(self.domain.size) for y in bits(dom.leq[x]))
 
 
 @dataclass(frozen=True)

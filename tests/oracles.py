@@ -8,11 +8,12 @@ is the point, so none of it may call back into the code path under test.
 import itertools
 from math import gcd
 
-from finitetop.errors import NotContinuous
+from finitetop.completion import _assemble
+from finitetop.errors import CapExceeded, NotContinuous
 from finitetop.intmat import IntMatrix
 from finitetop.ktheory import FGAbelianGroup
-from finitetop.spaces import (ContinuousMap, Preorder, alexandrov_topology,
-                              bits, mask_of)
+from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
+                              alexandrov_topology, bits, mask_of)
 
 
 def random_poset_space(rng, n):
@@ -44,7 +45,6 @@ def random_continuous(rng, dom, cod, tries=60):
 
 def permuted_space(space, perm):
     """Relabel points by perm; the result is homeomorphic by construction."""
-    from finitetop.spaces import FiniteSpace
     opens = [mask_of(perm[i] for i in bits(u)) for u in space.opens]
     return FiniteSpace(space.size, opens, validate=False)
 
@@ -62,6 +62,70 @@ def brute_closure(space, s):
     """Smallest closed superset by scanning the whole family."""
     return min((c for c in space.closed_sets() if s & ~c == 0),
                key=lambda c: c.bit_count())
+
+
+def brute_irreducible_closed_sets(space):
+    """Nonempty closed sets that are not a union of two proper closed subsets."""
+    closed = space.closed_sets()
+    out = []
+    for c in closed:
+        if c == 0:
+            continue
+        proper = [d for d in closed if d != c and d & ~c == 0]
+        if not any(d1 | d2 == c for d1 in proper for d2 in proper):
+            out.append(c)
+    return tuple(out)
+
+
+def brute_is_sober(space):
+    """Every irreducible closed set is the closure of exactly one point."""
+    points = [brute_closure(space, 1 << x) for x in range(space.size)]
+    return all(points.count(c) == 1 for c in brute_irreducible_closed_sets(space))
+
+
+def topologies_by_family_filter(n):
+    """Keep every subset family closed under union and meet (tiny n only).
+
+    Candidate families range over all subsets of the proper nonempty masks,
+    in ascending order of the subset read as a binary number.
+    """
+    full = (1 << n) - 1
+    proper = [m for m in range(1, full)]
+    out = []
+    for choice in range(1 << len(proper)):
+        fam = [0, full] if n else [0]
+        fam += [proper[k] for k in range(len(proper)) if choice >> k & 1]
+        ok = True
+        for a, b in itertools.combinations(fam, 2):
+            if a | b not in fam or a & b not in fam:
+                ok = False
+                break
+        if ok:
+            out.append(FiniteSpace(n, fam, validate=False))
+    return out
+
+
+def homeomorphism_oracle(x1, x2):
+    """Search all bijections for one matching the open families (tiny n only)."""
+    if x1.size != x2.size:
+        return False
+    fam2 = set(x2.opens)
+    if len(x1.opens) != len(fam2):
+        return False
+    for perm in itertools.permutations(range(x1.size)):
+        image = {sum(1 << perm[p] for p in bits(u)) for u in x1.opens}
+        if image == fam2:
+            return True
+    return False
+
+
+def build_power_space(base):
+    """Every subset of the open family, topologized like the filter completion."""
+    k = len(base.opens)
+    if k > 8:
+        raise CapExceeded("power space capped at 8 base opens", opens=k)
+    return _assemble(base, [[base.opens[j] for j in bits(pick)]
+                            for pick in range(1 << k)])
 
 
 def random_monotone_table(rng, base, prim):

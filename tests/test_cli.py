@@ -11,12 +11,14 @@ import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
 from finitetop.jsonio import assignment_to_json, datum_to_json
-from finitetop.spaces import ContinuousMap, FiniteSpace
+from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
 from fixtures import constant_zero_datum, point_count_datum
 from finitetop.ktheory import FGAbelianGroup, GroupHom, SixTermCycle
 
 SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]], "points": [1, 2]}
 DISCRETE2 = {"size": 2, "opens": [[], [0], [1], [0, 1]]}
+# two chaotic blocks side by side: neither T0 nor sober
+TWO_BLOCKS = {"size": 4, "opens": [[], [0, 1], [2, 3], [0, 1, 2, 3]]}
 NINTH = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 1, 2], [1, 3],
                               [0, 1, 3], [0, 1, 2, 3]]}
 
@@ -89,6 +91,27 @@ def test_info_reads_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "info", "-")
     assert code == 0
     assert json.loads(out)["sober"] is True
+
+
+@pytest.mark.parametrize("space", [
+    {"preorder": {"size": 3000}},
+    {"preorder": {"size": 64}},
+    {"size": 64, "opens": [[]]},
+])
+def test_info_refuses_oversized_space(tmp_path, capsys, space):
+    code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))
+    assert code == 2 and out == ""
+    parsed = json.loads(err)
+    assert parsed["error"] == "input" and "63" in parsed["message"]
+
+
+def test_info_refuses_overlong_opens_list(tmp_path, capsys):
+    space = {"size": 1, "opens": [[]] * (OPEN_FAMILY_CAP + 1)}
+    code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))
+    assert code == 2 and out == ""
+    parsed = json.loads(err)
+    assert parsed["error"] == "input"
+    assert str(OPEN_FAMILY_CAP) in parsed["message"]
 
 
 def test_soberify_collapses_chaotic(tmp_path, capsys):
@@ -407,6 +430,30 @@ def test_ktheory_datum_verify_defect_bytes(tmp_path, capsys):
     assert len(err) == 7127
     assert (hashlib.sha256(err.encode()).hexdigest()
             == "50b7fbbb28d1e4a51fefac2ce195448765d4a421ecfe6deab6e856b01bd7a4ad")
+
+
+# sha256 and length of stdout as the subset-family and closed-set scans
+# produced them; the point-closure and preorder routes must keep every byte
+PINNED_STDOUT = [
+    (["enumerate", "--points", "4"], 123933,
+     "113b0192f4ee6a98fd72a4f60a721b172d87ce4346eaa0b4312ff793d995bc13"),
+    (["enumerate", "--points", "3", "--connected"], 3850,
+     "fa8688716a5b3efceba7f7c05ec28db840e8a57371c33d06313aa04412bd0951"),
+    (["soberify", TWO_BLOCKS], 284,
+     "c22914f4f248ed51058dea9b7c0aa7c0c4007ab885beb029ee2397fa28a0307b"),
+    (["info", TWO_BLOCKS], 203,
+     "ee1743541d2fddf208b95c3e57bbcabb8d0414434e7dae16a9290fe4a2fd8ec1"),
+]
+
+
+@pytest.mark.parametrize("argv,length,digest", PINNED_STDOUT)
+def test_stdout_bytes_pinned(tmp_path, capsys, argv, length, digest):
+    argv = [jfile(tmp_path, "s.json", a) if isinstance(a, dict) else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_module_entry_point(tmp_path):

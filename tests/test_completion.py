@@ -3,16 +3,15 @@ import random
 import pytest
 
 from finitetop.action import ActionOverX
-from finitetop.completion import (build_power_space, build_yprime,
-                                  from_discontinuous,
+from finitetop.completion import (build_yprime, from_discontinuous,
                                   neighborhood_filter_embedding,
                                   to_discontinuous)
 from finitetop.enumeration import are_homeomorphic
 from finitetop.errors import (BadEndpoints, CapExceeded, DomainMismatch,
                               NotMonotone, NotOpen)
 from finitetop.spaces import ContinuousMap, FiniteSpace, space_from_edges
-from oracles import (random_continuous, random_monotone_table,
-                     random_poset_space, random_space)
+from oracles import (build_power_space, random_continuous,
+                     random_monotone_table, random_poset_space, random_space)
 
 
 def sample_bases(rng, count, max_points=4):

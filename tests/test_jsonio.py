@@ -10,8 +10,8 @@ from finitetop.intmat import IntMatrix
 from finitetop.ktheory import (FGAbelianGroup, GroupHom, is_exact_at,
                                two_point_sequence, verify_datum,
                                verify_six_term)
-from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
-                              alexandrov_topology)
+from finitetop.spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap,
+                              FiniteSpace, Preorder, alexandrov_topology)
 from fixtures import constant_zero_datum, point_count_datum
 from oracles import random_continuous, random_poset_space, random_space
 
@@ -79,6 +79,35 @@ def test_space_schema_errors():
     ):
         with pytest.raises(InputFormatError):
             jsonio.space_from_json(bad)
+
+
+def test_space_size_cap(monkeypatch):
+    cap = MAX_POINTS
+    # the full relation on 63 points is one chaotic class with two opens
+    full = [[x, y] for x in range(cap) for y in range(cap)]
+    assert jsonio.space_from_json(
+        {"preorder": {"size": cap, "leq": full}}) == FiniteSpace.chaotic(cap)
+
+    def refuse(*args):
+        raise AssertionError("built a space over the cap")
+
+    monkeypatch.setattr(jsonio, "alexandrov_topology", refuse)
+    monkeypatch.setattr(jsonio, "validate_topology", refuse)
+    for n in (cap + 1, 3000, 10 ** 12):
+        for obj in ({"size": n, "opens": [[]]}, {"preorder": {"size": n}}):
+            with pytest.raises(CapExceeded) as err:
+                jsonio.space_from_json(obj)
+            assert isinstance(err.value, InputFormatError)
+            assert err.value.details == {"size": n, "cap": cap}
+
+
+def test_opens_list_cap(monkeypatch):
+    cap = OPEN_FAMILY_CAP
+    monkeypatch.setattr(jsonio, "_mask", None)  # refused before any open is read
+    with pytest.raises(CapExceeded) as err:
+        jsonio.space_from_json({"size": 1, "opens": [[]] * (cap + 1)})
+    assert isinstance(err.value, InputFormatError)
+    assert err.value.details == {"opens": cap + 1, "cap": cap}
 
 
 def test_preorder_transitivity_is_a_domain_error():

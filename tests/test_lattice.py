@@ -51,6 +51,16 @@ def test_preservation_predicates():
     crush = LatticeMap(disc, disc, {0: 0, 1: 0, 2: 0, 3: 3})
     assert not preserves_joins(crush)
 
+    # joins hold, the meet of the two points does not
+    point = open_set_lattice(FiniteSpace.point())
+    spread = LatticeMap(disc, point, {0: 0, 1: 1, 2: 1, 3: 1})
+    assert preserves_joins(spread)
+    assert not preserves_finite_meets(spread)
+    # joins and pairwise meets hold, the empty meet does not
+    to_bottom = LatticeMap(disc, point, {0: 0, 1: 0, 2: 0, 3: 0})
+    assert preserves_joins(to_bottom)
+    assert not preserves_finite_meets(to_bottom)
+
 
 def test_preimage_map_preserves_everything():
     rng = random.Random(91)
@@ -97,13 +107,22 @@ def test_reconstruction_needs_sober_point_space():
 
 
 def test_reconstruction_rejects_broken_tables():
-    x = FiniteSpace.discrete(2)
     p = FiniteSpace.point()
-    table = {0: 0, 1: 0, 2: 0, 3: 1}
-    m = LatticeMap(open_set_lattice(x), open_set_lattice(p), table)
-    with pytest.raises(PreservationFailure) as err:
-        lattice_map_to_continuous(m, x, p)
-    assert err.value.details["witness"][0] == "join"
+    # the first failure in scan order: empty join, empty meet, then the
+    # join and the meet of each pair; in the discrete three-point space the
+    # pair (1, 2) breaks its meet before (1, 4) breaks its join
+    for x, table, first in (
+            (FiniteSpace.discrete(2), {0: 0, 1: 0, 2: 0, 3: 1}, ("join", 1, 2)),
+            (FiniteSpace.discrete(3),
+             {0: 0, 1: 1, 2: 1, 4: 0, 3: 1, 5: 0, 6: 0, 7: 1}, ("meet", 1, 2)),
+            (FiniteSpace.sierpinski(), {0: 1, 1: 1, 3: 1}, ("empty join", 0, 0)),
+            (FiniteSpace.discrete(2), {0: 0, 1: 0, 2: 0, 3: 0}, ("empty meet", 3, 3)),
+    ):
+        m = LatticeMap(open_set_lattice(x), open_set_lattice(p), table)
+        with pytest.raises(PreservationFailure) as err:
+            lattice_map_to_continuous(m, x, p)
+        assert err.value.details["witness"] == first
+        assert str(err.value) == f"table fails {first[0]} preservation"
 
 
 def test_reconstruction_checks_lattices_match():

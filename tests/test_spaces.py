@@ -10,7 +10,9 @@ from finitetop.errors import (MissingEmpty, MissingFull, NotClosedUnderIntersect
 from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
                               alexandrov_topology, bits, hasse_dot, mask_of,
                               space_from_edges, validate_topology)
-from oracles import brute_closure, brute_locally_closed, random_poset_space
+from oracles import (brute_closure, brute_irreducible_closed_sets,
+                     brute_is_sober, brute_locally_closed, random_poset_space,
+                     random_space)
 
 from finitetop.enumeration import enumerate_labeled_topologies
 
@@ -125,8 +127,19 @@ def test_stock_spaces():
 def test_t0_and_sober_examples():
     assert FiniteSpace.sierpinski().is_t0()
     assert FiniteSpace.sierpinski().is_sober()
+    assert brute_is_sober(FiniteSpace.sierpinski())
     assert not FiniteSpace.chaotic(2).is_t0()
     assert not FiniteSpace.chaotic(2).is_sober()
+    assert not brute_is_sober(FiniteSpace.chaotic(2))
+
+
+def test_irreducible_closed_sets_match_scan():
+    for space in spaces_up_to(4):
+        assert space.irreducible_closed_sets() == brute_irreducible_closed_sets(space)
+    rng = random.Random(29)
+    for _ in range(200):
+        space = random_space(rng, rng.randint(5, 7))
+        assert space.irreducible_closed_sets() == brute_irreducible_closed_sets(space)
 
 
 # -- sobrification ---------------------------------------------------------------
@@ -135,12 +148,14 @@ def test_t0_and_sober_examples():
 def test_sobrification_of_sober_space_is_identity_like():
     space = FiniteSpace.sierpinski()
     hat, iota = space.sobrification()
+    assert brute_is_sober(hat)
     assert hat.size == space.size
     assert iota.is_homeomorphism()
 
 
 def test_sobrification_collapses_chaotic():
     hat, iota = FiniteSpace.chaotic(3).sobrification()
+    assert brute_is_sober(hat)
     assert hat.size == 1
     assert iota.assignment == (0, 0, 0)
 
@@ -148,7 +163,7 @@ def test_sobrification_collapses_chaotic():
 def test_sobrification_open_lattice_preserved():
     for space in spaces_up_to(3):
         hat, iota = space.sobrification()
-        assert hat.is_sober()
+        assert brute_is_sober(hat)
         pulled = {iota.preimage(u) for u in hat.opens}
         assert pulled == set(space.opens)
         assert len(hat.opens) == len(space.opens)
