@@ -13,12 +13,11 @@ from .errors import (
     CompatibilityFailure,
     CoverFailure,
     DomainMismatch,
-    MeetFailure,
     NotOpen,
     NotSober,
     NotWellDefined,
 )
-from .lattice import LatticeMap, lattice_map_to_continuous, open_set_lattice
+from .lattice import LatticeMap, lattice_map_to_continuous
 from .spaces import ContinuousMap, LocallyClosedSet, bits, mask_of
 
 
@@ -45,25 +44,6 @@ class ActionOverX:
         return f"ActionOverX(base={self.base!r}, psi={self.psi.assignment})"
 
 
-class SubquotientSupport:
-    """The part of the primitive space sitting over a locally closed set."""
-
-    __slots__ = ("of", "over", "carrier")
-
-    def __init__(self, of, over, carrier):
-        self.of = of
-        self.over = over
-        self.carrier = carrier
-
-    def __eq__(self, other):
-        return (isinstance(other, SubquotientSupport) and self.of == other.of
-                and self.over == other.over and self.carrier == other.carrier)
-
-    def __repr__(self):
-        return (f"SubquotientSupport(over={sorted(bits(self.over.carrier))}, "
-                f"carrier={sorted(bits(self.carrier.carrier))})")
-
-
 def _as_locally_closed(space, c):
     if isinstance(c, LocallyClosedSet):
         return c
@@ -82,7 +62,8 @@ def subquotient_support(action, c):
 
     Each witness pair (U, V) must give the same preimage difference, and
     any two witnesses (U1,V1), (U2,V2) must satisfy the exchange identity
-    preim(U2) | preim(V1) == preim(U1) | preim(V2).
+    preim(U2) | preim(V1) == preim(U1) | preim(V2).  The support is returned
+    as a locally closed set of the primitive space.
     """
     c = _as_locally_closed(action.base, c)
     witnesses = action.base.locally_closed_witnesses(c.carrier)
@@ -96,7 +77,7 @@ def subquotient_support(action, c):
             if pu2 | pv1 != pu1 | pv2:
                 raise NotWellDefined(
                     "witness exchange identity fails", carrier=c.carrier)
-    return SubquotientSupport(action, c, action.prim.locally_closed(carriers.pop()))
+    return action.prim.locally_closed(carriers.pop())
 
 
 def pushforward(f, action):
@@ -110,7 +91,7 @@ def pushforward(f, action):
     moved = ActionOverX(f.codomain, action.prim, action.psi.then(f))
     for c in f.codomain.locally_closed_sets():
         upstairs = action.base.locally_closed(f.preimage(c.carrier))
-        if (subquotient_support(moved, c).carrier.carrier
+        if (subquotient_support(moved, c).carrier
                 != action.psi.preimage(upstairs.carrier)):
             raise NotWellDefined(
                 "pushforward support mismatch", carrier=c.carrier)
@@ -134,7 +115,7 @@ def restrict(action, y):
                         ContinuousMap(prim_sub, base_sub, assignment, validate=False))
     for c in base_sub.locally_closed_sets():
         big_carrier = mask_of(base_pts[i] for i in bits(c.carrier))
-        got = subquotient_support(small, c).carrier.carrier
+        got = subquotient_support(small, c).carrier
         lifted = mask_of(prim_pts[i] for i in bits(got))
         if lifted != action.psi.preimage(big_carrier):
             raise NotWellDefined("restriction support mismatch", carrier=c.carrier)
@@ -164,7 +145,7 @@ def p_functor(action, y):
     pts = tuple(bits(action.psi.preimage(y.carrier)))
     for z in action.base.locally_closed_sets():
         meet = y.carrier & z.carrier
-        got = subquotient_support(result, z).carrier.carrier
+        got = subquotient_support(result, z).carrier
         lifted = mask_of(pts[i] for i in bits(got))
         if lifted != action.psi.preimage(meet):
             raise NotWellDefined("composite support mismatch", carrier=z.carrier)
@@ -199,9 +180,11 @@ def reconstruct(assign, prim):
     """Rebuild the action whose minimal-open ideals are the given values.
 
     Checks, in order: the base is sober, every value is open, the values
-    cover P, the pairwise compatibility a_x & a_y = union of a_z over z in
-    U_x & U_y, and that U -> union of a_x over x in U respects finite meets.
-    The lattice map is then converted back into a continuous map.
+    cover P, and the pairwise compatibility a_x & a_y = union of a_z over z
+    in U_x & U_y.  Compatibility makes U -> union of a_x over x in U respect
+    finite meets: it gives table[U] & table[V] within table[U & V], and its
+    x = y case the reverse inclusion.  The lattice map is then converted
+    back into a continuous map.
     """
     space = assign.base
     if not space.is_sober():
@@ -231,14 +214,7 @@ def reconstruct(assign, prim):
         for x in bits(u):
             m |= values[x]
         table[u] = m
-    for u in space.opens:
-        for v in space.opens:
-            if table[u & v] != table[u] & table[v]:
-                raise MeetFailure(
-                    "assembled ideal table does not respect intersections",
-                    witness=(u, v))
-    lattice_map = LatticeMap(open_set_lattice(space), open_set_lattice(prim), table)
-    psi = lattice_map_to_continuous(lattice_map, space, prim)
+    psi = lattice_map_to_continuous(LatticeMap(space, prim, table))
     return ActionOverX(space, prim, psi)
 
 
@@ -264,7 +240,7 @@ def filtration_of_action(action):
             if action.psi.preimage(action.base.minimal_open(x)) & over_rest != fiber:
                 raise NotWellDefined(
                     "fiber is not relatively open over the remaining base", point=x)
-        if pieces != support.carrier.carrier:
+        if pieces != support.carrier:
             raise NotWellDefined("stratum support is not the union of its fibers")
         out.append(support)
     return out

@@ -98,8 +98,7 @@ def _cmd_alexandrov(args):
 
 def _cmd_enumerate(args):
     if args.up_to_homeo:
-        row = census(args.points, connected=args.connected, t0=args.t0,
-                     workers=args.workers)
+        row = census(args.points, connected=args.connected, t0=args.t0)
         spaces = [space_from_canonical(f) for f in row.classes]
         count, labeled = row.class_count(), row.labeled_count
     else:
@@ -174,7 +173,7 @@ def _cmd_action(args):
         rows = []
         for stratum, sup in zip(filt.strata, supports):
             rows.append({"stratum": indices(stratum),
-                         "support": indices(sup.carrier.carrier),
+                         "support": indices(sup.carrier),
                          "fibers": [indices(fiber_support(action, x))
                                     for x in bits(stratum)]})
         _emit({"layers": [indices(m) for m in filt.layers],
@@ -268,7 +267,6 @@ def build_parser():
     p.add_argument("--connected", action="store_true")
     p.add_argument("--t0", action="store_true")
     p.add_argument("--up-to-homeo", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     form = p.add_mutually_exclusive_group()
     form.add_argument("--json", dest="table", action="store_false")
     form.add_argument("--table", dest="table", action="store_true")
@@ -310,10 +308,15 @@ def main(argv=None):
         parser.error("restrict needs --set")
     if getattr(args, "mode", None) == "pushforward" and args.extra is None:
         parser.error("pushforward needs a map file")
+    if getattr(args, "points", 0) < 0:
+        parser.error(f"--points must be nonnegative, got {args.points}")
     try:
         return args.func(args)
     except InputFormatError as exc:
-        _emit({"error": "input", "message": str(exc)}, stream=sys.stderr)
+        out = {"error": "input", "message": str(exc)}
+        if isinstance(exc, FinitetopError):  # an input cap names its limit
+            out["details"] = exc.details
+        _emit(out, stream=sys.stderr)
         return 2
     except OSError as exc:
         _emit({"error": "io", "message": str(exc)}, stream=sys.stderr)

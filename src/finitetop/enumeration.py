@@ -10,7 +10,6 @@ the permutation set stays small.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -63,25 +62,10 @@ def _extend_relations(n, t0, rows, downs):
             yield from _extend_relations(n, t0, rows2, downs2)
 
 
-def _relation_prefixes(n, t0, depth):
-    """Collect (rows, downs) prefix states at the given depth, in a fixed order."""
-    states = [([], [])]
-    for i in range(min(depth, n)):
-        grown = []
-        for rows, downs in states:
-            for full_rows in _extend_relations(i + 1, t0, rows, downs):
-                # rebuild downs for the completed prefix
-                new_downs = [0] * (i + 1)
-                for x in range(i + 1):
-                    for y in bits(full_rows[x]):
-                        new_downs[y] |= 1 << x
-                grown.append((list(full_rows), new_downs))
-        states = grown
-    return states
-
-
 def enumerate_labeled_preorders(n, t0=False):
     """All preorders (or partial orders) on points 0..n-1, one per labeling."""
+    if n < 0:
+        raise ValueError(f"point count must be nonnegative, got {n}")
     cap = T0_CAP if t0 else CENSUS_CAP
     if n > cap:
         raise CapExceeded(f"relation enumeration capped at {cap} points", n=n)
@@ -204,40 +188,17 @@ class CensusRow:
         return len(self.classes)
 
 
-def _census_chunk(n, connected, t0, states):
-    count = 0
-    forms = set()
-    for rows, downs in states:
-        for full_rows in _extend_relations(n, t0, list(rows), list(downs)):
-            space = alexandrov_topology(Preorder(n, full_rows, validate=False))
-            if connected and not space.is_connected():
-                continue
-            count += 1
-            forms.add(canonical_form(space))
-    return count, forms
-
-
-def census(n, connected=False, t0=False, workers=1):
-    """Count labeled spaces passing the filters and list their classes.
-
-    Workers split the relation-extension tree at a fixed shallow depth into
-    disjoint prefixes; counts add up and class sets merge, so the result
-    does not depend on the schedule.
-    """
+def census(n, connected=False, t0=False):
+    """Count labeled spaces passing the filters and list their classes."""
     if n > CENSUS_CAP:
         raise CapExceeded(f"census capped at {CENSUS_CAP} points", n=n)
-    states = _relation_prefixes(n, t0, depth=2)
-    if workers <= 1:
-        chunks = [_census_chunk(n, connected, t0, states)]
-    else:
-        buckets = [states[k::workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda b: _census_chunk(n, connected, t0, b), buckets))
-    count = sum(c for c, _ in chunks)
+    count = 0
     forms = set()
-    for _, f in chunks:
-        forms |= f
+    for space in topologies_from_preorders(n, t0=t0):
+        if connected and not space.is_connected():
+            continue
+        count += 1
+        forms.add(canonical_form(space))
     return CensusRow(n, connected, t0, count, tuple(sorted(forms)))
 
 

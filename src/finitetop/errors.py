@@ -92,10 +92,6 @@ class CompatibilityFailure(FinitetopError):
     pass
 
 
-class MeetFailure(FinitetopError):
-    pass
-
-
 # -- completion ---------------------------------------------------------
 
 class NotMonotone(FinitetopError):

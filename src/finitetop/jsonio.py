@@ -98,8 +98,11 @@ def space_from_json(obj):
         pre = _obj(obj["preorder"], "preorder")
         n = _size(pre, "preorder")
         labels = _labels(obj.get("points"), n)
+        leq = pre.get("leq", [])
+        if not isinstance(leq, list):
+            raise InputFormatError("leq must be a list of [x, y] pairs")
         rows = [1 << x for x in range(n)]
-        for pair in pre.get("leq", []):
+        for pair in leq:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InputFormatError("leq entries must be [x, y] pairs")
             x = _int(pair[0], "leq point")

@@ -19,7 +19,7 @@ from .errors import (
     SquareNotCommuting,
 )
 from .intmat import IntMatrix, kernel_basis, smith_normal_form, solve
-from .spaces import bits, family_key, mask_of
+from .spaces import bits, family_key
 
 
 class FGAbelianGroup:

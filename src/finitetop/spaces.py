@@ -410,7 +410,9 @@ def alexandrov_topology(pre):
 
     Equivalent points (x <= y <= x) enter or leave an up-set together, so the
     recursion runs over condensed classes, most-open classes first.  Raises
-    CapExceeded past OPEN_FAMILY_CAP opens (wide antichains explode).
+    CapExceeded past OPEN_FAMILY_CAP opens (wide antichains explode); every
+    union of maximal classes is an up-set, so 2 ** (maximal classes) opens
+    is a lower bound that refuses such preorders before the recursion.
     """
     n = pre.size
     rows = pre.leq
@@ -424,13 +426,18 @@ def alexandrov_topology(pre):
         classes.append((rows[x].bit_count(), cls, rows[x] & ~cls))
         seen |= cls
     classes.sort()
+    at_least = 1 << sum(1 for _, _, above in classes if not above)
+    if at_least > OPEN_FAMILY_CAP:
+        raise CapExceeded(f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens",
+                          cap=OPEN_FAMILY_CAP, at_least=at_least)
     opens = []
 
     def rec(i, cur):
         if i == len(classes):
             if len(opens) >= OPEN_FAMILY_CAP:
                 raise CapExceeded(
-                    f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens")
+                    f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens",
+                    cap=OPEN_FAMILY_CAP)
             opens.append(cur)
             return
         _, cls, above = classes[i]

@@ -150,6 +150,12 @@ def random_monotone_table(rng, base, prim):
     return table
 
 
+def brute_meet_failures(space, table):
+    """Every pair of opens (u, v) whose table values do not meet at u & v."""
+    return [(u, v) for u in space.opens for v in space.opens
+            if table[u & v] != table[u] & table[v]]
+
+
 # -- element-level arithmetic in products of cyclic groups ---------------------
 
 

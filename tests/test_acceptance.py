@@ -73,9 +73,9 @@ def test_c01_correspondences_and_sobrification():
             p = random_poset_space(rng, rng.randint(1, 5))
             psi = random_continuous(rng, p, x)
             table = continuous_to_lattice_map(psi)
-            assert lattice_map_to_continuous(table, x, p) == psi
+            assert lattice_map_to_continuous(table) == psi
             again = continuous_to_lattice_map(
-                lattice_map_to_continuous(table, x, p))
+                lattice_map_to_continuous(table))
             assert again.table == table.table
         for n in range(4):
             for space in enumerate_labeled_topologies(n):
@@ -136,7 +136,7 @@ def test_c04_subquotient_supports_are_witness_independent():
                 witnesses = list(act.base.locally_closed_witnesses(lc.carrier))
                 supports = {psi.preimage(u) & ~psi.preimage(v)
                             for u, v in witnesses}
-                assert supports == {subquotient_support(act, lc).carrier.carrier}
+                assert supports == {subquotient_support(act, lc).carrier}
                 for u1, v1 in witnesses:
                     for u2, v2 in witnesses:
                         assert (psi.preimage(u2) | psi.preimage(v1)
@@ -210,7 +210,7 @@ def test_c07_canonical_filtration():
             for j, sup in enumerate(supports):
                 expected = (act.psi.preimage(filt.layers[j + 1])
                             & ~act.psi.preimage(filt.layers[j]))
-                assert sup.carrier.carrier == expected
+                assert sup.carrier == expected
                 union = 0
                 for x in bits(filt.strata[j]):
                     piece = fiber_support(act, x)

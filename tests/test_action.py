@@ -9,7 +9,8 @@ from finitetop.action import (ActionOverX, IdealAssignment, fiber_support,
 from finitetop.errors import (CompatibilityFailure, CoverFailure, DomainMismatch,
                               NotOpen, NotSober)
 from finitetop.spaces import ContinuousMap, FiniteSpace, bits, mask_of
-from oracles import random_continuous, random_poset_space, random_space
+from oracles import (brute_meet_failures, random_continuous, random_poset_space,
+                     random_space)
 
 
 def ninth_space():
@@ -61,7 +62,7 @@ def test_subquotient_witnesses_agree():
             for u, v in witnesses:
                 carriers.add(psi.preimage(u) & ~psi.preimage(v))
             assert len(carriers) == 1
-            got = subquotient_support(act, lc).carrier.carrier
+            got = subquotient_support(act, lc).carrier
             assert carriers == {got}
             # exchange identity between any two witnesses
             for u1, v1 in witnesses:
@@ -76,7 +77,7 @@ def test_support_carrier_is_locally_closed_in_prim():
         act = random_action(rng)
         for lc in act.base.locally_closed_sets():
             sup = subquotient_support(act, lc)
-            assert act.prim.is_locally_closed(sup.carrier.carrier)
+            assert act.prim.is_locally_closed(sup.carrier)
 
 
 def test_pushforward_along_identity_and_collapse():
@@ -87,7 +88,7 @@ def test_pushforward_along_identity_and_collapse():
     collapsed = pushforward(ContinuousMap(act.base, point, [0, 0, 0, 0]), act)
     assert collapsed.base == point
     assert subquotient_support(
-        collapsed, point.locally_closed(1)).carrier.carrier == act.prim.full
+        collapsed, point.locally_closed(1)).carrier == act.prim.full
 
 
 def test_pushforward_needs_matching_base():
@@ -118,7 +119,7 @@ def test_restrict_preserves_supports():
             _, prim_pts = act.prim.subspace(act.psi.preimage(lc.carrier))
             whole = subquotient_support(
                 small, small.base.locally_closed(small.base.full))
-            lifted = mask_of(prim_pts[i] for i in bits(whole.carrier.carrier))
+            lifted = mask_of(prim_pts[i] for i in bits(whole.carrier))
             assert lifted == act.psi.preimage(lc.carrier)
 
 
@@ -128,7 +129,7 @@ def test_p_functor_supports():
     assert part.base == act.base
     pts = tuple(bits(act.psi.preimage(0b1010)))
     for z in act.base.locally_closed_sets():
-        got = subquotient_support(part, z).carrier.carrier
+        got = subquotient_support(part, z).carrier
         lifted = mask_of(pts[i] for i in bits(got))
         assert lifted == act.psi.preimage(z.carrier & 0b1010)
 
@@ -163,6 +164,28 @@ def test_reconstruct_roundtrip_random():
         act = ActionOverX(base, prim, random_continuous(rng, prim, base))
         rebuilt = reconstruct(minimal_ideals(act), prim)
         assert rebuilt.psi == act.psi
+
+
+def test_reconstruct_random_assignments_meet_or_refuse():
+    # the compatibility check alone makes the assembled table respect meets
+    rng = random.Random(127)
+    accepted = 0
+    for _ in range(3000):
+        base = random_space(rng, rng.randint(1, 4))
+        prim = random_space(rng, rng.randint(1, 3))
+        values = {x: (rng.choice(prim.opens) if rng.random() < 0.9
+                      else rng.randrange(1 << prim.size))
+                  for x in range(base.size)}
+        try:
+            act = reconstruct(IdealAssignment(base, values), prim)
+        except (NotSober, NotOpen, CoverFailure, CompatibilityFailure):
+            continue
+        accepted += 1
+        table = {u: mask_of(p for x in bits(u) for p in bits(values[x]))
+                 for u in base.opens}
+        assert {u: act.psi.preimage(u) for u in base.opens} == table
+        assert brute_meet_failures(base, table) == []
+    assert accepted > 100
 
 
 def test_reconstruct_requires_sober_base():
@@ -207,8 +230,7 @@ def test_assignment_totality():
 def test_filtration_of_ninth_case():
     act = ninth_action()
     supports = filtration_of_action(act)
-    assert [s.carrier.carrier for s in supports] == [0b0011, 0b1100]
-    assert [s.over.carrier for s in supports] == [0b0011, 0b1100]
+    assert [s.carrier for s in supports] == [0b0011, 0b1100]
 
 
 def test_filtration_partition_property():
@@ -224,7 +246,7 @@ def test_filtration_partition_property():
             # the j-th support is the ideal gap between consecutive layers
             expected = (act.psi.preimage(filt.layers[j + 1])
                         & ~act.psi.preimage(filt.layers[j]))
-            assert sup.carrier.carrier == expected
+            assert sup.carrier == expected
             pieces = [fiber_support(act, x) for x in bits(filt.strata[j])]
             union = 0
             for piece in pieces:

@@ -103,6 +103,8 @@ def test_info_refuses_oversized_space(tmp_path, capsys, space):
     assert code == 2 and out == ""
     parsed = json.loads(err)
     assert parsed["error"] == "input" and "63" in parsed["message"]
+    size = space.get("preorder", space)["size"]
+    assert parsed["details"] == {"size": size, "cap": 63}
 
 
 def test_info_refuses_overlong_opens_list(tmp_path, capsys):
@@ -112,6 +114,27 @@ def test_info_refuses_overlong_opens_list(tmp_path, capsys):
     parsed = json.loads(err)
     assert parsed["error"] == "input"
     assert str(OPEN_FAMILY_CAP) in parsed["message"]
+    assert parsed["details"] == {"opens": OPEN_FAMILY_CAP + 1,
+                                 "cap": OPEN_FAMILY_CAP}
+
+
+def test_info_refuses_wide_preorder_before_building(tmp_path, capsys):
+    # 40 unrelated points: at least 2 ** 40 opens, refused from the count
+    # of maximal classes
+    space = {"preorder": {"size": 40}}
+    code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))
+    assert code == 1 and out == ""
+    parsed = json.loads(err)
+    assert parsed["error"] == "CapExceeded"
+    assert parsed["details"] == {"cap": OPEN_FAMILY_CAP, "at_least": 1 << 40}
+
+
+def test_plain_input_errors_carry_no_details(tmp_path, capsys):
+    space = {"preorder": {"size": 0, "leq": 2}}
+    code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "message": "leq must be a list of [x, y] pairs"}
 
 
 def test_soberify_collapses_chaotic(tmp_path, capsys):
@@ -174,13 +197,22 @@ def test_enumerate_table(capsys):
     assert out.strip().endswith("count: 3  labeled: 12")
 
 
-def test_enumerate_bytes_stable_across_workers(capsys):
-    runs = []
-    for workers in ("1", "3"):
-        _, out, _ = run(capsys, "enumerate", "--points", "4", "--t0",
-                        "--up-to-homeo", "--workers", workers)
-        runs.append(out)
-    assert runs[0] == runs[1]
+@pytest.mark.parametrize("flags", [(), ("--t0",), ("--up-to-homeo",),
+                                   ("--up-to-homeo", "--t0")])
+def test_enumerate_refuses_negative_points(capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["enumerate", "--points", "-1", *flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--points must be nonnegative, got -1" in captured.err
+
+
+def test_enumerate_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["enumerate", "--points", "2", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 # -- hasse / complete --------------------------------------------------------------
@@ -406,6 +438,7 @@ def test_ktheory_refuses_oversized_group(tmp_path, capsys):
     assert code == 2 and out == ""
     parsed = json.loads(err)
     assert parsed["error"] == "input" and "64" in parsed["message"]
+    assert parsed["details"] == {"generators": 10 ** 12, "cap": 64}
 
 
 def test_ktheory_datum_verify_defect_bytes(tmp_path, capsys):

@@ -1,0 +1,165 @@
+"""Bounded fuzzing of the command line, in process.
+
+Every subcommand gets valid documents with one part replaced by small
+random JSON, or random JSON outright.  Whatever the input, ``main`` must
+return 0, 1 or 2 (argparse exits with 2), write JSON to standard error
+when it returns 1, and let no exception escape.  Sizes stay small so each
+call is cheap: integers lie in -2..6, ``complete`` sees at most 3 points
+and ``enumerate`` at most 4.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finitetop.cli import main
+from finitetop.jsonio import datum_to_json
+from finitetop.spaces import FiniteSpace
+from fixtures import constant_zero_datum, point_count_datum
+
+KEYS = ("size", "opens", "points", "preorder", "leq", "base", "prim", "psi",
+        "values", "domain", "codomain", "matrix", "generators", "relations",
+        "f", "g", "groups", "maps", "even", "odd", "space", "cycles", "open",
+        "set", "top", "right", "left", "bottom")
+
+
+def small_json(top):
+    leaves = (st.none() | st.booleans() | st.integers(-2, top)
+              | st.sampled_from(["", "0", "0,1", "x"]))
+    return st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4)),
+        max_leaves=12)
+
+
+def paths(doc, prefix=()):
+    """Every position inside a document, the whole document included."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from paths(value, prefix + (i,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(doc, dict):
+        return {**doc, head: replaced(doc[head], rest, value)}
+    return [replaced(v, rest, value) if i == head else v for i, v in enumerate(doc)]
+
+
+@st.composite
+def mutated(draw, seeds, top=6):
+    """A seed as it is, with one part replaced, or random JSON outright."""
+    doc = draw(st.sampled_from(seeds))
+    choice = draw(st.integers(0, 7))
+    if choice == 0:
+        return draw(small_json(top))
+    if choice <= 2:
+        return doc
+    path = draw(st.sampled_from(list(paths(doc))))
+    return replaced(doc, path, draw(st.integers(-2, top) | small_json(top)))
+
+
+Z = {"generators": 1, "relations": []}
+MOD2 = {"generators": 1, "relations": [[2]]}
+ZERO = {"generators": 0, "relations": []}
+SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]], "points": ["a", "b"]}
+NINTH = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 1, 2], [1, 3],
+                              [0, 1, 3], [0, 1, 2, 3]]}
+V_SHAPE = {"preorder": {"size": 3, "leq": [[0, 1], [2, 1]]}}
+SPACES = [SIERPINSKI, NINTH, V_SHAPE,
+          {"size": 2, "opens": [[], [0, 1]]}]
+SMALL_SPACES = [SIERPINSKI, V_SHAPE, {"size": 3, "opens": [[], [0], [0, 1, 2]]}]
+ACTIONS = [{"base": NINTH, "prim": NINTH, "psi": [0, 1, 2, 3]},
+           {"base": SIERPINSKI, "prim": V_SHAPE, "psi": [1, 0, 1]}]
+ASSIGNMENTS = [{"base": NINTH, "prim": NINTH,
+                "values": {"0": [0], "1": [1], "2": [0, 1, 2], "3": [1, 3]}},
+               {"base": SIERPINSKI, "prim": SIERPINSKI,
+                "values": {"0": [0], "1": [0, 1]}}]
+MAPS = [{"domain": NINTH, "codomain": {"size": 1, "opens": [[], [0]]},
+         "values": [0, 0, 0, 0]}]
+HOM = {"domain": Z, "codomain": Z, "matrix": [[2]]}
+DOCS = {
+    "snf": [{"matrix": [[2, 0], [0, 3]]}, [[4, 6], [2, 2]]],
+    "exact": [{"f": HOM, "g": {"domain": Z, "codomain": MOD2, "matrix": [[1]]}}],
+    "six-term": [{"groups": [MOD2, MOD2, ZERO, ZERO, ZERO, ZERO],
+                  "maps": [[[1]], [], [], [], [], [[]]]}],
+    "datum-verify": [datum_to_json(point_count_datum(FiniteSpace.sierpinski())),
+                     datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))],
+    "two-point": [{"top": HOM, "right": HOM, "left": HOM, "bottom": HOM}],
+}
+
+
+@st.composite
+def command(draw):
+    """(argv, documents to write for it) for one random subcommand."""
+    kind = draw(st.sampled_from(
+        ("validate", "info", "soberify", "hasse", "to-preorder",
+         "from-preorder", "complete", "enumerate", "action", "ktheory")))
+    if kind == "enumerate":
+        flags = draw(st.lists(st.sampled_from(
+            ("--connected", "--t0", "--up-to-homeo", "--table", "--json")),
+            unique=True, max_size=4))
+        points = str(draw(st.integers(-2, 4)))
+        return ["enumerate", "--points", points, *flags], []
+    if kind in ("validate", "info", "soberify", "hasse"):
+        extra = ["--dot"] if kind == "hasse" and draw(st.booleans()) else []
+        return [kind, "{0}", *extra], [draw(mutated(SPACES))]
+    if kind == "to-preorder":
+        return ["alexandrov", "--to-preorder", "{0}"], [draw(mutated(SPACES))]
+    if kind == "from-preorder":
+        seeds = [V_SHAPE, V_SHAPE["preorder"]]
+        return ["alexandrov", "--from-preorder", "{0}"], [draw(mutated(seeds))]
+    if kind == "complete":
+        return ["complete", "{0}"], [draw(mutated(SMALL_SPACES, top=3))]
+    if kind == "action":
+        mode = draw(st.sampled_from(
+            ("check", "restrict", "pushforward", "filtrate", "reconstruct")))
+        if mode == "reconstruct":
+            return ["action", mode, "{0}"], [draw(mutated(ASSIGNMENTS))]
+        argv = ["action", mode, "{0}"]
+        docs = [draw(mutated(ACTIONS))]
+        if mode == "pushforward" and draw(st.integers(0, 5)):
+            argv.append("{1}")
+            docs.append(draw(mutated(MAPS)))
+        if mode == "restrict" and draw(st.integers(0, 5)):
+            argv += ["--set", draw(st.sampled_from(("0", "0,1", "", "2,3", "x", "9")))]
+        return argv, docs
+    mode = draw(st.sampled_from(sorted(DOCS)))
+    return ["ktheory", mode, "{0}"], [draw(mutated(DOCS[mode]))]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=command())
+def test_cli_survives_bounded_fuzz(workdir, case):
+    argv, docs = case
+    names = []
+    for i, doc in enumerate(docs):
+        path = workdir / f"doc{i}.json"
+        path.write_text(json.dumps(doc))
+        names.append(str(path))
+    argv = [arg.format(*names) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, docs)
+    if code == 1:
+        json.loads(err.getvalue())

@@ -76,6 +76,8 @@ def test_space_schema_errors():
             {"size": 2, "opens": [[0.5], [0, 1], []]},    # not an integer
             {"preorder": {"size": 2, "leq": [[0]]}},
             {"preorder": {"size": 2, "leq": [[0, 5]]}},
+            {"preorder": {"size": 0, "leq": 2}},          # leq not a list
+            {"preorder": {"size": 2, "leq": {"0": 1}}},
     ):
         with pytest.raises(InputFormatError):
             jsonio.space_from_json(bad)

@@ -2,57 +2,38 @@ import random
 
 import pytest
 
-from finitetop.errors import DomainMismatch, NotSober, PreservationFailure
-from finitetop.lattice import (FiniteDistributiveLattice, LatticeMap,
-                               continuous_to_lattice_map, is_monotone,
-                               lattice_map_to_continuous, open_set_lattice,
+from finitetop.errors import NotSober, PreservationFailure
+from finitetop.lattice import (LatticeMap, continuous_to_lattice_map,
+                               lattice_map_to_continuous,
                                preserves_finite_meets, preserves_joins)
 from finitetop.spaces import ContinuousMap, FiniteSpace
 from oracles import random_continuous, random_poset_space
 
 
-def test_lattice_validation():
-    FiniteDistributiveLattice([0, 1, 3])
-    with pytest.raises(ValueError):
-        FiniteDistributiveLattice([1, 3])
-    with pytest.raises(ValueError):
-        FiniteDistributiveLattice([0, 1, 2])
-
-
-def test_lattice_elements_sorted():
-    lat = FiniteDistributiveLattice([3, 0, 2, 1])
-    assert lat.elements == (0, 1, 2, 3)
-    assert lat.top == 3
-    assert 2 in lat and 4 not in lat
-    assert len(lat) == 4
-
-
 def test_lattice_map_totality():
-    lat = open_set_lattice(FiniteSpace.sierpinski())
+    x = FiniteSpace.sierpinski()
     with pytest.raises(ValueError):
-        LatticeMap(lat, lat, {0: 0, 1: 1})
+        LatticeMap(x, x, {0: 0, 1: 1})
     with pytest.raises(ValueError):
-        LatticeMap(lat, lat, {0: 0, 1: 2, 3: 3})
+        LatticeMap(x, x, {0: 0, 1: 2, 3: 3})
 
 
 def test_preservation_predicates():
-    lat = open_set_lattice(FiniteSpace.sierpinski())
-    ident = LatticeMap(lat, lat, {a: a for a in lat.elements})
+    x = FiniteSpace.sierpinski()
+    ident = LatticeMap(x, x, {a: a for a in x.opens})
     assert preserves_joins(ident)
     assert preserves_finite_meets(ident)
-    assert is_monotone(ident)
 
-    to_top = LatticeMap(lat, lat, {a: 3 for a in lat.elements})
+    to_top = LatticeMap(x, x, {a: 3 for a in x.opens})
     assert not preserves_joins(to_top)  # empty join breaks
     assert preserves_finite_meets(to_top)
-    assert is_monotone(to_top)
 
-    disc = open_set_lattice(FiniteSpace.discrete(2))
+    disc = FiniteSpace.discrete(2)
     crush = LatticeMap(disc, disc, {0: 0, 1: 0, 2: 0, 3: 3})
     assert not preserves_joins(crush)
 
     # joins hold, the meet of the two points does not
-    point = open_set_lattice(FiniteSpace.point())
+    point = FiniteSpace.point()
     spread = LatticeMap(disc, point, {0: 0, 1: 1, 2: 1, 3: 1})
     assert preserves_joins(spread)
     assert not preserves_finite_meets(spread)
@@ -69,8 +50,8 @@ def test_preimage_map_preserves_everything():
         cod = random_poset_space(rng, rng.randint(1, 5))
         psi = random_continuous(rng, dom, cod)
         m = continuous_to_lattice_map(psi)
-        assert m.source == open_set_lattice(cod)
-        assert m.target == open_set_lattice(dom)
+        assert m.source == cod
+        assert m.target == dom
         assert preserves_joins(m)
         assert preserves_finite_meets(m)
 
@@ -81,7 +62,7 @@ def test_map_lattice_roundtrip():
         p = random_poset_space(rng, rng.randint(1, 5))
         x = random_poset_space(rng, rng.randint(1, 5))
         psi = random_continuous(rng, p, x)
-        back = lattice_map_to_continuous(continuous_to_lattice_map(psi), x, p)
+        back = lattice_map_to_continuous(continuous_to_lattice_map(psi))
         assert back == psi
 
 
@@ -92,7 +73,7 @@ def test_lattice_map_roundtrip():
         x = random_poset_space(rng, rng.randint(1, 4))
         psi = random_continuous(rng, p, x)
         m = continuous_to_lattice_map(psi)
-        again = continuous_to_lattice_map(lattice_map_to_continuous(m, x, p))
+        again = continuous_to_lattice_map(lattice_map_to_continuous(m))
         assert again == m
 
 
@@ -101,9 +82,9 @@ def test_reconstruction_needs_sober_point_space():
     x = FiniteSpace.chaotic(2)
     p = FiniteSpace.point()
     table = {0: 0, 3: 1}
-    m = LatticeMap(open_set_lattice(x), open_set_lattice(p), table)
+    m = LatticeMap(x, p, table)
     with pytest.raises(NotSober):
-        lattice_map_to_continuous(m, x, p)
+        lattice_map_to_continuous(m)
 
 
 def test_reconstruction_rejects_broken_tables():
@@ -118,20 +99,11 @@ def test_reconstruction_rejects_broken_tables():
             (FiniteSpace.sierpinski(), {0: 1, 1: 1, 3: 1}, ("empty join", 0, 0)),
             (FiniteSpace.discrete(2), {0: 0, 1: 0, 2: 0, 3: 0}, ("empty meet", 3, 3)),
     ):
-        m = LatticeMap(open_set_lattice(x), open_set_lattice(p), table)
+        m = LatticeMap(x, p, table)
         with pytest.raises(PreservationFailure) as err:
-            lattice_map_to_continuous(m, x, p)
+            lattice_map_to_continuous(m)
         assert err.value.details["witness"] == first
         assert str(err.value) == f"table fails {first[0]} preservation"
-
-
-def test_reconstruction_checks_lattices_match():
-    x = FiniteSpace.sierpinski()
-    p = FiniteSpace.point()
-    lat_x = open_set_lattice(x)
-    m = LatticeMap(lat_x, open_set_lattice(p), {0: 0, 1: 1, 3: 1})
-    with pytest.raises(DomainMismatch):
-        lattice_map_to_continuous(m, FiniteSpace.discrete(2), p)
 
 
 def test_collapse_to_closed_point():
@@ -139,8 +111,8 @@ def test_collapse_to_closed_point():
     x = FiniteSpace.sierpinski()
     p = FiniteSpace.point()
     table = {0: 0, 1: 0, 3: 1}
-    m = LatticeMap(open_set_lattice(x), open_set_lattice(p), table)
-    psi = lattice_map_to_continuous(m, x, p)
+    m = LatticeMap(x, p, table)
+    psi = lattice_map_to_continuous(m)
     assert psi.assignment == (1,)
 
 

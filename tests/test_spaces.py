@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitetop.errors import (MissingEmpty, MissingFull, NotClosedUnderIntersection,
+from finitetop import spaces
+from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
+                              NotClosedUnderIntersection,
                               NotClosedUnderUnion, NotContinuous, NotLocallyClosed,
                               NotReflexive, NotT0, NotTransitive)
 from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
@@ -108,6 +110,24 @@ def test_opens_are_up_sets():
         rows = [space.minimal_open(x) for x in range(space.size)]
         for u in space.opens:
             assert all(rows[x] & ~u == 0 for x in bits(u))
+
+
+def test_alexandrov_open_cap(monkeypatch):
+    monkeypatch.setattr(spaces, "OPEN_FAMILY_CAP", 8)
+    # an antichain exactly at the cap passes
+    assert len(alexandrov_topology(Preorder.discrete(3)).opens) == 8
+    # one point more: 2 ** 4 opens from the maximal points alone, refused
+    # before any open is built
+    with pytest.raises(CapExceeded) as err:
+        alexandrov_topology(Preorder.discrete(4))
+    assert err.value.details == {"cap": 8, "at_least": 16}
+    assert str(err.value) == "Alexandrov topology exceeds 8 opens"
+    # three maximal points pass the bound; the point below one of them
+    # brings the count to 12, found while building
+    with pytest.raises(CapExceeded) as err:
+        alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1001]))
+    assert err.value.details == {"cap": 8}
+    assert str(err.value) == "Alexandrov topology exceeds 8 opens"
 
 
 # -- stock spaces ----------------------------------------------------------------
