@@ -3,13 +3,20 @@
 A monotone table O(X) -> O(P) that fixes the endpoints need not come from
 any continuous map into X.  It always comes from a continuous map into the
 larger space of admissible filters on O(X): up-closed families of nonempty
-opens containing X, with the sets B_U = {filters containing U} as a subbasis.
-Points of X embed as their neighbourhood filters.
+opens, each of which contains X.  Points of X embed as their neighbourhood
+filters.
+
+The filters are the nonempty up-sets of the nonempty opens ordered by
+inclusion, and the sets B_U = {filters containing U} are a subbasis of
+their topology.  On a finite set the opens a subbasis generates are the
+unions of finite intersections of its members, so the minimal open around
+a filter F is the intersection of B_U over U in F, which is {G : G contains F}.
+A finite topology is the Alexandrov topology of its minimal opens, so the
+completion is the Alexandrov topology of filter inclusion, and both the
+filters and their opens come from ``alexandrov_topology``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .action import ActionOverX
 from .errors import (
@@ -20,33 +27,19 @@ from .errors import (
     NotOpen,
     NotWellDefined,
 )
-from .spaces import ContinuousMap, FiniteSpace, bits, family_key, validate_topology
+from .spaces import (ContinuousMap, Preorder, alexandrov_topology, bits,
+                     family_key, mask_of)
 
 OPENS_CAP = 16
 POINTS_CAP = 1 << 14
 COMPLETION_OPENS_CAP = 8192
-VALIDATE_LIMIT = 512
-
-
-@dataclass(frozen=True)
-class FilterPoint:
-    """A subset of the open family of the base space."""
-
-    contents: frozenset
-
-    def sort_key(self):
-        return (len(self.contents),
-                tuple(sorted((family_key(m) for m in self.contents))))
-
-    def __contains__(self, u):
-        return u in self.contents
 
 
 class CompletionSpace:
     """The filter points over a base space plus their finite topology.
 
-    basis[U] is the point mask of B_U; the topology is the closure of the
-    basis under intersections and unions.
+    Each point is a frozenset of base opens; basis[U] is the point mask of
+    B_U, and the topology is the one these masks generate.
     """
 
     __slots__ = ("base", "points", "space", "basis", "_index")
@@ -56,7 +49,7 @@ class CompletionSpace:
         self.points = tuple(points)
         self.space = space
         self.basis = dict(basis)
-        self._index = {p.contents: i for i, p in enumerate(self.points)}
+        self._index = {p: i for i, p in enumerate(self.points)}
 
     def index_of(self, contents):
         return self._index[frozenset(contents)]
@@ -65,43 +58,29 @@ class CompletionSpace:
         return f"CompletionSpace({len(self.points)} points over {self.base!r})"
 
 
-def _close_family(seeds, cap):
-    """Smallest family containing the seeds closed under pairwise | and &."""
-    fam = set(seeds)
-    work = list(fam)
-    while work:
-        a = work.pop()
-        for b in list(fam):
-            for c in (a | b, a & b):
-                if c not in fam:
-                    if len(fam) >= cap:
-                        raise CapExceeded(
-                            f"completion topology exceeds {cap} opens")
-                    fam.add(c)
-                    work.append(c)
-    return fam
+def _filter_key(contents):
+    return len(contents), sorted(map(family_key, contents))
 
 
 def _assemble(base, filters):
-    """Index the filters canonically and materialize their topology."""
-    points = sorted((FilterPoint(frozenset(f)) for f in filters),
-                    key=FilterPoint.sort_key)
+    """Index the filters canonically and materialize their topology.
+
+    The minimal open around a filter is every filter containing it: the
+    intersection of its B_U, or all points for an empty family.
+    """
+    points = sorted(map(frozenset, filters), key=_filter_key)
     if len(points) > POINTS_CAP:
         raise CapExceeded(f"completion exceeds {POINTS_CAP} points")
-    basis = {}
-    for u in base.opens:
-        m = 0
-        for i, p in enumerate(points):
-            if u in p.contents:
-                m |= 1 << i
-        basis[u] = m
-    fam = _close_family(basis.values(), COMPLETION_OPENS_CAP)
-    fam.add(0)
-    fam.add((1 << len(points)) - 1)
-    if len(fam) <= VALIDATE_LIMIT:
-        space = validate_topology(len(points), fam)
-    else:
-        space = FiniteSpace(len(points), fam, validate=False)
+    basis = {u: mask_of(i for i, p in enumerate(points) if u in p)
+             for u in base.opens}
+    rows = []
+    for p in points:
+        row = (1 << len(points)) - 1
+        for u in p:
+            row &= basis[u]
+        rows.append(row)
+    space = alexandrov_topology(Preorder(len(points), rows, validate=False),
+                                cap=COMPLETION_OPENS_CAP)
     return CompletionSpace(base, points, space, basis)
 
 
@@ -109,29 +88,18 @@ def build_yprime(base):
     """All admissible filters on the opens of the base, topologized.
 
     Admissible: up-closed under inclusion, free of the empty set, containing
-    the full set.  Capped at 16 base opens.
+    the full set.  These are the nonempty up-sets of the nonempty opens, so
+    an empty base has none.  Capped at 16 base opens.
     """
     k = len(base.opens)
     if k > OPENS_CAP:
         raise CapExceeded(f"completion capped at {OPENS_CAP} base opens", opens=k)
-    nonempty = [u for u in base.opens if u != 0]
-    sup = []
-    for u in nonempty:
-        m = 0
-        for j, v in enumerate(nonempty):
-            if u & ~v == 0:
-                m |= 1 << j
-        sup.append(m)
-    top = nonempty.index(base.full) if base.size else None
-    filters = []
-    for pick in range(1 << len(nonempty)):
-        if top is not None and not pick >> top & 1:
-            continue
-        if top is None and pick == 0:
-            continue
-        if all(sup[j] & ~pick == 0 for j in bits(pick)):
-            filters.append([nonempty[j] for j in bits(pick)])
-    return _assemble(base, filters)
+    nonempty = [u for u in base.opens if u]
+    inclusion = Preorder(len(nonempty),
+                         [mask_of(j for j, v in enumerate(nonempty) if u & ~v == 0)
+                          for u in nonempty], validate=False)
+    ups = alexandrov_topology(inclusion).opens
+    return _assemble(base, [[nonempty[j] for j in bits(m)] for m in ups if m])
 
 
 def neighborhood_filter_embedding(base, completion=None):

@@ -19,6 +19,7 @@ Order conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import (
     CapExceeded,
@@ -405,14 +406,16 @@ class Preorder:
         return cls(n, [1 << x for x in range(n)], validate=False)
 
 
-def alexandrov_topology(pre):
+def alexandrov_topology(pre, *, cap=OPEN_FAMILY_CAP):
     """The space whose opens are all up-closed subsets of the preorder.
 
     Equivalent points (x <= y <= x) enter or leave an up-set together, so the
     recursion runs over condensed classes, most-open classes first.  Raises
-    CapExceeded past OPEN_FAMILY_CAP opens (wide antichains explode); every
-    union of maximal classes is an up-set, so 2 ** (maximal classes) opens
-    is a lower bound that refuses such preorders before the recursion.
+    CapExceeded past cap opens.  Up-set counts multiply over the connected
+    components, and a component with k classes, m of them maximal, has at
+    least max(k + 1, 2 ** m) up-sets: the empty one and one per principal
+    up-set, or any union of maximal classes.  The product of these bounds
+    refuses wide preorders before the recursion, with at_least in details.
     """
     n = pre.size
     rows = pre.leq
@@ -426,18 +429,34 @@ def alexandrov_topology(pre):
         classes.append((rows[x].bit_count(), cls, rows[x] & ~cls))
         seen |= cls
     classes.sort()
-    at_least = 1 << sum(1 for _, _, above in classes if not above)
-    if at_least > OPEN_FAMILY_CAP:
-        raise CapExceeded(f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens",
-                          cap=OPEN_FAMILY_CAP, at_least=at_least)
+    # k + 1 and 2 ** m are at most 2 ** k, so the bound is at most
+    # 2 ** (all classes) and is skipped when that fits
+    if 1 << len(classes) > cap:
+        # a class comes after every class above it: one pass finds components
+        components = []  # (points, classes, maximal classes)
+        for _, cls, above in classes:
+            merged, k, m = cls, 1, int(not above)
+            rest = []
+            for comp in components:
+                if comp[0] & above:
+                    merged |= comp[0]
+                    k += comp[1]
+                    m += comp[2]
+                else:
+                    rest.append(comp)
+            rest.append((merged, k, m))
+            components = rest
+        at_least = prod(max(k + 1, 1 << m) for _, k, m in components)
+        if at_least > cap:
+            raise CapExceeded(f"Alexandrov topology exceeds {cap} opens",
+                              cap=cap, at_least=at_least)
     opens = []
 
     def rec(i, cur):
         if i == len(classes):
-            if len(opens) >= OPEN_FAMILY_CAP:
-                raise CapExceeded(
-                    f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens",
-                    cap=OPEN_FAMILY_CAP)
+            if len(opens) >= cap:
+                raise CapExceeded(f"Alexandrov topology exceeds {cap} opens",
+                                  cap=cap)
             opens.append(cur)
             return
         _, cls, above = classes[i]

@@ -128,6 +128,23 @@ def build_power_space(base):
                             for pick in range(1 << k)])
 
 
+def brute_completion_opens(seeds, cap):
+    """Smallest family containing the seeds closed under pairwise | and &."""
+    fam = set(seeds)
+    work = list(fam)
+    while work:
+        a = work.pop()
+        for b in list(fam):
+            for c in (a | b, a & b):
+                if c not in fam:
+                    if len(fam) >= cap:
+                        raise CapExceeded(
+                            f"completion topology exceeds {cap} opens")
+                    fam.add(c)
+                    work.append(c)
+    return fam
+
+
 def random_monotone_table(rng, base, prim):
     """Monotone endpoint-fixing table O(base) -> O(prim).
 

@@ -19,6 +19,10 @@ SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]], "points": [1, 2]}
 DISCRETE2 = {"size": 2, "opens": [[], [0], [1], [0, 1]]}
 # two chaotic blocks side by side: neither T0 nor sober
 TWO_BLOCKS = {"size": 4, "opens": [[], [0, 1], [2, 3], [0, 1, 2, 3]]}
+# a 5-point poset with 13 opens; its completion has 39 points and 563 opens
+POSET5 = {"size": 5, "opens": [[], [0], [1], [2], [0, 1], [0, 2], [1, 2],
+                               [0, 1, 2], [0, 1, 3], [0, 2, 4], [0, 1, 2, 3],
+                               [0, 1, 2, 4], [0, 1, 2, 3, 4]]}
 NINTH = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 1, 2], [1, 3],
                               [0, 1, 3], [0, 1, 2, 3]]}
 
@@ -245,6 +249,16 @@ def test_complete_discrete_two(tmp_path, capsys):
         "embedding": [1, 2],
         "filters": [[[0, 1]], [[0], [0, 1]], [[1], [0, 1]],
                     [[0], [1], [0, 1]]]}
+
+
+def test_complete_refuses_large_topology(tmp_path, capsys):
+    discrete4 = {"size": 4, "opens": [[i for i in range(4) if m >> i & 1]
+                                      for m in range(16)]}
+    code, out, err = run(capsys, "complete", jfile(tmp_path, "d.json", discrete4))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "CapExceeded",
+                               "message": "Alexandrov topology exceeds 8192 opens",
+                               "details": {"cap": 8192}}
 
 
 # -- action -----------------------------------------------------------------------
@@ -476,6 +490,11 @@ PINNED_STDOUT = [
      "c22914f4f248ed51058dea9b7c0aa7c0c4007ab885beb029ee2397fa28a0307b"),
     (["info", TWO_BLOCKS], 203,
      "ee1743541d2fddf208b95c3e57bbcabb8d0414434e7dae16a9290fe4a2fd8ec1"),
+    # as the subset scan and the pairwise closure of the subbasis built them
+    (["complete", DISCRETE2], 640,
+     "6d486d329089a1faeadaafc6edd8459e3fb3d844ad306c8dbd21af1cda1832d7"),
+    (["complete", POSET5], 150563,
+     "583c9f79203ac2059c819b66b913ea4de6aa6eb1b1a24b163df78f71aee73530"),
 ]
 
 

@@ -3,23 +3,25 @@ import random
 import pytest
 
 from finitetop.action import ActionOverX
-from finitetop.completion import (build_yprime, from_discontinuous,
+from finitetop.completion import (COMPLETION_OPENS_CAP, OPENS_CAP,
+                                  build_yprime, from_discontinuous,
                                   neighborhood_filter_embedding,
                                   to_discontinuous)
 from finitetop.enumeration import are_homeomorphic
 from finitetop.errors import (BadEndpoints, CapExceeded, DomainMismatch,
                               NotMonotone, NotOpen)
-from finitetop.spaces import ContinuousMap, FiniteSpace, space_from_edges
-from oracles import (build_power_space, random_continuous,
-                     random_monotone_table, random_poset_space, random_space)
+from finitetop.spaces import (ContinuousMap, FiniteSpace, space_from_edges,
+                              validate_topology)
+from oracles import (brute_completion_opens, build_power_space,
+                     random_continuous, random_monotone_table,
+                     random_poset_space, random_space)
 
 
 def sample_bases(rng, count, max_points=4):
-    # build_yprime blows up past a handful of opens, keep the bases small
     out = []
     while len(out) < count:
         base = random_space(rng, rng.randint(1, max_points))
-        if len(base.opens) <= 8:
+        if len(base.opens) <= OPENS_CAP:
             out.append(base)
     return out
 
@@ -38,13 +40,13 @@ def test_points_are_admissible_filters():
     for base in sample_bases(rng, 12):
         comp = build_yprime(base)
         for p in comp.points:
-            assert base.full in p.contents
-            assert 0 not in p.contents
-            for u in p.contents:
+            assert base.full in p
+            assert 0 not in p
+            for u in p:
                 for v in base.opens:
                     if u & ~v == 0:
-                        assert v in p.contents
-        assert len({p.contents for p in comp.points}) == len(comp.points)
+                        assert v in p
+        assert len(set(comp.points)) == len(comp.points)
 
 
 def test_basis_is_monotone():
@@ -179,6 +181,33 @@ def test_readback_rejects_foreign_action():
 def test_yprime_cap():
     with pytest.raises(CapExceeded):
         build_yprime(FiniteSpace.discrete(5))
+
+
+def test_yprime_topology_cap_names_cap():
+    # 166 filters whose up-sets pass the up-front bound; the refusal comes
+    # from building the opens, and it must not exhaust the recursion
+    with pytest.raises(CapExceeded) as err:
+        build_yprime(FiniteSpace.discrete(4))
+    assert err.value.details == {"cap": COMPLETION_OPENS_CAP}
+    assert str(err.value) == (
+        f"Alexandrov topology exceeds {COMPLETION_OPENS_CAP} opens")
+
+
+def assert_matches_subbasis_closure(comp):
+    n = len(comp.points)
+    closure = brute_completion_opens(comp.basis.values(), COMPLETION_OPENS_CAP)
+    assert set(comp.space.opens) == closure | {0, (1 << n) - 1}
+    assert validate_topology(n, comp.space.opens) == comp.space
+
+
+def test_opens_are_the_subbasis_closure():
+    rng = random.Random(13)
+    bases = [FiniteSpace.point(), FiniteSpace.chaotic(2),
+             FiniteSpace.discrete(2), FiniteSpace.chain(3)]
+    bases += sample_bases(rng, 40, max_points=5)
+    for base in bases:
+        assert_matches_subbasis_closure(build_yprime(base))
+    assert_matches_subbasis_closure(build_power_space(FiniteSpace.discrete(2)))
 
 
 def test_power_space():

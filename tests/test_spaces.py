@@ -1,17 +1,17 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitetop import spaces
 from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               NotClosedUnderIntersection,
                               NotClosedUnderUnion, NotContinuous, NotLocallyClosed,
                               NotReflexive, NotT0, NotTransitive)
-from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
-                              alexandrov_topology, bits, hasse_dot, mask_of,
-                              space_from_edges, validate_topology)
+from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
+                              Preorder, alexandrov_topology, bits, hasse_dot,
+                              mask_of, space_from_edges, validate_topology)
 from oracles import (brute_closure, brute_irreducible_closed_sets,
                      brute_is_sober, brute_locally_closed, random_poset_space,
                      random_space)
@@ -112,22 +112,52 @@ def test_opens_are_up_sets():
             assert all(rows[x] & ~u == 0 for x in bits(u))
 
 
-def test_alexandrov_open_cap(monkeypatch):
-    monkeypatch.setattr(spaces, "OPEN_FAMILY_CAP", 8)
+def test_alexandrov_open_cap():
     # an antichain exactly at the cap passes
-    assert len(alexandrov_topology(Preorder.discrete(3)).opens) == 8
+    assert len(alexandrov_topology(Preorder.discrete(3), cap=8).opens) == 8
     # one point more: 2 ** 4 opens from the maximal points alone, refused
     # before any open is built
     with pytest.raises(CapExceeded) as err:
-        alexandrov_topology(Preorder.discrete(4))
+        alexandrov_topology(Preorder.discrete(4), cap=8)
     assert err.value.details == {"cap": 8, "at_least": 16}
     assert str(err.value) == "Alexandrov topology exceeds 8 opens"
-    # three maximal points pass the bound; the point below one of them
-    # brings the count to 12, found while building
+    # a 2-chain beside two points: components bound 3 * 2 * 2 = 12 up front
     with pytest.raises(CapExceeded) as err:
-        alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1001]))
+        alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1001]), cap=8)
+    assert err.value.details == {"cap": 8, "at_least": 12}
+    # three maximal points over one point pass the bound of 8; the 9th
+    # open is found while building
+    with pytest.raises(CapExceeded) as err:
+        alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1111]), cap=8)
     assert err.value.details == {"cap": 8}
     assert str(err.value) == "Alexandrov topology exceeds 8 opens"
+    assert len(alexandrov_topology(
+        Preorder(4, [0b0001, 0b0010, 0b0100, 0b1111]), cap=9).opens) == 9
+
+
+def test_alexandrov_bound_multiplies_components():
+    # 11 disjoint 3-point chains: 11 maximal classes bound the count by only
+    # 2 ** 11, but each chain has 4 up-sets, so 4 ** 11 passes the cap
+    rows = []
+    for c in range(11):
+        rows += [0b111 << 3 * c, 0b110 << 3 * c, 0b100 << 3 * c]
+    entered = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec":
+            entered.append(frame.f_code)
+
+    outer = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        with pytest.raises(CapExceeded) as err:
+            alexandrov_topology(Preorder(33, rows))
+    finally:
+        sys.setprofile(outer)
+    assert not entered, "refused only after recursing"
+    assert err.value.details == {"cap": OPEN_FAMILY_CAP, "at_least": 4 ** 11}
+    # the bound is exact on disjoint chains
+    assert len(alexandrov_topology(Preorder(6, rows[:6])).opens) == 16
 
 
 # -- stock spaces ----------------------------------------------------------------
