@@ -198,7 +198,7 @@ def reconstruct(assign, prim):
         cover |= values[x]
     if cover != prim.full:
         raise CoverFailure("assigned ideals do not cover P", union=cover)
-    ups = [space.minimal_open(x) for x in range(space.size)]
+    ups = space.rows
     for x in range(space.size):
         for y in range(x, space.size):
             expected = 0

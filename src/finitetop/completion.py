@@ -27,11 +27,10 @@ from .errors import (
     NotOpen,
     NotWellDefined,
 )
-from .spaces import (ContinuousMap, Preorder, alexandrov_topology, bits,
-                     family_key, mask_of)
+from .spaces import (MAX_POINTS, ContinuousMap, Preorder, alexandrov_topology,
+                     bits, family_key, mask_of)
 
 OPENS_CAP = 16
-POINTS_CAP = 1 << 14
 COMPLETION_OPENS_CAP = 8192
 
 
@@ -69,8 +68,6 @@ def _assemble(base, filters):
     intersection of its B_U, or all points for an empty family.
     """
     points = sorted(map(frozenset, filters), key=_filter_key)
-    if len(points) > POINTS_CAP:
-        raise CapExceeded(f"completion exceeds {POINTS_CAP} points")
     basis = {u: mask_of(i for i, p in enumerate(points) if u in p)
              for u in base.opens}
     rows = []
@@ -89,7 +86,8 @@ def build_yprime(base):
 
     Admissible: up-closed under inclusion, free of the empty set, containing
     the full set.  These are the nonempty up-sets of the nonempty opens, so
-    an empty base has none.  Capped at 16 base opens.
+    an empty base has none.  Capped at 16 base opens and, since each filter
+    is a point of the completion, at MAX_POINTS filters.
     """
     k = len(base.opens)
     if k > OPENS_CAP:
@@ -99,6 +97,10 @@ def build_yprime(base):
                          [mask_of(j for j, v in enumerate(nonempty) if u & ~v == 0)
                           for u in nonempty], validate=False)
     ups = alexandrov_topology(inclusion).opens
+    # the empty up-set is no filter; each filter becomes a point
+    if len(ups) - 1 > MAX_POINTS:
+        raise CapExceeded(f"completion capped at {MAX_POINTS} filters",
+                          filters=len(ups) - 1, cap=MAX_POINTS)
     return _assemble(base, [[nonempty[j] for j in bits(m)] for m in ups if m])
 
 

@@ -101,7 +101,7 @@ def enumerate_labeled_t0(n):
 def _point_keys(space):
     """Iso-invariant key per point; equal keys bound the relabeling search."""
     n = space.size
-    up = [space.minimal_open(x) for x in range(n)]
+    up = space.rows
     down = [space.closure(1 << x) for x in range(n)]
     if space.is_t0():
         adj = [0] * n

@@ -74,10 +74,6 @@ class PreservationFailure(FinitetopError):
     """A lattice map fails a required join/meet preservation law."""
 
 
-class ReducibleClosedSet(FinitetopError):
-    """Internal consistency violation in the sober reconstruction."""
-
-
 # -- action -------------------------------------------------------------
 
 class DomainMismatch(FinitetopError):

@@ -111,9 +111,7 @@ def space_from_json(obj):
                 raise InputFormatError(f"leq pair [{x}, {y}] out of range")
             rows[x] |= 1 << y
         space = alexandrov_topology(Preorder(n, rows))
-        if labels is not None:
-            space = validate_topology(space.size, space.opens, labels)
-        return space
+        return space if labels is None else space.with_labels(labels)
     n = _size(obj, "space")
     labels = _labels(obj.get("points"), n)
     opens = obj.get("opens")

@@ -1,9 +1,9 @@
 """Finite topological spaces with bitmask point sets.
 
-Points are indices 0..n-1 and every subset is a machine-word bit mask, so a
-space is its size plus the sorted tuple of open-set masks.  The open family
-of a finite space is closed under pairwise union and intersection, which is
-all the closure a finite family ever needs.
+Points are indices 0..n-1 and every subset is a machine-word bit mask.  A
+finite topology and its specialisation preorder determine each other, so a
+space stores one row per point, U_x; its opens are the unions of rows (the
+up-sets of the preorder), listed only when a caller asks for them.
 
 Order conventions used throughout the package:
 
@@ -19,7 +19,7 @@ Order conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf
 
 from .errors import (
     CapExceeded,
@@ -59,61 +59,150 @@ def family_key(mask):
     return (mask.bit_count(), mask)
 
 
-class FiniteSpace:
-    """A finite point set {0..size-1} with an explicit family of opens.
+def _down(rows, s):
+    """The points whose row meets s: the down-closure of s."""
+    return mask_of(y for y, row in enumerate(rows) if row & s)
 
-    The family is deduplicated and stored sorted by (popcount, value);
-    equality of spaces is equality of size and sorted family.  Optional
-    display labels are carried along for output but ignored by equality.
+
+def _components(rows):
+    """Connected components of a preorder, grown along the order both ways."""
+    adj = [row | _down(rows, 1 << x) for x, row in enumerate(rows)]
+    out = []
+    rest = (1 << len(rows)) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grown = comp
+            for y in bits(frontier):
+                grown |= adj[y]
+            frontier, comp = grown & ~comp, grown
+        out.append(comp)
+        rest &= ~comp
+    return tuple(out)
+
+
+def _minimal_opens(size, family, check):
+    """Rows of a sorted family, each the AND of the members holding its point.
+
+    With check, the family is validated as validate_topology describes.
+    """
+    full = (1 << size) - 1
+    if check:
+        for m in family:
+            if m & ~full:
+                raise ValueError(f"open {m:#x} not within ground set of size {size}")
+        members = frozenset(family)
+        if 0 not in members:
+            raise MissingEmpty("empty set is not open")
+        if full not in members:
+            raise MissingFull("full set is not open")
+    rows = [full] * size
+    for m in family:
+        for x in bits(m):
+            meet = rows[x] & m
+            if check and meet != rows[x] and meet not in members:
+                raise NotClosedUnderIntersection(
+                    f"intersection of {sorted(bits(rows[x]))} and "
+                    f"{sorted(bits(m))} is not open", witness=(rows[x], m))
+            rows[x] = meet
+    if check:
+        for a in family:
+            for x in bits(full & ~a):
+                if a | rows[x] not in members:
+                    raise NotClosedUnderUnion(
+                        f"union of {sorted(bits(a))} and {sorted(bits(rows[x]))} "
+                        "is not open", witness=(a, rows[x]))
+    return tuple(rows)
+
+
+def _classes(rows):
+    """(row size, class, points strictly above) per class of equal rows.
+
+    x <= y <= x iff U_x = U_y.  Most-open first: after every class above it.
+    """
+    members = {}
+    for x, row in enumerate(rows):
+        members[row] = members.get(row, 0) | 1 << x
+    return sorted((row.bit_count(), cls, row & ~cls) for row, cls in members.items())
+
+
+def _up_sets(classes, cap):
+    """Every up-set, sorted by family_key; CapExceeded past cap of them.
+
+    The recursion decides one class at a time, most-open first.
+    """
+    opens = []
+
+    def rec(i, cur):
+        if i == len(classes):
+            if len(opens) >= cap:
+                raise CapExceeded(f"Alexandrov topology exceeds {cap} opens", cap=cap)
+            opens.append(cur)
+            return
+        _, cls, above = classes[i]
+        rec(i + 1, cur)
+        if above & ~cur == 0:
+            rec(i + 1, cur | cls)
+
+    rec(0, 0)
+    opens.sort(key=family_key)
+    return tuple(opens)
+
+
+class FiniteSpace:
+    """A finite point set {0..size-1} with a topology, stored as its minimal opens.
+
+    ``rows[x]`` is U_x, the smallest open containing x.  ``opens`` lists the
+    family sorted by (popcount, value), built on first use when the space
+    came from rows.  Equal rows mean equal families, so equality compares
+    size and rows.  Display labels are ignored by equality.
     """
 
-    __slots__ = ("size", "opens", "full", "labels", "_open_set", "_min_open")
+    __slots__ = ("size", "full", "rows", "labels", "_opens")
 
     def __init__(self, size, opens, labels=None, validate=True):
+        self._fill(size, labels)
+        self._opens = tuple(sorted(set(opens), key=family_key))
+        self.rows = _minimal_opens(size, self._opens, validate)
+
+    @classmethod
+    def _from_rows(cls, size, rows, labels=None, opens=None):
+        """The space whose minimal opens are rows, a reflexive transitive relation."""
+        space = cls.__new__(cls)
+        space._fill(size, labels)
+        space.rows, space._opens = tuple(rows), opens
+        return space
+
+    def _fill(self, size, labels):
         if not 0 <= size <= MAX_POINTS:
             raise CapExceeded(f"point count {size} outside 0..{MAX_POINTS}", size=size)
         self.size = size
         self.full = (1 << size) - 1
-        family = sorted(set(opens), key=family_key)
-        self.opens = tuple(family)
-        self._open_set = frozenset(family)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != size or len(set(labels)) != size:
                 raise ValueError("labels must be unique and one per point")
         self.labels = labels
-        if validate:
-            self._check_family()
-        self._min_open = None
 
-    def _check_family(self):
-        for m in self.opens:
-            if m & ~self.full:
-                raise ValueError(f"open {m:#x} not within ground set of size {self.size}")
-        if 0 not in self._open_set:
-            raise MissingEmpty("empty set is not open")
-        if self.full not in self._open_set:
-            raise MissingFull("full set is not open")
-        fam = self.opens
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                if a | b not in self._open_set:
-                    raise NotClosedUnderUnion(
-                        f"union of {sorted(bits(a))} and {sorted(bits(b))} is not open",
-                        witness=(a, b))
-                if a & b not in self._open_set:
-                    raise NotClosedUnderIntersection(
-                        f"intersection of {sorted(bits(a))} and {sorted(bits(b))} is not open",
-                        witness=(a, b))
+    @property
+    def opens(self):
+        """Every open, sorted by (popcount, value): the up-sets of the rows."""
+        if self._opens is None:
+            self._opens = _up_sets(_classes(self.rows), inf)
+        return self._opens
+
+    def with_labels(self, labels):
+        """This space with display labels, sharing its rows and opens."""
+        return FiniteSpace._from_rows(self.size, self.rows, labels, self._opens)
 
     # -- basic structure -------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, FiniteSpace)
-                and self.size == other.size and self.opens == other.opens)
+                and self.size == other.size and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.size, self.opens))
+        return hash((self.size, self.rows))
 
     def __repr__(self):
         sets = [sorted(bits(m)) for m in self.opens]
@@ -123,48 +212,29 @@ class FiniteSpace:
         return self.labels[x] if self.labels is not None else str(x)
 
     def is_open(self, m):
-        return m in self._open_set
-
-    def closed_sets(self):
-        return tuple(sorted((self.full ^ m for m in self.opens), key=family_key))
+        """Opens are the up-sets: each point of m brings its whole row."""
+        return not m & ~self.full and all(self.rows[x] & ~m == 0 for x in bits(m))
 
     def closure(self, s):
-        """Smallest closed superset: drop every open disjoint from s."""
-        away = 0
-        for m in self.opens:
-            if m & s == 0:
-                away |= m
-        return self.full ^ away
+        """Smallest closed superset: every point whose minimal open meets s."""
+        return _down(self.rows, s)
 
     def interior(self, s):
-        inside = 0
-        for m in self.opens:
-            if m & ~s == 0:
-                inside |= m
-        return inside
+        """Largest open subset: the points whose minimal open lies in s."""
+        return mask_of(x for x in bits(s) if self.rows[x] & ~s == 0)
 
     def minimal_open(self, x):
         """U_x, the intersection of all opens containing x."""
-        if self._min_open is None:
-            table = []
-            for p in range(self.size):
-                acc = self.full
-                for m in self.opens:
-                    if m >> p & 1:
-                        acc &= m
-                table.append(acc)
-            self._min_open = tuple(table)
-        return self._min_open[x]
+        return self.rows[x]
 
     # -- order structure --------------------------------------------------
 
     def specialization(self):
         """Specialisation preorder; row x is {y : x <= y} = U_x."""
-        return Preorder(self.size, [self.minimal_open(x) for x in range(self.size)],
-                        validate=False)
+        return Preorder(self.size, self.rows, validate=False)
 
     def is_t0(self):
-        return len({self.minimal_open(x) for x in range(self.size)}) == self.size
+        return len(set(self.rows)) == self.size
 
     def irreducible_closed_sets(self):
         """The distinct point closures: in a finite space, all the irreducible ones."""
@@ -178,39 +248,20 @@ class FiniteSpace:
     def sobrification(self):
         """The T0 quotient: points are the irreducible closed sets.
 
-        The map sends x to closure({x}) and the opens of the result are the
-        images of the opens here.  The preimage map on opens is a lattice
-        isomorphism, tested as a property.
+        The map sends x to closure({x}) and U_x onto the minimal open of its
+        image; the preimage map on opens is a lattice isomorphism.
         """
         irr = self.irreducible_closed_sets()
         index = {c: i for i, c in enumerate(irr)}
         assignment = [index[self.closure(1 << x)] for x in range(self.size)]
-        hat = FiniteSpace(len(irr), {mask_of(assignment[x] for x in bits(u))
-                                     for u in self.opens}, validate=False)
+        rows = [0] * len(irr)
+        for x, row in enumerate(self.rows):
+            rows[assignment[x]] = mask_of(assignment[y] for y in bits(row))
+        hat = FiniteSpace._from_rows(len(irr), rows)
         return hat, ContinuousMap(self, hat, assignment)
 
     def connected_components(self):
-        rows = [self.minimal_open(x) for x in range(self.size)]
-        adj = list(rows)
-        for x in range(self.size):
-            for y in bits(rows[x]):
-                adj[y] |= 1 << x
-        seen = 0
-        out = []
-        for x in range(self.size):
-            if seen >> x & 1:
-                continue
-            comp = 1 << x
-            frontier = 1 << x
-            while frontier:
-                grown = comp
-                for y in bits(frontier):
-                    grown |= adj[y]
-                frontier = grown & ~comp
-                comp = grown
-            out.append(comp)
-            seen |= comp
-        return tuple(out)
+        return _components(self.rows)
 
     def is_connected(self):
         return len(self.connected_components()) == 1
@@ -219,9 +270,9 @@ class FiniteSpace:
         """Subspace on the points of mask s; returns (space, original indices)."""
         pts = tuple(bits(s))
         pos = {p: i for i, p in enumerate(pts)}
-        sub = {mask_of(pos[p] for p in bits(m & s)) for m in self.opens}
+        rows = [mask_of(pos[q] for q in bits(self.rows[p] & s)) for p in pts]
         labels = tuple(self.label_of(p) for p in pts) if self.labels is not None else None
-        return FiniteSpace(len(pts), sub, labels=labels, validate=False), pts
+        return FiniteSpace._from_rows(len(pts), rows, labels), pts
 
     def inclusion(self, s):
         """Subspace on mask s together with its inclusion map into this space."""
@@ -234,7 +285,7 @@ class FiniteSpace:
         """Canonical (U, V) with V in U and U minus V = s, or None."""
         cl = self.closure(s)
         u = self.full ^ (cl & ~s)
-        if u not in self._open_set:
+        if not self.is_open(u):
             return None
         v = u & (self.full ^ cl)
         return (u, v)
@@ -255,12 +306,8 @@ class FiniteSpace:
 
     def locally_closed_witnesses(self, s):
         """Every witness pair (U, V): V in U, U minus V = s."""
-        out = []
-        for u in self.opens:
-            for v in self.opens:
-                if v & ~u == 0 and u & ~v == s:
-                    out.append((u, v))
-        return out
+        return [(u, v) for u in self.opens for v in self.opens
+                if v & ~u == 0 and u & ~v == s]
 
     # -- T0-only structure --------------------------------------------------
 
@@ -271,7 +318,7 @@ class FiniteSpace:
     def hasse_edges(self):
         """Cover edges in drawn direction: (a, b) states U_a in U_b, b < a."""
         self._require_t0("hasse diagram")
-        up = [self.minimal_open(x) & ~(1 << x) for x in range(self.size)]
+        up = [row & ~(1 << x) for x, row in enumerate(self.rows)]
         edges = []
         for b in range(self.size):
             for a in bits(up[b]):
@@ -282,7 +329,7 @@ class FiniteSpace:
     def length(self):
         """Cardinality of the longest specialisation chain."""
         self._require_t0("length")
-        up = [self.minimal_open(x) & ~(1 << x) for x in range(self.size)]
+        up = [row & ~(1 << x) for x, row in enumerate(self.rows)]
         memo = {}
 
         def h(x):
@@ -300,7 +347,7 @@ class FiniteSpace:
         rest = self.full
         while rest:
             stratum = mask_of(x for x in bits(rest)
-                              if self.minimal_open(x) & rest == 1 << x)
+                              if self.rows[x] & rest == 1 << x)
             strata.append(stratum)
             layers.append(layers[-1] | stratum)
             rest &= ~stratum
@@ -336,7 +383,15 @@ class FiniteSpace:
 
 
 def validate_topology(size, family, labels=None):
-    """Check the open-family axioms and return the space (deduplicated, sorted)."""
+    """Check the open-family axioms and return the space (deduplicated, sorted).
+
+    After the empty and the full set, row U_x folds as the AND of the
+    members holding x, in family order; the first step that leaves the
+    family raises NotClosedUnderIntersection(row so far, member).  Then
+    a | U_x must be a member for all members a and points x, else
+    NotClosedUnderUnion(a, U_x).  That accepts exactly the topologies, since
+    a member is the union of the rows of its points.
+    """
     return FiniteSpace(size, family, labels=labels, validate=True)
 
 
@@ -380,25 +435,17 @@ class Preorder:
     def up_set(self, x):
         return self.leq[x]
 
-    def down_set(self, x):
-        return mask_of(y for y in range(self.size) if self.leq[y] >> x & 1)
-
     @classmethod
     def generated_by(cls, size, pairs):
         """Reflexive-transitive closure of the given pairs."""
         rows = [1 << x for x in range(size)]
         for x, y in pairs:
             rows[x] |= 1 << y
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after step y, paths through the points 0..y are closed
+        for y in range(size):
             for x in range(size):
-                acc = rows[x]
-                for y in bits(rows[x]):
-                    acc |= rows[y]
-                if acc != rows[x]:
-                    rows[x] = acc
-                    changed = True
+                if rows[x] >> y & 1:
+                    rows[x] |= rows[y]
         return cls(size, rows, validate=False)
 
     @classmethod
@@ -409,63 +456,27 @@ class Preorder:
 def alexandrov_topology(pre, *, cap=OPEN_FAMILY_CAP):
     """The space whose opens are all up-closed subsets of the preorder.
 
-    Equivalent points (x <= y <= x) enter or leave an up-set together, so the
-    recursion runs over condensed classes, most-open classes first.  Raises
-    CapExceeded past cap opens.  Up-set counts multiply over the connected
-    components, and a component with k classes, m of them maximal, has at
-    least max(k + 1, 2 ** m) up-sets: the empty one and one per principal
-    up-set, or any union of maximal classes.  The product of these bounds
-    refuses wide preorders before the recursion, with at_least in details.
+    Its rows are the preorder's rows.  k classes of equivalent points allow
+    at most 2 ** k opens; when that passes cap, the opens are built here and
+    CapExceeded is raised past cap of them.  First a lower bound refuses
+    wide preorders with at_least in details: up-set counts multiply over
+    the connected components, and a component with k classes, m of them
+    maximal, has at least max(k + 1, 2 ** m) up-sets.
     """
-    n = pre.size
-    rows = pre.leq
-    geq = [pre.down_set(x) for x in range(n)]
-    classes = []
-    seen = 0
-    for x in range(n):
-        if seen >> x & 1:
-            continue
-        cls = rows[x] & geq[x]
-        classes.append((rows[x].bit_count(), cls, rows[x] & ~cls))
-        seen |= cls
-    classes.sort()
-    # k + 1 and 2 ** m are at most 2 ** k, so the bound is at most
-    # 2 ** (all classes) and is skipped when that fits
+    classes = _classes(pre.leq)
+    opens = None
+    # the bound is at most 2 ** classes, the most up-sets there can be
     if 1 << len(classes) > cap:
-        # a class comes after every class above it: one pass finds components
-        components = []  # (points, classes, maximal classes)
-        for _, cls, above in classes:
-            merged, k, m = cls, 1, int(not above)
-            rest = []
-            for comp in components:
-                if comp[0] & above:
-                    merged |= comp[0]
-                    k += comp[1]
-                    m += comp[2]
-                else:
-                    rest.append(comp)
-            rest.append((merged, k, m))
-            components = rest
-        at_least = prod(max(k + 1, 1 << m) for _, k, m in components)
+        at_least = 1
+        for comp in _components(pre.leq):
+            # the maximal classes are those with nothing above
+            above = [a for _, cls, a in classes if cls & comp]
+            at_least *= max(len(above) + 1, 1 << above.count(0))
         if at_least > cap:
             raise CapExceeded(f"Alexandrov topology exceeds {cap} opens",
                               cap=cap, at_least=at_least)
-    opens = []
-
-    def rec(i, cur):
-        if i == len(classes):
-            if len(opens) >= cap:
-                raise CapExceeded(f"Alexandrov topology exceeds {cap} opens",
-                                  cap=cap)
-            opens.append(cur)
-            return
-        _, cls, above = classes[i]
-        rec(i + 1, cur)
-        if above & ~cur == 0:
-            rec(i + 1, cur | cls)
-
-    rec(0, 0)
-    return FiniteSpace(n, opens, validate=False)
+        opens = _up_sets(classes, cap)
+    return FiniteSpace._from_rows(pre.size, pre.leq, opens=opens)
 
 
 class ContinuousMap:
@@ -482,8 +493,9 @@ class ContinuousMap:
         if any(not 0 <= v < codomain.size for v in self.assignment):
             raise ValueError("image point out of range")
         if validate:
-            for u in codomain.opens:
-                if self.preimage(u) not in domain._open_set:
+            # preimages keep unions, so the first open (family order) that fails is a row
+            for u in sorted(set(codomain.rows), key=family_key):
+                if not domain.is_open(self.preimage(u)):
                     raise NotContinuous(
                         f"preimage of open {sorted(bits(u))} is not open", witness=u)
 
@@ -524,8 +536,8 @@ class ContinuousMap:
         return len(set(self.assignment)) == self.domain.size
 
     def is_open_map(self):
-        return all(self.image_mask(u) in self.codomain._open_set
-                   for u in self.domain.opens)
+        # images keep unions, and the opens are unions of rows
+        return all(self.codomain.is_open(self.image_mask(u)) for u in self.domain.rows)
 
     def is_homeomorphism(self):
         return (self.domain.size == self.codomain.size
@@ -580,9 +592,7 @@ def space_from_edges(size, edges, labels=None):
     """
     pre = Preorder.generated_by(size, ((b, a) for a, b in edges))
     space = alexandrov_topology(pre)
-    if labels is not None:
-        space = FiniteSpace(space.size, space.opens, labels=labels, validate=False)
-    return space
+    return space if labels is None else space.with_labels(labels)
 
 
 def hasse_dot(space):

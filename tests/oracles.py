@@ -9,7 +9,9 @@ import itertools
 from math import gcd
 
 from finitetop.completion import _assemble
-from finitetop.errors import CapExceeded, NotContinuous
+from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
+                              NotClosedUnderIntersection, NotClosedUnderUnion,
+                              NotContinuous)
 from finitetop.intmat import IntMatrix
 from finitetop.ktheory import FGAbelianGroup
 from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
@@ -58,15 +60,64 @@ def brute_locally_closed(space):
     return out
 
 
+def closed_sets(space):
+    """Complements of the opens, sorted by (popcount, value)."""
+    return sorted((space.full ^ m for m in space.opens),
+                  key=lambda m: (m.bit_count(), m))
+
+
 def brute_closure(space, s):
     """Smallest closed superset by scanning the whole family."""
-    return min((c for c in space.closed_sets() if s & ~c == 0),
+    return min((c for c in closed_sets(space) if s & ~c == 0),
                key=lambda c: c.bit_count())
+
+
+def brute_interior(space, s):
+    """Union of every open inside s."""
+    inside = 0
+    for m in space.opens:
+        if m & ~s == 0:
+            inside |= m
+    return inside
+
+
+def brute_minimal_open(space, x):
+    """Intersection of every open containing x."""
+    acc = space.full
+    for m in space.opens:
+        if m >> x & 1:
+            acc &= m
+    return acc
+
+
+def brute_check_family(size, family):
+    """The open-family axioms by a pairwise scan, with validate_topology's errors.
+
+    The first pair (a, b) in (popcount, value) order, a before b, whose
+    union or else intersection is missing is the witness.
+    """
+    full = (1 << size) - 1
+    fam = sorted(set(family), key=lambda m: (m.bit_count(), m))
+    members = set(fam)
+    for m in fam:
+        if m & ~full:
+            raise ValueError(f"open {m:#x} not within ground set of size {size}")
+    if 0 not in members:
+        raise MissingEmpty("empty set is not open")
+    if full not in members:
+        raise MissingFull("full set is not open")
+    for i, a in enumerate(fam):
+        for b in fam[i + 1:]:
+            if a | b not in members:
+                raise NotClosedUnderUnion("union is not open", witness=(a, b))
+            if a & b not in members:
+                raise NotClosedUnderIntersection(
+                    "intersection is not open", witness=(a, b))
 
 
 def brute_irreducible_closed_sets(space):
     """Nonempty closed sets that are not a union of two proper closed subsets."""
-    closed = space.closed_sets()
+    closed = closed_sets(space)
     out = []
     for c in closed:
         if c == 0:

@@ -256,9 +256,10 @@ def test_complete_refuses_large_topology(tmp_path, capsys):
                                       for m in range(16)]}
     code, out, err = run(capsys, "complete", jfile(tmp_path, "d.json", discrete4))
     assert code == 1 and out == ""
+    # 166 filters: each would be a point, past the 63-point cap
     assert json.loads(err) == {"error": "CapExceeded",
-                               "message": "Alexandrov topology exceeds 8192 opens",
-                               "details": {"cap": 8192}}
+                               "message": "completion capped at 63 filters",
+                               "details": {"filters": 166, "cap": 63}}
 
 
 # -- action -----------------------------------------------------------------------

@@ -4,14 +4,14 @@ import pytest
 
 from finitetop.action import ActionOverX
 from finitetop.completion import (COMPLETION_OPENS_CAP, OPENS_CAP,
-                                  build_yprime, from_discontinuous,
+                                  _assemble, build_yprime, from_discontinuous,
                                   neighborhood_filter_embedding,
                                   to_discontinuous)
 from finitetop.enumeration import are_homeomorphic
 from finitetop.errors import (BadEndpoints, CapExceeded, DomainMismatch,
                               NotMonotone, NotOpen)
-from finitetop.spaces import (ContinuousMap, FiniteSpace, space_from_edges,
-                              validate_topology)
+from finitetop.spaces import (MAX_POINTS, ContinuousMap, FiniteSpace,
+                              space_from_edges, validate_topology)
 from oracles import (brute_completion_opens, build_power_space,
                      random_continuous, random_monotone_table,
                      random_poset_space, random_space)
@@ -184,13 +184,25 @@ def test_yprime_cap():
 
 
 def test_yprime_topology_cap_names_cap():
-    # 166 filters whose up-sets pass the up-front bound; the refusal comes
-    # from building the opens, and it must not exhaust the recursion
+    # the empty family, 13 singletons and the family of all 13 opens: one
+    # component with one maximal point passes the up-front bound, and its
+    # 8,194 up-sets are refused while the opens are built
+    base = FiniteSpace.chain(12)
+    filters = [[], *([u] for u in base.opens), base.opens]
     with pytest.raises(CapExceeded) as err:
-        build_yprime(FiniteSpace.discrete(4))
+        _assemble(base, filters)
     assert err.value.details == {"cap": COMPLETION_OPENS_CAP}
     assert str(err.value) == (
         f"Alexandrov topology exceeds {COMPLETION_OPENS_CAP} opens")
+
+
+def test_yprime_filter_cap_names_cap():
+    # each filter is a point, so 166 filters are refused before the
+    # completion's topology is built
+    with pytest.raises(CapExceeded) as err:
+        build_yprime(FiniteSpace.discrete(4))
+    assert err.value.details == {"filters": 166, "cap": MAX_POINTS}
+    assert str(err.value) == f"completion capped at {MAX_POINTS} filters"
 
 
 def assert_matches_subbasis_closure(comp):

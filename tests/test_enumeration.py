@@ -9,19 +9,23 @@ from finitetop.enumeration import (are_homeomorphic, canonical_form, census,
                                    enumerate_labeled_topologies,
                                    space_from_canonical,
                                    topologies_from_preorders)
+from finitetop import spaces
 from finitetop.errors import CapExceeded
 from finitetop.spaces import FiniteSpace, space_from_edges
 from oracles import (homeomorphism_oracle, permuted_space, random_poset_space,
                      random_space, topologies_by_family_filter)
 
-# labeled topologies and labeled T0 topologies by point count
+# labeled topologies (OEIS A000798) and labeled T0 topologies, which are
+# the labeled partial orders (A001035), by point count
 TOPOLOGY_COUNTS = [1, 1, 4, 29, 355, 6942]
 T0_COUNTS = [1, 1, 3, 19, 219, 4231]
 
-# homeomorphism classes: all, T0, connected T0
+# homeomorphism classes: all (A001930), T0 (posets, A000112) and
+# connected T0 (connected posets, A000608)
 CLASS_COUNTS = [1, 1, 3, 9, 33, 139]
 T0_CLASS_COUNTS = [1, 1, 2, 5, 16, 63]
-# the empty space has no components, so it does not count as connected
+# the empty space has no components, so it does not count as connected;
+# A000608 starts with 1 there
 CONNECTED_T0_CLASS_COUNTS = [0, 1, 1, 3, 10, 44]
 
 
@@ -30,6 +34,18 @@ def test_labeled_counts_frozen():
         assert len(enumerate_labeled_topologies(n)) == want
     for n, want in enumerate(T0_COUNTS):
         assert len(enumerate_labeled_t0(n)) == want
+
+
+def test_census_builds_no_open_family(monkeypatch):
+    # census and canonical_form read the minimal opens; listing the open
+    # family would go through spaces._up_sets
+    def refuse(*args):
+        raise AssertionError("an open family was built")
+
+    monkeypatch.setattr(spaces, "_up_sets", refuse)
+    assert census(4).class_count() == CLASS_COUNTS[4]
+    assert census(4, connected=True, t0=True).class_count() == (
+        CONNECTED_T0_CLASS_COUNTS[4])
 
 
 def test_two_enumeration_routes_agree():

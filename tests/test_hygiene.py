@@ -1,14 +1,19 @@
-"""Import hygiene: the public names resolve and no module imports dead names."""
+"""Hygiene: public names resolve, imports are live and local, docs match code."""
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
 import finitetop
+from finitetop import completion, enumeration, jsonio, spaces
 
 PACKAGE = pathlib.Path(finitetop.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = pathlib.Path(__file__).parent
+ROOT = TESTS.parent
 
 
 def test_public_names_resolve():
@@ -46,3 +51,65 @@ def test_no_unused_imports(path):
     unused = [(name, line) for name, line in imported_names(tree)
               if name not in used]
     assert unused == []
+
+
+# CI installs only pytest and hypothesis beside the package itself
+ALLOWED_IMPORTS = ({"finitetop", "pytest", "hypothesis"}
+                   | {path.stem for path in TESTS.glob("*.py")})
+
+
+def imported_modules(tree):
+    """(top-level module, line) for every absolute import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_imports_need_no_third_party_package(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    foreign = [(name, line) for name, line in imported_modules(tree)
+               if name not in sys.stdlib_module_names
+               and name not in ALLOWED_IMPORTS]
+    assert foreign == []
+
+
+# construction column of the README caps table -> (the constant, its unit)
+README_CAPS = {
+    "labeled topology enumeration": (enumeration.TOPOLOGY_CAP, "points"),
+    "labeled T0 enumeration": (enumeration.T0_CAP, "points"),
+    "census up to homeomorphism": (enumeration.CENSUS_CAP, "points"),
+    "canonical forms": (enumeration.CANONICAL_CAP, "points"),
+    "topology built from a preorder": (spaces.OPEN_FAMILY_CAP, "opens"),
+    "filter completion": (completion.OPENS_CAP, "base opens"),
+    "filter completion filters": (spaces.MAX_POINTS, "filters"),
+    "filter completion topology": (completion.COMPLETION_OPENS_CAP, "opens"),
+    "spaces read from JSON": (spaces.MAX_POINTS, "points"),
+    "open lists read from JSON": (spaces.OPEN_FAMILY_CAP, "sets"),
+    "groups read from JSON": (jsonio.GENERATORS_CAP, "generators"),
+}
+
+
+def readme_caps():
+    """{construction: (value, unit)} from the README table under "| construction"."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if re.match(r"\|\s*construction\s*\|", line))
+    out = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, cap = (cell.strip() for cell in line.strip("|").split("|"))
+        m = re.fullmatch(r"(?:(\d+)|2\^(\d+)) ([a-zA-Z ]+?)(?: \(exit \d\))?", cap)
+        assert m, f"unreadable cap {cap!r} for {name!r}"
+        value = int(m[1]) if m[1] else 1 << int(m[2])
+        out[name] = (value, m[3])
+    return out
+
+
+def test_readme_caps_table_matches_constants():
+    assert readme_caps() == README_CAPS

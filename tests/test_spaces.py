@@ -12,9 +12,10 @@ from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
 from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
                               Preorder, alexandrov_topology, bits, hasse_dot,
                               mask_of, space_from_edges, validate_topology)
-from oracles import (brute_closure, brute_irreducible_closed_sets,
-                     brute_is_sober, brute_locally_closed, random_poset_space,
-                     random_space)
+from oracles import (brute_check_family, brute_closure, brute_interior,
+                     brute_irreducible_closed_sets, brute_is_sober,
+                     brute_locally_closed, brute_minimal_open,
+                     random_poset_space, random_space)
 
 from finitetop.enumeration import enumerate_labeled_topologies
 
@@ -40,6 +41,53 @@ def test_family_axioms_rejected_with_witnesses():
     assert err.value.details["witness"] == (3, 5)
 
 
+def _refusal(check, size, family):
+    try:
+        check(size, family)
+    except (MissingEmpty, MissingFull, NotClosedUnderUnion,
+            NotClosedUnderIntersection) as exc:
+        return exc
+    return None
+
+
+def assert_validator_matches_scan(size, family):
+    got = _refusal(validate_topology, size, family)
+    want = _refusal(brute_check_family, size, family)
+    assert (got is None) == (want is None), (size, family)
+    members = set(family)
+    if isinstance(got, (NotClosedUnderUnion, NotClosedUnderIntersection)):
+        a, b = got.details["witness"]
+        joined = a | b if isinstance(got, NotClosedUnderUnion) else a & b
+        assert a in members and b in members and joined not in members
+    elif got is not None:
+        assert type(got) is type(want)
+
+
+def test_validator_matches_pairwise_scan_exhaustive():
+    for n in range(5):
+        for choice in range(1 << (1 << n)):
+            assert_validator_matches_scan(n, list(bits(choice)))
+
+
+def test_validator_matches_pairwise_scan_random():
+    rng = random.Random(19)
+    for i in range(1000):
+        if i % 2:
+            # a topology with one or two sets toggled
+            family = set(random_space(rng, 5).opens)
+            for _ in range(rng.randint(1, 2)):
+                family ^= {rng.randrange(32)}
+        else:
+            family = {m for m in range(32) if rng.random() < 0.3} | {0, 31}
+        assert_validator_matches_scan(5, sorted(family))
+
+
+def test_validator_linear_on_discrete_family():
+    # 65,536 opens: a pairwise scan would test over two billion pairs
+    space = FiniteSpace.discrete(16)
+    assert validate_topology(16, space.opens) == space
+
+
 def test_family_deduplicated_and_sorted():
     space = validate_topology(2, [3, 0, 1, 1, 3])
     assert space.opens == (0, 1, 3)
@@ -59,7 +107,9 @@ def test_closure_interior_against_scan():
     for space in spaces_up_to(3):
         for s in range(1 << space.size):
             assert space.closure(s) == brute_closure(space, s)
+            assert space.interior(s) == brute_interior(space, s)
             assert space.interior(s) == space.full ^ space.closure(space.full ^ s)
+            assert space.is_open(s) == (s in space.opens)
 
 
 def test_minimal_open_is_smallest():
@@ -67,7 +117,7 @@ def test_minimal_open_is_smallest():
         for x in range(space.size):
             smallest = min((u for u in space.opens if u >> x & 1),
                            key=lambda u: u.bit_count())
-            assert space.minimal_open(x) == smallest
+            assert space.minimal_open(x) == smallest == brute_minimal_open(space, x)
 
 
 # -- preorders -------------------------------------------------------------------
