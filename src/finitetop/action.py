@@ -15,10 +15,9 @@ from .errors import (
     DomainMismatch,
     NotOpen,
     NotSober,
-    NotWellDefined,
 )
 from .lattice import LatticeMap, lattice_map_to_continuous
-from .spaces import ContinuousMap, LocallyClosedSet, bits, mask_of
+from .spaces import ContinuousMap, LocallyClosedSet, bits
 
 
 class ActionOverX:
@@ -58,68 +57,41 @@ def ideal(action, u):
 
 
 def subquotient_support(action, c):
-    """Support over a locally closed set, checked against every witness.
+    """Support over a locally closed set: its preimage, locally closed in P.
 
-    Each witness pair (U, V) must give the same preimage difference, and
-    any two witnesses (U1,V1), (U2,V2) must satisfy the exchange identity
-    preim(U2) | preim(V1) == preim(U1) | preim(V2).  The support is returned
-    as a locally closed set of the primitive space.
+    For a witness U minus V = C the support is preim(U) minus preim(V), and
+    preimages keep differences, so every witness gives preim(C).
     """
     c = _as_locally_closed(action.base, c)
-    witnesses = action.base.locally_closed_witnesses(c.carrier)
-    pre = [(action.psi.preimage(u), action.psi.preimage(v)) for u, v in witnesses]
-    carriers = {pu & ~pv for pu, pv in pre}
-    if len(carriers) != 1:
-        raise NotWellDefined(
-            "support depends on the chosen witness", carrier=c.carrier)
-    for i, (pu1, pv1) in enumerate(pre):
-        for pu2, pv2 in pre[i + 1:]:
-            if pu2 | pv1 != pu1 | pv2:
-                raise NotWellDefined(
-                    "witness exchange identity fails", carrier=c.carrier)
-    return action.prim.locally_closed(carriers.pop())
+    return action.prim.locally_closed(action.psi.preimage(c.carrier))
 
 
 def pushforward(f, action):
     """Transport an action along a continuous map of bases.
 
-    The support over any locally closed C downstairs must equal the support
-    over its preimage upstairs; this is checked for every C.
+    The moved action has structure map psi then f, and (psi then f)^-1 is
+    psi^-1 after f^-1, so its support over C is the old support over f^-1(C).
     """
     if f.domain != action.base:
         raise DomainMismatch("map must start at the base of the action")
-    moved = ActionOverX(f.codomain, action.prim, action.psi.then(f))
-    for c in f.codomain.locally_closed_sets():
-        upstairs = action.base.locally_closed(f.preimage(c.carrier))
-        if (subquotient_support(moved, c).carrier
-                != action.psi.preimage(upstairs.carrier)):
-            raise NotWellDefined(
-                "pushforward support mismatch", carrier=c.carrier)
-    return moved
+    return ActionOverX(f.codomain, action.prim, action.psi.then(f))
 
 
 def restrict(action, y):
     """Restrict to a locally closed piece of the base.
 
     The primitive space becomes the subspace over y, reindexed densely in
-    the order of the original point indices; supports over locally closed
-    subsets of y are unchanged, which is checked.
+    the order of the original point indices.  A point of it lies over a
+    subset C of y exactly when its original lies in psi^-1(C), so supports
+    over locally closed subsets of y are unchanged.
     """
     y = _as_locally_closed(action.base, y)
     base_sub, base_pts = action.base.subspace(y.carrier)
     base_pos = {p: i for i, p in enumerate(base_pts)}
-    over = action.psi.preimage(y.carrier)
-    prim_sub, prim_pts = action.prim.subspace(over)
+    prim_sub, prim_pts = action.prim.subspace(action.psi.preimage(y.carrier))
     assignment = [base_pos[action.psi(p)] for p in prim_pts]
-    small = ActionOverX(base_sub, prim_sub,
-                        ContinuousMap(prim_sub, base_sub, assignment, validate=False))
-    for c in base_sub.locally_closed_sets():
-        big_carrier = mask_of(base_pts[i] for i in bits(c.carrier))
-        got = subquotient_support(small, c).carrier
-        lifted = mask_of(prim_pts[i] for i in bits(got))
-        if lifted != action.psi.preimage(big_carrier):
-            raise NotWellDefined("restriction support mismatch", carrier=c.carrier)
-    return small
+    return ActionOverX(base_sub, prim_sub,
+                       ContinuousMap(prim_sub, base_sub, assignment, validate=False))
 
 
 def is_tight(action):
@@ -134,22 +106,13 @@ def fiber_support(action, x):
 def p_functor(action, y):
     """Restrict to y, then push back in along the inclusion.
 
-    The result lives over the original base again; its support over any
-    locally closed Z is the original support over the intersection with y,
-    checked pointwise over all of LC(X).
+    The result lives over the original base again; a point over Z in it
+    lies over Z & y in the restriction, so its support over Z is the
+    original support over Z & y.
     """
     y = _as_locally_closed(action.base, y)
-    small = restrict(action, y)
     _, incl = action.base.inclusion(y.carrier)
-    result = pushforward(incl, small)
-    pts = tuple(bits(action.psi.preimage(y.carrier)))
-    for z in action.base.locally_closed_sets():
-        meet = y.carrier & z.carrier
-        got = subquotient_support(result, z).carrier
-        lifted = mask_of(pts[i] for i in bits(got))
-        if lifted != action.psi.preimage(meet):
-            raise NotWellDefined("composite support mismatch", carrier=z.carrier)
-    return result
+    return pushforward(incl, restrict(action, y))
 
 
 class IdealAssignment:
@@ -219,28 +182,12 @@ def reconstruct(assign, prim):
 
 
 def filtration_of_action(action):
-    """Strata supports of the canonical filtration, with discreteness checks.
+    """Supports over the strata of the canonical filtration of the base.
 
-    For each stratum the support splits into point fibers, and every fiber
-    must be open relative to the part of P over the not-yet-filtered rest
-    of the base.
+    A stratum's support is the union of the fibers over its points, which
+    are disjoint because psi is a function.  Each fiber is open in the part
+    of P over the rest of the base: a point x of the stratum is open in the
+    rest, so psi^-1(U_x) & psi^-1(rest) = psi^-1({x}), the fiber.
     """
-    filt = action.base.canonical_filtration()
-    out = []
-    for j, stratum in enumerate(filt.strata):
-        rest = action.base.full ^ filt.layers[j]
-        over_rest = action.psi.preimage(rest)
-        support = subquotient_support(action, action.base.locally_closed(stratum))
-        pieces = 0
-        for x in bits(stratum):
-            fiber = fiber_support(action, x)
-            if pieces & fiber:
-                raise NotWellDefined("stratum fibers overlap", point=x)
-            pieces |= fiber
-            if action.psi.preimage(action.base.minimal_open(x)) & over_rest != fiber:
-                raise NotWellDefined(
-                    "fiber is not relatively open over the remaining base", point=x)
-        if pieces != support.carrier:
-            raise NotWellDefined("stratum support is not the union of its fibers")
-        out.append(support)
-    return out
+    return [subquotient_support(action, stratum)
+            for stratum in action.base.canonical_filtration().strata]

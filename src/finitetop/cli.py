@@ -51,7 +51,7 @@ def _names(space, mask):
 
 def _cmd_validate(args):
     space = jsonio.space_from_json(_read_json(args.space))
-    _emit({"ok": True, "size": space.size, "opens": len(space.opens)})
+    _emit({"ok": True, "size": space.size, "opens": space.open_count()})
     return 0
 
 
@@ -60,7 +60,7 @@ def _cmd_info(args):
     t0 = space.is_t0()
     out = {
         "size": space.size,
-        "opens": len(space.opens),
+        "opens": space.open_count(),
         "t0": t0,
         "sober": space.is_sober(),
         "connected": space.is_connected(),
@@ -112,7 +112,7 @@ def _cmd_enumerate(args):
     if args.table:
         print(f"{'idx':>5}  {'points':>6}  {'opens':>5}  {'t0':>5}  connected")
         for i, s in enumerate(spaces):
-            print(f"{i:>5}  {s.size:>6}  {len(s.opens):>5}  "
+            print(f"{i:>5}  {s.size:>6}  {s.open_count():>5}  "
                   f"{str(s.is_t0()).lower():>5}  {str(s.is_connected()).lower()}")
         print(f"count: {count}  labeled: {labeled}")
     else:
@@ -158,10 +158,9 @@ def _cmd_action(args):
     if args.mode == "restrict":
         carrier = jsonio.carrier_from_key(args.set, action.base.size)
         small = restrict(action, carrier)
-        base_pts = action.base.subspace(carrier)[1]
-        prim_pts = action.prim.subspace(action.psi.preimage(carrier))[1]
         _emit({"action": jsonio.action_to_json(small),
-               "base_points": list(base_pts), "prim_points": list(prim_pts)})
+               "base_points": indices(carrier),
+               "prim_points": indices(action.psi.preimage(carrier))})
         return 0
     if args.mode == "pushforward":
         f = jsonio.map_from_json(_read_json(args.extra))

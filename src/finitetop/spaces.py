@@ -191,6 +191,16 @@ class FiniteSpace:
             self._opens = _up_sets(_classes(self.rows), inf)
         return self._opens
 
+    def open_count(self):
+        """len(opens), without listing them: up-sets multiply over components."""
+        if self._opens is not None:
+            return len(self._opens)
+        classes = _classes(self.rows)
+        count = 1
+        for comp in _components(self.rows):
+            count *= len(_up_sets([c for c in classes if c[1] & comp], inf))
+        return count
+
     def with_labels(self, labels):
         """This space with display labels, sharing its rows and opens."""
         return FiniteSpace._from_rows(self.size, self.rows, labels, self._opens)
@@ -303,11 +313,6 @@ class FiniteSpace:
     def locally_closed_sets(self):
         carriers = {u & ~v for u in self.opens for v in self.opens}
         return tuple(self.locally_closed(c) for c in sorted(carriers, key=family_key))
-
-    def locally_closed_witnesses(self, s):
-        """Every witness pair (U, V): V in U, U minus V = s."""
-        return [(u, v) for u in self.opens for v in self.opens
-                if v & ~u == 0 and u & ~v == s]
 
     # -- T0-only structure --------------------------------------------------
 

@@ -60,6 +60,12 @@ def brute_locally_closed(space):
     return out
 
 
+def brute_locally_closed_witnesses(space, s):
+    """Every witness pair (U, V) of opens: V in U, U minus V = s."""
+    return [(u, v) for u in space.opens for v in space.opens
+            if v & ~u == 0 and u & ~v == s]
+
+
 def closed_sets(space):
     """Complements of the opens, sorted by (popcount, value)."""
     return sorted((space.full ^ m for m in space.opens),

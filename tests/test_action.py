@@ -9,8 +9,8 @@ from finitetop.action import (ActionOverX, IdealAssignment, fiber_support,
 from finitetop.errors import (CompatibilityFailure, CoverFailure, DomainMismatch,
                               NotOpen, NotSober)
 from finitetop.spaces import ContinuousMap, FiniteSpace, bits, mask_of
-from oracles import (brute_meet_failures, random_continuous, random_poset_space,
-                     random_space)
+from oracles import (brute_locally_closed_witnesses, brute_meet_failures,
+                     random_continuous, random_poset_space, random_space)
 
 
 def ninth_space():
@@ -58,7 +58,7 @@ def test_subquotient_witnesses_agree():
         psi = act.psi
         for lc in act.base.locally_closed_sets():
             carriers = set()
-            witnesses = list(act.base.locally_closed_witnesses(lc.carrier))
+            witnesses = brute_locally_closed_witnesses(act.base, lc.carrier)
             for u, v in witnesses:
                 carriers.add(psi.preimage(u) & ~psi.preimage(v))
             assert len(carriers) == 1
@@ -116,11 +116,14 @@ def test_restrict_preserves_supports():
             if lc.carrier == 0:
                 continue
             small = restrict(act, lc.carrier)
+            base_pts = tuple(bits(lc.carrier))
             _, prim_pts = act.prim.subspace(act.psi.preimage(lc.carrier))
-            whole = subquotient_support(
-                small, small.base.locally_closed(small.base.full))
-            lifted = mask_of(prim_pts[i] for i in bits(whole.carrier))
-            assert lifted == act.psi.preimage(lc.carrier)
+            # supports over locally closed subsets of lc lift to the old ones
+            for c in small.base.locally_closed_sets():
+                got = subquotient_support(small, c).carrier
+                lifted = mask_of(prim_pts[i] for i in bits(got))
+                big = mask_of(base_pts[i] for i in bits(c.carrier))
+                assert lifted == act.psi.preimage(big)
 
 
 def test_p_functor_supports():
@@ -132,6 +135,40 @@ def test_p_functor_supports():
         got = subquotient_support(part, z).carrier
         lifted = mask_of(pts[i] for i in bits(got))
         assert lifted == act.psi.preimage(z.carrier & 0b1010)
+
+
+def assert_support_is_witness_independent(act, c):
+    """Every witness of c gives the support, and any two exchange."""
+    psi = act.psi
+    pre = [(psi.preimage(u), psi.preimage(v))
+           for u, v in brute_locally_closed_witnesses(act.base, c)]
+    assert {pu & ~pv for pu, pv in pre} == {subquotient_support(act, c).carrier}
+    for pu1, pv1 in pre:
+        for pu2, pv2 in pre:
+            assert pu2 | pv1 == pu1 | pv2
+
+
+def test_pushforward_and_p_functor_supports_are_preimages():
+    # the identities pushforward and p_functor rely on instead of checking
+    rng = random.Random(131)
+    for _ in range(100):
+        act = random_action(rng, 4, 5)
+        psi = act.psi
+        # (psi then f)^-1(C) = psi^-1(f^-1(C))
+        f = random_continuous(rng, act.base, random_space(rng, rng.randint(1, 4)))
+        moved = pushforward(f, act)
+        for c in f.codomain.locally_closed_sets():
+            assert_support_is_witness_independent(moved, c.carrier)
+            assert (subquotient_support(moved, c).carrier
+                    == psi.preimage(f.preimage(c.carrier)))
+        # the support over Z is the old support over Z & y
+        y = rng.choice(act.base.locally_closed_sets()).carrier
+        part = p_functor(act, y)
+        pts = tuple(bits(psi.preimage(y)))
+        for z in act.base.locally_closed_sets():
+            assert_support_is_witness_independent(part, z.carrier)
+            got = subquotient_support(part, z).carrier
+            assert mask_of(pts[i] for i in bits(got)) == psi.preimage(z.carrier & y)
 
 
 def test_tightness():
@@ -247,9 +284,13 @@ def test_filtration_partition_property():
             expected = (act.psi.preimage(filt.layers[j + 1])
                         & ~act.psi.preimage(filt.layers[j]))
             assert sup.carrier == expected
-            pieces = [fiber_support(act, x) for x in bits(filt.strata[j])]
+            # fibers are disjoint, each open over the part of P above the
+            # unfiltered rest of the base, and together the support
+            over_rest = act.psi.preimage(base.full ^ filt.layers[j])
             union = 0
-            for piece in pieces:
+            for x in bits(filt.strata[j]):
+                piece = fiber_support(act, x)
                 assert union & piece == 0
+                assert act.psi.preimage(base.minimal_open(x)) & over_rest == piece
                 union |= piece
             assert union == expected

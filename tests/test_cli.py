@@ -133,6 +133,22 @@ def test_info_refuses_wide_preorder_before_building(tmp_path, capsys):
     assert parsed["details"] == {"cap": OPEN_FAMILY_CAP, "at_least": 1 << 40}
 
 
+def test_twenty_point_antichain_is_counted_not_listed(tmp_path, capsys):
+    # 2 ** 20 opens, the most a preorder may have; only their number is read
+    path = jfile(tmp_path, "s.json", {"preorder": {"size": 20}})
+    code, out, err = run(capsys, "info", path)
+    assert code == 0 and err == ""
+    assert len(out) == 777
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "381cd1fc87a328f946c0066121451f930ccb3f61c6c09de65ed2d0d0654e0994")
+    assert run(capsys, "validate", path) == (
+        0, '{\n  "ok": true,\n  "opens": 1048576,\n  "size": 20\n}\n', "")
+    assert run(capsys, "complete", path) == (
+        1, "", '{\n  "details": {\n    "opens": 1048576\n  },\n'
+               '  "error": "CapExceeded",\n'
+               '  "message": "completion capped at 16 base opens"\n}\n')
+
+
 def test_plain_input_errors_carry_no_details(tmp_path, capsys):
     space = {"preorder": {"size": 0, "leq": 2}}
     code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))

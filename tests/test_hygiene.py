@@ -9,6 +9,7 @@ import pytest
 
 import finitetop
 from finitetop import completion, enumeration, jsonio, spaces
+from finitetop.cli import main
 
 PACKAGE = pathlib.Path(finitetop.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -113,3 +114,23 @@ def readme_caps():
 
 def test_readme_caps_table_matches_constants():
     assert readme_caps() == README_CAPS
+
+
+def readme_worked_example():
+    """(s.json text, the printed lines) from the README's worked example."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Worked example\n\n```sh\n(.*?)```", text, re.S)[1]
+    m = re.fullmatch(r"\$ cat > s\.json <<'EOF'\n(.*?)EOF\n"
+                     r"\$ finitetop info s\.json\n(.*)", block, re.S)
+    assert m, "the worked example no longer writes s.json and runs info on it"
+    return m[1], m[2]
+
+
+def test_readme_worked_example_output(tmp_path, capsys, monkeypatch):
+    space, printed = readme_worked_example()
+    (tmp_path / "s.json").write_text(space, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["info", "s.json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == printed

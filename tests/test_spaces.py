@@ -14,8 +14,8 @@ from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
                               mask_of, space_from_edges, validate_topology)
 from oracles import (brute_check_family, brute_closure, brute_interior,
                      brute_irreducible_closed_sets, brute_is_sober,
-                     brute_locally_closed, brute_minimal_open,
-                     random_poset_space, random_space)
+                     brute_locally_closed, brute_locally_closed_witnesses,
+                     brute_minimal_open, random_poset_space, random_space)
 
 from finitetop.enumeration import enumerate_labeled_topologies
 
@@ -210,6 +210,31 @@ def test_alexandrov_bound_multiplies_components():
     assert len(alexandrov_topology(Preorder(6, rows[:6])).opens) == 16
 
 
+def test_open_count_matches_opens():
+    rng = random.Random(29)
+    spaces = [FiniteSpace.empty(), alexandrov_topology(Preorder.discrete(0))]
+    spaces += [random_space(rng, rng.randint(1, 7)) for _ in range(150)]
+    spaces += [random_poset_space(rng, rng.randint(1, 7)) for _ in range(150)]
+    for space in spaces:
+        fresh = FiniteSpace._from_rows(space.size, space.rows)
+        assert fresh.open_count() == len(space.opens)
+        # an open family that is already listed is counted as listed
+        assert space.open_count() == len(space.opens)
+
+
+def test_open_count_leaves_opens_unbuilt():
+    antichain = alexandrov_topology(Preorder.discrete(20))
+    assert antichain.open_count() == 1 << 20
+    assert antichain._opens is None
+    # 11 disjoint 3-point chains: one factor of 4 per chain
+    rows = []
+    for c in range(11):
+        rows += [0b111 << 3 * c, 0b110 << 3 * c, 0b100 << 3 * c]
+    chains = FiniteSpace._from_rows(33, rows)
+    assert chains.open_count() == 4 ** 11
+    assert chains._opens is None
+
+
 # -- stock spaces ----------------------------------------------------------------
 
 
@@ -306,7 +331,7 @@ def test_all_witnesses_give_same_difference():
     for _ in range(20):
         space = random_poset_space(rng, 5)
         for lc in space.locally_closed_sets():
-            for u, v in space.locally_closed_witnesses(lc.carrier):
+            for u, v in brute_locally_closed_witnesses(space, lc.carrier):
                 assert u & ~v == lc.carrier
 
 
