@@ -2,9 +2,11 @@
 
 Spaces are generated one labeled preorder at a time, by row-by-row
 extension of relation matrices, and each preorder gives its Alexandrov
-topology.  Classification up to homeomorphism goes through a canonical byte
-encoding minimised over relabelings, refined by cheap point invariants so
-the permutation set stays small.
+topology.  A finite space is determined by its T0 quotient and the size of
+each class of points with equal minimal opens, so classification up to
+homeomorphism goes through one canonical byte encoding of the quotient:
+cover edges minimised over relabelings, with point invariants and class
+sizes keeping the permutation set small.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .spaces import (
     Preorder,
     alexandrov_topology,
     bits,
+    mask_of,
     space_from_edges,
 )
 
@@ -98,78 +101,63 @@ def enumerate_labeled_t0(n):
 
 # -- classification up to homeomorphism --------------------------------------
 
-def _point_keys(space):
-    """Iso-invariant key per point; equal keys bound the relabeling search."""
-    n = space.size
-    up = space.rows
-    down = [space.closure(1 << x) for x in range(n)]
-    if space.is_t0():
-        adj = [0] * n
-        indeg = [0] * n
-        for a, b in space.hasse_edges():
-            adj[a] |= 1 << b
-            indeg[b] += 1
-        keys = [(up[x].bit_count(), down[x].bit_count(),
-                 adj[x].bit_count(), indeg[x]) for x in range(n)]
-        return True, adj, keys
-    adj = up
-    keys = [(up[x].bit_count(), down[x].bit_count(),
-             (up[x] & down[x]).bit_count()) for x in range(n)]
-    return False, adj, keys
-
-
 def canonical_form(space):
     """Byte encoding equal for two spaces iff they are homeomorphic.
 
-    T0 spaces encode the lexicographically smallest relabeled cover-edge
-    adjacency matrix, others the smallest specialisation matrix; the point
-    invariant signature is prepended so only like-structured spaces can
-    ever compare equal.
+    A finite space is its T0 quotient with the size of each class of equal
+    rows.  The encoding is the quotient size, the sorted point invariants
+    (up-set, down-set, out-degree, in-degree, class size), then the least
+    cover-edge adjacency matrix over relabelings that keep them in order.
     """
-    n = space.size
-    if n > CANONICAL_CAP:
-        raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} points", n=n)
-    t0, adj, keys = _point_keys(space)
+    if space.size > CANONICAL_CAP:
+        raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} points",
+                          n=space.size)
+    quotient, sizes = space, [1] * space.size
+    if not space.is_t0():
+        # the subspace on the first point of each class is the quotient
+        distinct = dict.fromkeys(space.rows)
+        quotient = space.subspace(mask_of(space.rows.index(r) for r in distinct))[0]
+        sizes = [space.rows.count(r) for r in distinct]
+    n, rows = quotient.size, quotient.rows
+    adj, indeg, down = [0] * n, [0] * n, [0] * n
+    for a, b in quotient.hasse_edges():
+        adj[a] |= 1 << b
+        indeg[b] += 1
+    for row in rows:
+        for x in bits(row):
+            down[x] += 1
+    keys = [(rows[x].bit_count(), down[x], adj[x].bit_count(), indeg[x], sizes[x])
+            for x in range(n)]
     order = sorted(range(n), key=lambda x: keys[x])
     groups = [list(g) for _, g in itertools.groupby(order, key=lambda x: keys[x])]
     sig = b"".join(bytes(keys[x]) for x in order)
-    best = None
+    best = b"\xff" * n  # no encoding is larger: a row of at most 8 points fits a byte
     for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
         perm = [0] * n
-        pos = 0
-        for group in combo:
-            for x in group:
-                perm[x] = pos
-                pos += 1
+        for pos, x in enumerate(itertools.chain.from_iterable(combo)):
+            perm[x] = pos
         new_rows = [0] * n
         for x in range(n):
             r = 0
             for y in bits(adj[x]):
                 r |= 1 << perm[y]
             new_rows[perm[x]] = r
-        enc = bytes(new_rows)
-        if best is None or enc < best:
-            best = enc
-    return (b"T" if t0 else b"P") + bytes([n]) + sig + (best or b"")
+        best = min(best, bytes(new_rows))
+    return bytes([n]) + sig + best
 
 
 def space_from_canonical(form):
-    """Rebuild a representative space from a canonical encoding."""
-    marker, n = form[0:1], form[1]
-    keylen = 4 if marker == b"T" else 3
-    rows = form[2 + keylen * n:]
-    if marker == b"T":
-        edges = [(a, b) for a in range(n) for b in bits(rows[a])]
-        return space_from_edges(n, edges)
-    return alexandrov_topology(Preorder(n, rows, validate=False))
+    """The quotient with each point expanded into consecutive points of one class."""
+    n = form[0]
+    sizes, adj = form[5:1 + 5 * n:5], form[1 + 5 * n:]
+    cls = [i for i, size in enumerate(sizes) for _ in range(size)]
+    pairs = [(x, y) for x, i in enumerate(cls) for y, j in enumerate(cls)
+             if i == j or adj[j] >> i & 1]
+    return alexandrov_topology(Preorder.generated_by(len(cls), pairs))
 
 
 def are_homeomorphic(x1, x2):
-    if x1.size != x2.size or len(x1.opens) != len(x2.opens):
-        return False
-    if sorted(m.bit_count() for m in x1.opens) != sorted(m.bit_count() for m in x2.opens):
-        return False
-    return canonical_form(x1) == canonical_form(x2)
+    return x1.size == x2.size and canonical_form(x1) == canonical_form(x2)
 
 
 # -- census ------------------------------------------------------------------

@@ -19,7 +19,8 @@ Order conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from functools import cache
+from math import inf, prod
 
 from .errors import (
     CapExceeded,
@@ -192,14 +193,22 @@ class FiniteSpace:
         return self._opens
 
     def open_count(self):
-        """len(opens), without listing them: up-sets multiply over components."""
+        """len(opens), without listing them: up-sets multiply over components.
+
+        An up-set of the points in rest misses the lowest one, c, and all
+        below it, or holds U_c; counts are memoised on rest.
+        """
         if self._opens is not None:
             return len(self._opens)
-        classes = _classes(self.rows)
-        count = 1
-        for comp in _components(self.rows):
-            count *= len(_up_sets([c for c in classes if c[1] & comp], inf))
-        return count
+
+        @cache
+        def count(rest):
+            if not rest:
+                return 1
+            c = (rest & -rest).bit_length() - 1
+            return count(rest & ~_down(self.rows, 1 << c)) + count(rest & ~self.rows[c])
+
+        return prod(count(comp) for comp in _components(self.rows))
 
     def with_labels(self, labels):
         """This space with display labels, sharing its rows and opens."""
@@ -326,9 +335,10 @@ class FiniteSpace:
         up = [row & ~(1 << x) for x, row in enumerate(self.rows)]
         edges = []
         for b in range(self.size):
-            for a in bits(up[b]):
-                if not any(up[z] >> a & 1 for z in bits(up[b] & ~(1 << a))):
-                    edges.append((a, b))
+            above = 0  # not covers: the points over a point strictly above b
+            for z in bits(up[b]):
+                above |= up[z]
+            edges += ((a, b) for a in bits(up[b] & ~above))
         return tuple(sorted(edges))
 
     def length(self):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ import pytest
 import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
-from finitetop.jsonio import assignment_to_json, datum_to_json
+from finitetop.jsonio import assignment_to_json, datum_to_json, space_from_json
 from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
 from fixtures import constant_zero_datum, point_count_datum
+from oracles import homeomorphism_oracle
 from finitetop.ktheory import FGAbelianGroup, GroupHom, SixTermCycle
 
 SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]], "points": [1, 2]}
@@ -208,6 +210,14 @@ def test_enumerate_labeled(capsys):
     assert code == 0 and parsed["count"] == 4 == len(parsed["spaces"])
     code, out, _ = run(capsys, "enumerate", "--points", "2", "--t0")
     assert json.loads(out)["count"] == 3
+
+
+def test_enumerate_up_to_homeo_lists_distinct_classes(capsys):
+    code, out, _ = run(capsys, "enumerate", "--points", "4", "--up-to-homeo")
+    spaces = [space_from_json(s) for s in json.loads(out)["spaces"]]
+    assert code == 0 and len(spaces) == 33
+    for a, b in itertools.combinations(spaces, 2):
+        assert not homeomorphism_oracle(a, b)
 
 
 def test_enumerate_table(capsys):
@@ -512,6 +522,13 @@ PINNED_STDOUT = [
      "6d486d329089a1faeadaafc6edd8459e3fb3d844ad306c8dbd21af1cda1832d7"),
     (["complete", POSET5], 150563,
      "583c9f79203ac2059c819b66b913ea4de6aa6eb1b1a24b163df78f71aee73530"),
+    # T0 classes print as the cover-edge representatives, in canonical order
+    (["enumerate", "--points", "5", "--t0", "--up-to-homeo"], 43168,
+     "c4eca86769f145abdc7fcc7beb011cba0d24daebcaa7fe3c56823da0912f1b0e"),
+    # every class prints its T0 quotient with each point expanded into a
+    # block of consecutive points
+    (["enumerate", "--points", "4", "--up-to-homeo"], 11324,
+     "d21bcd670e9befb9ad86f99b4b9f735af9aaf0467d5fd43139218e5a97cd5845"),
 ]
 
 

@@ -11,7 +11,8 @@ from finitetop.enumeration import (are_homeomorphic, canonical_form, census,
                                    topologies_from_preorders)
 from finitetop import spaces
 from finitetop.errors import CapExceeded
-from finitetop.spaces import FiniteSpace, space_from_edges
+from finitetop.spaces import (FiniteSpace, Preorder, alexandrov_topology, bits,
+                              space_from_edges)
 from oracles import (homeomorphism_oracle, permuted_space, random_poset_space,
                      random_space, topologies_by_family_filter)
 
@@ -37,8 +38,8 @@ def test_labeled_counts_frozen():
 
 
 def test_census_builds_no_open_family(monkeypatch):
-    # census and canonical_form read the minimal opens; listing the open
-    # family would go through spaces._up_sets
+    # census, canonical_form and are_homeomorphic read the minimal opens;
+    # listing the open family would go through spaces._up_sets
     def refuse(*args):
         raise AssertionError("an open family was built")
 
@@ -46,6 +47,10 @@ def test_census_builds_no_open_family(monkeypatch):
     assert census(4).class_count() == CLASS_COUNTS[4]
     assert census(4, connected=True, t0=True).class_count() == (
         CONNECTED_T0_CLASS_COUNTS[4])
+    # four opens against two
+    assert not are_homeomorphic(FiniteSpace.discrete(2), FiniteSpace.chaotic(2))
+    fan = space_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert are_homeomorphic(fan, space_from_edges(5, [(3, 0), (3, 1), (3, 2), (3, 4)]))
 
 
 def test_two_enumeration_routes_agree():
@@ -82,6 +87,8 @@ def test_enumeration_caps():
         census(7)
     with pytest.raises(CapExceeded):
         canonical_form(FiniteSpace.discrete(9))
+    with pytest.raises(CapExceeded):
+        are_homeomorphic(FiniteSpace.discrete(9), FiniteSpace.chaotic(9))
 
 
 # -- canonical forms -------------------------------------------------------------
@@ -117,6 +124,42 @@ def test_canonical_form_roundtrip():
         row = census(n)
         for form in row.classes:
             assert canonical_form(space_from_canonical(form)) == form
+
+
+def blown_up(poset, sizes):
+    """Point i of a poset becomes sizes[i] points with equal rows, in a block."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    block = [range(start, start + size) for start, size in zip(starts, sizes)]
+    pairs = [(x, y) for i in range(poset.size) for j in bits(poset.rows[i])
+             for x in block[i] for y in block[j]]
+    return alexandrov_topology(Preorder.generated_by(sum(sizes), pairs))
+
+
+def test_class_sizes_are_part_of_the_class():
+    rng = random.Random(83)
+    outcomes = set()
+    for _ in range(80):
+        m = rng.randint(2, 4)
+        poset = random_poset_space(rng, m)
+        sizes = [1] * m
+        for _ in range(rng.randint(0, 6 - m)):
+            sizes[rng.randrange(m)] += 1
+        a = blown_up(poset, sizes)
+        perm = list(range(a.size))
+        rng.shuffle(perm)
+        assert canonical_form(permuted_space(a, perm)) == canonical_form(a)
+        moved = sizes[:]
+        rng.shuffle(moved)
+        b = blown_up(poset, moved)
+        same = canonical_form(a) == canonical_form(b)
+        assert same == homeomorphism_oracle(a, b)
+        outcomes.add(same)
+    assert outcomes == {True, False}
+    # one class of eight points: no relabeling of it needs to be tried
+    perm = list(range(8))
+    rng.shuffle(perm)
+    chaotic = FiniteSpace.chaotic(8)
+    assert canonical_form(permuted_space(chaotic, perm)) == canonical_form(chaotic)
 
 
 def test_are_homeomorphic_cheap_rejections():

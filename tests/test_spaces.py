@@ -222,7 +222,11 @@ def test_open_count_matches_opens():
         assert space.open_count() == len(space.opens)
 
 
-def test_open_count_leaves_opens_unbuilt():
+def test_open_count_leaves_opens_unbuilt(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("up-sets were listed")
+
+    monkeypatch.setattr("finitetop.spaces._up_sets", refuse)
     antichain = alexandrov_topology(Preorder.discrete(20))
     assert antichain.open_count() == 1 << 20
     assert antichain._opens is None
@@ -233,6 +237,9 @@ def test_open_count_leaves_opens_unbuilt():
     chains = FiniteSpace._from_rows(33, rows)
     assert chains.open_count() == 4 ** 11
     assert chains._opens is None
+    # one point below 19 unrelated ones: 2 ** 19 opens without it, one with it
+    fan = alexandrov_topology(Preorder.generated_by(20, [(0, x) for x in range(1, 20)]))
+    assert fan.open_count() == (1 << 19) + 1
 
 
 # -- stock spaces ----------------------------------------------------------------
