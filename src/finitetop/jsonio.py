@@ -182,7 +182,7 @@ def assignment_from_json(obj):
     """{"base": space, "prim": space, "values": {"x": [prim indices], ...}}
 
     Returns (IdealAssignment, prim).  Keys are base point indices as
-    strings; every base point must appear.
+    strings; every base point must appear, and only once.
     """
     obj = _obj(obj, "assignment")
     base = space_from_json(_obj(obj.get("base"), "assignment base"))
@@ -196,6 +196,8 @@ def assignment_from_json(obj):
             raise InputFormatError(f"assignment key {key!r} is not a point index")
         if not 0 <= x < base.size:
             raise InputFormatError(f"assignment key {x} out of range")
+        if x in values:
+            raise InputFormatError(f"assignment key {key!r} repeats base point {x}")
         values[x] = _mask(val, prim.size, f"ideal at {x}")
     missing = [x for x in range(base.size) if x not in values]
     if missing:
@@ -342,7 +344,8 @@ def datum_from_json(obj):
      "cycles": [{"open": "0", "set": "0,1", "maps": [six matrices]}, ...]}
 
     Carrier keys are comma-joined sorted point indices, "" for the empty
-    set.  Cycle groups are wired from the assignment in the order
+    set.  No carrier and no (open, set) pair may be given twice.  Cycle
+    groups are wired from the assignment in the order
     (even u, even y, even rest, odd u, odd y, odd rest).
     """
     from .ktheory import FiltratedKDatum
@@ -351,7 +354,11 @@ def datum_from_json(obj):
     raw_groups = _obj(obj.get("groups"), "datum groups")
     assignment = {}
     for key, val in raw_groups.items():
-        assignment[carrier_from_key(key, space.size)] = graded_from_json(val)
+        carrier = carrier_from_key(key, space.size)
+        if carrier in assignment:
+            raise InputFormatError(
+                f"group key {key!r} repeats carrier {indices(carrier)}")
+        assignment[carrier] = graded_from_json(val)
     raw_cycles = obj.get("cycles")
     if not isinstance(raw_cycles, list):
         raise InputFormatError("datum needs a cycles list")
@@ -360,6 +367,10 @@ def datum_from_json(obj):
         entry = _obj(entry, "cycle entry")
         u = carrier_from_key(entry.get("open"), space.size)
         y = carrier_from_key(entry.get("set"), space.size)
+        if (u, y) in cycles:
+            raise InputFormatError(
+                f"cycle ({entry.get('open')!r}, {entry.get('set')!r}) repeats "
+                f"the pair ({indices(u)}, {indices(y)})")
         rest = y & ~u
         for m in (u, y, rest):
             if m not in assignment:

@@ -19,8 +19,7 @@ Order conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from math import inf, prod
+from math import inf
 
 from .errors import (
     CapExceeded,
@@ -116,38 +115,51 @@ def _minimal_opens(size, family, check):
     return tuple(rows)
 
 
-def _classes(rows):
-    """(row size, class, points strictly above) per class of equal rows.
+def _up_sets(rows):
+    """Every up-set of the preorder rows, sorted by family_key.
 
-    x <= y <= x iff U_x = U_y.  Most-open first: after every class above it.
+    The up-sets of the points left miss the lowest one, c, and all below
+    it, or hold U_c; both ways hold at least one, so the recursion is a
+    full binary tree with one leaf per up-set.
     """
-    members = {}
-    for x, row in enumerate(rows):
-        members[row] = members.get(row, 0) | 1 << x
-    return sorted((row.bit_count(), cls, row & ~cls) for row, cls in members.items())
-
-
-def _up_sets(classes, cap):
-    """Every up-set, sorted by family_key; CapExceeded past cap of them.
-
-    The recursion decides one class at a time, most-open first.
-    """
+    downs = [_down(rows, 1 << c) for c in range(len(rows))]
     opens = []
 
-    def rec(i, cur):
-        if i == len(classes):
-            if len(opens) >= cap:
-                raise CapExceeded(f"Alexandrov topology exceeds {cap} opens", cap=cap)
+    def rec(rest, cur):
+        if not rest:
             opens.append(cur)
             return
-        _, cls, above = classes[i]
-        rec(i + 1, cur)
-        if above & ~cur == 0:
-            rec(i + 1, cur | cls)
+        c = (rest & -rest).bit_length() - 1
+        rec(rest & ~downs[c], cur)
+        rec(rest & ~rows[c], cur | rows[c])
 
-    rec(0, 0)
+    rec((1 << len(rows)) - 1, 0)
     opens.sort(key=family_key)
     return tuple(opens)
+
+
+def _up_set_count(rows, cap=inf):
+    """len(_up_sets(rows)), or cap + 1 if that is more, without listing.
+
+    Up-set counts multiply over the connected components.  Within one, the
+    count splits as _up_sets does, memoised on the points left; a sum that
+    reaches cap + 1 stops there, since exact counting is #P-complete.
+    """
+    over = cap + 1
+    downs = [_down(rows, 1 << c) for c in range(len(rows))]
+    memo = {0: 1}
+
+    def count(rest):
+        if rest not in memo:
+            c = (rest & -rest).bit_length() - 1
+            n = count(rest & ~downs[c])
+            memo[rest] = n if n >= over else min(over, n + count(rest & ~rows[c]))
+        return memo[rest]
+
+    total = 1
+    for comp in _components(rows):
+        total = min(over, total * count(comp))
+    return total
 
 
 class FiniteSpace:
@@ -189,26 +201,14 @@ class FiniteSpace:
     def opens(self):
         """Every open, sorted by (popcount, value): the up-sets of the rows."""
         if self._opens is None:
-            self._opens = _up_sets(_classes(self.rows), inf)
+            self._opens = _up_sets(self.rows)
         return self._opens
 
     def open_count(self):
-        """len(opens), without listing them: up-sets multiply over components.
-
-        An up-set of the points in rest misses the lowest one, c, and all
-        below it, or holds U_c; counts are memoised on rest.
-        """
+        """len(opens), without listing them."""
         if self._opens is not None:
             return len(self._opens)
-
-        @cache
-        def count(rest):
-            if not rest:
-                return 1
-            c = (rest & -rest).bit_length() - 1
-            return count(rest & ~_down(self.rows, 1 << c)) + count(rest & ~self.rows[c])
-
-        return prod(count(comp) for comp in _components(self.rows))
+        return _up_set_count(self.rows)
 
     def with_labels(self, labels):
         """This space with display labels, sharing its rows and opens."""
@@ -224,8 +224,8 @@ class FiniteSpace:
         return hash((self.size, self.rows))
 
     def __repr__(self):
-        sets = [sorted(bits(m)) for m in self.opens]
-        return f"FiniteSpace(size={self.size}, opens={sets})"
+        rows = [sorted(bits(m)) for m in self.rows]
+        return f"FiniteSpace(size={self.size}, rows={rows})"
 
     def label_of(self, x):
         return self.labels[x] if self.labels is not None else str(x)
@@ -471,27 +471,14 @@ class Preorder:
 def alexandrov_topology(pre, *, cap=OPEN_FAMILY_CAP):
     """The space whose opens are all up-closed subsets of the preorder.
 
-    Its rows are the preorder's rows.  k classes of equivalent points allow
-    at most 2 ** k opens; when that passes cap, the opens are built here and
-    CapExceeded is raised past cap of them.  First a lower bound refuses
-    wide preorders with at_least in details: up-set counts multiply over
-    the connected components, and a component with k classes, m of them
-    maximal, has at least max(k + 1, 2 ** m) up-sets.
+    Its rows are the preorder's rows, and its opens are listed on first
+    use.  k classes of equivalent points allow at most 2 ** k opens; past
+    cap, the up-sets are counted, up to cap + 1, and CapExceeded refuses
+    more than cap of them before any open is built.
     """
-    classes = _classes(pre.leq)
-    opens = None
-    # the bound is at most 2 ** classes, the most up-sets there can be
-    if 1 << len(classes) > cap:
-        at_least = 1
-        for comp in _components(pre.leq):
-            # the maximal classes are those with nothing above
-            above = [a for _, cls, a in classes if cls & comp]
-            at_least *= max(len(above) + 1, 1 << above.count(0))
-        if at_least > cap:
-            raise CapExceeded(f"Alexandrov topology exceeds {cap} opens",
-                              cap=cap, at_least=at_least)
-        opens = _up_sets(classes, cap)
-    return FiniteSpace._from_rows(pre.size, pre.leq, opens=opens)
+    if 1 << len(set(pre.leq)) > cap and _up_set_count(pre.leq, cap) > cap:
+        raise CapExceeded(f"Alexandrov topology exceeds {cap} opens", cap=cap)
+    return FiniteSpace._from_rows(pre.size, pre.leq)
 
 
 class ContinuousMap:

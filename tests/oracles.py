@@ -96,6 +96,12 @@ def brute_minimal_open(space, x):
     return acc
 
 
+def brute_up_sets(size, rows):
+    """Subsets holding the row of each of their points, by (popcount, value)."""
+    ups = [m for m in range(1 << size) if all(rows[x] & ~m == 0 for x in bits(m))]
+    return sorted(ups, key=lambda m: (m.bit_count(), m))
+
+
 def brute_check_family(size, family):
     """The open-family axioms by a pairwise scan, with validate_topology's errors.
 

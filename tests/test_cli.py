@@ -125,14 +125,14 @@ def test_info_refuses_overlong_opens_list(tmp_path, capsys):
 
 
 def test_info_refuses_wide_preorder_before_building(tmp_path, capsys):
-    # 40 unrelated points: at least 2 ** 40 opens, refused from the count
-    # of maximal classes
+    # 40 unrelated points: 2 ** 40 opens, refused from a count that stops
+    # one past the cap
     space = {"preorder": {"size": 40}}
     code, out, err = run(capsys, "info", jfile(tmp_path, "s.json", space))
     assert code == 1 and out == ""
     parsed = json.loads(err)
     assert parsed["error"] == "CapExceeded"
-    assert parsed["details"] == {"cap": OPEN_FAMILY_CAP, "at_least": 1 << 40}
+    assert parsed["details"] == {"cap": OPEN_FAMILY_CAP}
 
 
 def test_twenty_point_antichain_is_counted_not_listed(tmp_path, capsys):
@@ -359,6 +359,17 @@ def test_action_reconstruct_failure_exits_one(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+def test_action_reconstruct_refuses_repeated_point(tmp_path, capsys):
+    # "0" and "00" both name base point 0
+    twice = {"base": SIERPINSKI, "prim": SIERPINSKI,
+             "values": {"0": [0], "1": [0, 1], "00": [0, 1]}}
+    code, out, err = run(capsys, "action", "reconstruct",
+                         jfile(tmp_path, "r.json", twice))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "message": "assignment key '00' repeats base point 0"}
+
+
 # -- ktheory ----------------------------------------------------------------------
 
 
@@ -416,6 +427,15 @@ def test_ktheory_datum_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "ktheory", "datum-verify", zero)
     assert code == 0
     assert json.loads(out)["propagation"] == {"ok": True, "deviation": None}
+
+
+def test_ktheory_datum_verify_refuses_repeated_carrier(tmp_path, capsys):
+    datum = datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
+    datum["groups"]["1,0"] = datum["groups"]["0,1"]
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "d.json", datum))
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == "group key '1,0' repeats carrier [0, 1]"
 
 
 def test_ktheory_datum_verify_rejects_seeded_flaw(tmp_path, capsys):

@@ -54,6 +54,23 @@ def test_no_unused_imports(path):
     assert unused == []
 
 
+def test_private_helpers_have_callers():
+    """Each _name function or class in the package is used outside its body."""
+    defined, used = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and re.match(r"_[^_]", node.name)):
+                defined.append((path.name, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                used.append((path.name, name, node.lineno))
+    idle = [(module, name) for module, name, first, last in defined
+            if not any(n == name and not (m == module and first <= line <= last)
+                       for m, n, line in used)]
+    assert defined and idle == []
+
+
 # CI installs only pytest and hypothesis beside the package itself
 ALLOWED_IMPORTS = ({"finitetop", "pytest", "hypothesis"}
                    | {path.stem for path in TESTS.glob("*.py")})

@@ -163,6 +163,16 @@ def test_assignment_roundtrip_and_errors():
             jsonio.assignment_from_json(dict(obj, values=values))
 
 
+def test_assignment_refuses_a_point_given_twice():
+    obj = {"base": SIERPINSKI_JSON, "prim": SIERPINSKI_JSON,
+           "values": {"0": [0], "1": [0, 1]}}
+    for again in ("00", "+0", " 0"):
+        values = dict(obj["values"], **{again: [0, 1]})
+        with pytest.raises(InputFormatError) as err:
+            jsonio.assignment_from_json(dict(obj, values=values))
+        assert str(err.value) == f"assignment key {again!r} repeats base point 0"
+
+
 def test_matrix_roundtrip_and_errors():
     m = IntMatrix([[1, -2], [3, 4]])
     assert jsonio.matrix_from_json(jsonio.matrix_to_json(m)) == m
@@ -279,6 +289,20 @@ def test_datum_schema_errors():
     pruned["cycles"] = keep
     with pytest.raises(ShapeMismatch):
         jsonio.datum_from_json(pruned)
+
+
+def test_datum_refuses_a_carrier_or_cycle_given_twice():
+    datum = jsonio.datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
+    groups = dict(datum["groups"], **{"1,0": datum["groups"]["0,1"]})
+    with pytest.raises(InputFormatError) as err:
+        jsonio.datum_from_json(dict(datum, groups=groups))
+    assert str(err.value) == "group key '1,0' repeats carrier [0, 1]"
+    whole = next(c for c in datum["cycles"] if (c["open"], c["set"]) == ("", "0,1"))
+    for again in (whole, dict(whole, set="1,0")):
+        with pytest.raises(InputFormatError) as err:
+            jsonio.datum_from_json(dict(datum, cycles=datum["cycles"] + [again]))
+        assert str(err.value) == (f"cycle ('', {again['set']!r}) "
+                                  "repeats the pair ([], [0, 1])")
 
 
 def test_report_serializers():

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +8,15 @@ from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               NotClosedUnderIntersection,
                               NotClosedUnderUnion, NotContinuous, NotLocallyClosed,
                               NotReflexive, NotT0, NotTransitive)
+from finitetop import spaces
 from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
                               Preorder, alexandrov_topology, bits, hasse_dot,
                               mask_of, space_from_edges, validate_topology)
 from oracles import (brute_check_family, brute_closure, brute_interior,
                      brute_irreducible_closed_sets, brute_is_sober,
                      brute_locally_closed, brute_locally_closed_witnesses,
-                     brute_minimal_open, random_poset_space, random_space)
+                     brute_minimal_open, brute_up_sets, random_poset_space,
+                     random_space)
 
 from finitetop.enumeration import enumerate_labeled_topologies
 
@@ -165,18 +166,16 @@ def test_opens_are_up_sets():
 def test_alexandrov_open_cap():
     # an antichain exactly at the cap passes
     assert len(alexandrov_topology(Preorder.discrete(3), cap=8).opens) == 8
-    # one point more: 2 ** 4 opens from the maximal points alone, refused
-    # before any open is built
+    # one point more: 2 ** 4 opens, refused before any open is built
     with pytest.raises(CapExceeded) as err:
         alexandrov_topology(Preorder.discrete(4), cap=8)
-    assert err.value.details == {"cap": 8, "at_least": 16}
+    assert err.value.details == {"cap": 8}
     assert str(err.value) == "Alexandrov topology exceeds 8 opens"
-    # a 2-chain beside two points: components bound 3 * 2 * 2 = 12 up front
+    # a 2-chain beside two points: 3 * 2 * 2 = 12 opens
     with pytest.raises(CapExceeded) as err:
         alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1001]), cap=8)
-    assert err.value.details == {"cap": 8, "at_least": 12}
-    # three maximal points over one point pass the bound of 8; the 9th
-    # open is found while building
+    assert err.value.details == {"cap": 8}
+    # three maximal points over one point: 2 ** 3 + 1 = 9 opens, one too many
     with pytest.raises(CapExceeded) as err:
         alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1111]), cap=8)
     assert err.value.details == {"cap": 8}
@@ -185,29 +184,79 @@ def test_alexandrov_open_cap():
         Preorder(4, [0b0001, 0b0010, 0b0100, 0b1111]), cap=9).opens) == 9
 
 
-def test_alexandrov_bound_multiplies_components():
-    # 11 disjoint 3-point chains: 11 maximal classes bound the count by only
-    # 2 ** 11, but each chain has 4 up-sets, so 4 ** 11 passes the cap
+def refuse_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("up-sets were listed")
+
+    monkeypatch.setattr(spaces, "_up_sets", refuse)
+
+
+def test_alexandrov_bound_multiplies_components(monkeypatch):
+    # 11 disjoint 3-point chains: only 2 ** 11 by their maximal classes, but
+    # each chain has 4 up-sets, so 4 ** 11 passes the cap
     rows = []
     for c in range(11):
         rows += [0b111 << 3 * c, 0b110 << 3 * c, 0b100 << 3 * c]
-    entered = []
+    refuse_listing(monkeypatch)
+    with pytest.raises(CapExceeded) as err:
+        alexandrov_topology(Preorder(33, rows))
+    assert err.value.details == {"cap": OPEN_FAMILY_CAP}
+    two_chains = alexandrov_topology(Preorder(6, rows[:6]), cap=16)
+    assert two_chains.open_count() == 16
+    assert two_chains._opens is None
 
-    def watch(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "rec":
-            entered.append(frame.f_code)
 
-    outer = sys.getprofile()
-    sys.setprofile(watch)
-    try:
+def bipartite(rng, low, high):
+    """low minimal points, then high maximal ones, each over three minimal."""
+    pairs = [(m, low + t) for t in range(high) for m in rng.sample(range(low), 3)]
+    return Preorder.generated_by(low + high, pairs)
+
+
+def test_alexandrov_refuses_hostile_preorders_before_listing(monkeypatch):
+    refuse_listing(monkeypatch)
+    hostile = [
+        # 20 points below one top: 2 ** 20 + 1 opens
+        Preorder.generated_by(21, [(x, 20) for x in range(20)]),
+        # one point below 20: 2 ** 20 + 1 opens
+        Preorder.generated_by(21, [(0, x) for x in range(1, 21)]),
+        bipartite(random.Random(31), 31, 31),
+        Preorder.discrete(40),
+    ]
+    for pre in hostile:
         with pytest.raises(CapExceeded) as err:
-            alexandrov_topology(Preorder(33, rows))
-    finally:
-        sys.setprofile(outer)
-    assert not entered, "refused only after recursing"
-    assert err.value.details == {"cap": OPEN_FAMILY_CAP, "at_least": 4 ** 11}
-    # the bound is exact on disjoint chains
-    assert len(alexandrov_topology(Preorder(6, rows[:6])).opens) == 16
+            alexandrov_topology(pre)
+        assert err.value.details == {"cap": OPEN_FAMILY_CAP}
+    # within the cap: counted, accepted and left unlisted
+    space = alexandrov_topology(bipartite(random.Random(15), 15, 15))
+    assert 1 << 15 < space.open_count() <= OPEN_FAMILY_CAP
+    assert space._opens is None
+
+
+def random_interleaved_preorder(rng, n):
+    """Random preorders on blocks of points, with the points shuffled."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, 3)))
+    blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [n])]
+    pairs = [(rng.choice(block), rng.choice(block))
+             for block in blocks for _ in range(len(block))]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Preorder.generated_by(n, [(perm[x], perm[y]) for x, y in pairs])
+
+
+def test_up_sets_and_counts_match_subset_scan():
+    rng = random.Random(9)
+    rows = [space.rows for space in spaces_up_to(4)]
+    rows += [random_interleaved_preorder(rng, rng.randint(5, 10)).leq
+             for _ in range(300)]
+    for leq in rows:
+        size = len(leq)
+        want = brute_up_sets(size, leq)
+        n = len(want)
+        space = FiniteSpace._from_rows(size, leq)
+        assert space.open_count() == n
+        assert list(space.opens) == want
+        for cap in (0, 1, n - 1, n):
+            assert spaces._up_set_count(leq, cap) == min(cap + 1, n)
 
 
 def test_open_count_matches_opens():
@@ -223,10 +272,7 @@ def test_open_count_matches_opens():
 
 
 def test_open_count_leaves_opens_unbuilt(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("up-sets were listed")
-
-    monkeypatch.setattr("finitetop.spaces._up_sets", refuse)
+    refuse_listing(monkeypatch)
     antichain = alexandrov_topology(Preorder.discrete(20))
     assert antichain.open_count() == 1 << 20
     assert antichain._opens is None
