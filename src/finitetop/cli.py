@@ -3,25 +3,34 @@
 Exit codes: 0 on success, 1 when a mathematical check fails (the reason
 goes to standard error as JSON), 2 for malformed input or usage.  File
 arguments accept "-" for standard input.  All JSON output has sorted
-keys, so identical inputs give identical bytes.
+keys, so identical inputs give identical bytes.  A JSON object that gives
+one key twice is malformed input.
+
+Each command imports the modules it runs when it starts, so a command on
+spaces loads no enumeration, completion, action or group code.
 """
 
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import jsonio
-from .action import (filtration_of_action, fiber_support, is_tight,
-                     minimal_ideals, pushforward, reconstruct, restrict)
-from .completion import build_yprime, neighborhood_filter_embedding
-from .enumeration import (census, enumerate_labeled_t0,
-                          enumerate_labeled_topologies, space_from_canonical)
 from .errors import FinitetopError, InputFormatError
-from .intmat import smith_normal_form
 from .jsonio import indices
-from .ktheory import (is_exact_at, two_point_sequence, vanishing_propagation,
-                      verify_datum, verify_six_term)
 from .spaces import bits, family_key, hasse_dot
+
+
+def _json_object(pairs):
+    """The object of the (key, value) pairs, refusing a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InputFormatError(f"JSON object repeats the key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def _read_json(path):
@@ -31,7 +40,7 @@ def _read_json(path):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}")
 
@@ -97,6 +106,8 @@ def _cmd_alexandrov(args):
 
 
 def _cmd_enumerate(args):
+    from .enumeration import (census, enumerate_labeled_t0,
+                              enumerate_labeled_topologies, space_from_canonical)
     if args.up_to_homeo:
         row = census(args.points, connected=args.connected, t0=args.t0)
         spaces = [space_from_canonical(f) for f in row.classes]
@@ -131,6 +142,7 @@ def _cmd_hasse(args):
 
 
 def _cmd_complete(args):
+    from .completion import build_yprime, neighborhood_filter_embedding
     space = jsonio.space_from_json(_read_json(args.space))
     completion = build_yprime(space)
     emb = neighborhood_filter_embedding(space, completion)
@@ -146,9 +158,12 @@ def _cmd_complete(args):
 
 
 def _cmd_action(args):
+    from . import kjsonio
+    from .action import (filtration_of_action, fiber_support, is_tight,
+                         minimal_ideals, pushforward, reconstruct, restrict)
     action = None
     if args.mode in ("check", "restrict", "pushforward", "filtrate"):
-        action = jsonio.action_from_json(_read_json(args.file))
+        action = kjsonio.action_from_json(_read_json(args.file))
     if args.mode == "check":
         assign = minimal_ideals(action)
         _emit({"ok": True, "tight": is_tight(action),
@@ -158,13 +173,13 @@ def _cmd_action(args):
     if args.mode == "restrict":
         carrier = jsonio.carrier_from_key(args.set, action.base.size)
         small = restrict(action, carrier)
-        _emit({"action": jsonio.action_to_json(small),
+        _emit({"action": kjsonio.action_to_json(small),
                "base_points": indices(carrier),
                "prim_points": indices(action.psi.preimage(carrier))})
         return 0
     if args.mode == "pushforward":
         f = jsonio.map_from_json(_read_json(args.extra))
-        _emit(jsonio.action_to_json(pushforward(f, action)))
+        _emit(kjsonio.action_to_json(pushforward(f, action)))
         return 0
     if args.mode == "filtrate":
         filt = action.base.canonical_filtration()
@@ -178,8 +193,8 @@ def _cmd_action(args):
         _emit({"layers": [indices(m) for m in filt.layers],
                "strata": rows})
         return 0
-    assign, prim = jsonio.assignment_from_json(_read_json(args.file))
-    _emit(jsonio.action_to_json(reconstruct(assign, prim)))
+    assign, prim = kjsonio.assignment_from_json(_read_json(args.file))
+    _emit(kjsonio.action_to_json(reconstruct(assign, prim)))
     return 0
 
 
@@ -189,44 +204,47 @@ def _cmd_action(args):
 def _cmd_ktheory(args):
     obj = _read_json(args.file)
     if args.mode == "snf":
+        from .intmat import IntMatrix, smith_normal_form
         if isinstance(obj, dict):
             obj = obj.get("matrix")
-        matrix = jsonio.matrix_from_json(obj)
-        u, d, v = smith_normal_form(matrix)
+        u, d, v = smith_normal_form(IntMatrix(jsonio.matrix_rows(obj)))
         _emit({"U": jsonio.matrix_to_json(u), "D": jsonio.matrix_to_json(d),
                "V": jsonio.matrix_to_json(v)})
         return 0
+    from . import kjsonio
+    from .ktheory import (is_exact_at, two_point_sequence,
+                          vanishing_propagation, verify_datum, verify_six_term)
     if args.mode == "exact":
         if not isinstance(obj, dict):
             raise InputFormatError("expected an object with f and g")
-        f = jsonio.hom_from_json(obj.get("f"))
-        g = jsonio.hom_from_json(obj.get("g"))
+        f = kjsonio.hom_from_json(obj.get("f"))
+        g = kjsonio.hom_from_json(obj.get("g"))
         report = is_exact_at(f, g)
-        _emit(jsonio.exactness_to_json(report),
+        _emit(kjsonio.exactness_to_json(report),
               stream=None if report.ok else sys.stderr)
         return 0 if report.ok else 1
     if args.mode == "six-term":
-        report = verify_six_term(jsonio.cycle_from_json(obj))
-        _emit(jsonio.cycle_report_to_json(report),
+        report = verify_six_term(kjsonio.cycle_from_json(obj))
+        _emit(kjsonio.cycle_report_to_json(report),
               stream=None if report.ok else sys.stderr)
         return 0 if report.ok else 1
     if args.mode == "datum-verify":
-        datum = jsonio.datum_from_json(obj)
+        datum = kjsonio.datum_from_json(obj)
         cycles = verify_datum(datum)
         ok = cycles.ok
-        out = {"cycles": jsonio.datum_report_to_json(cycles),
+        out = {"cycles": kjsonio.datum_report_to_json(cycles),
                "propagation": None}
         # the vanishing bootstrap only applies when every point group is zero
         if all(datum.group(1 << x).is_zero()
                for x in range(datum.space.size)):
             prop = vanishing_propagation(datum)
-            out["propagation"] = jsonio.propagation_to_json(prop)
+            out["propagation"] = kjsonio.propagation_to_json(prop)
             ok = ok and prop.ok
         out["ok"] = ok
         _emit(out, stream=None if ok else sys.stderr)
         return 0 if ok else 1
-    top, right, left, bottom = jsonio.square_from_json(obj)
-    _emit(jsonio.two_point_to_json(
+    top, right, left, bottom = kjsonio.square_from_json(obj)
+    _emit(kjsonio.two_point_to_json(
         two_point_sequence(top, right, left, bottom)))
     return 0
 
@@ -234,7 +252,9 @@ def _cmd_ktheory(args):
 # -- wiring --------------------------------------------------------------------
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="finitetop",
         description="Finite topological spaces, lattice actions, and "

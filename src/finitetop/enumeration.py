@@ -12,7 +12,7 @@ sizes keeping the permutation set small.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded
 from .spaces import (
@@ -162,15 +162,10 @@ def are_homeomorphic(x1, x2):
 
 # -- census ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(namedtuple("CensusRow", "n connected t0 labeled_count classes")):
     """Counts for one enumeration slice: labeled spaces and their classes."""
 
-    n: int
-    connected: bool
-    t0: bool
-    labeled_count: int
-    classes: tuple
+    __slots__ = ()
 
     def class_count(self):
         return len(self.classes)

@@ -1,0 +1,283 @@
+"""JSON wire formats for actions, groups, and filtrated K-theory data.
+
+Actions and ideal assignments are spaces plus point data.  Groups are
+presentations whose relations travel as a list of relator vectors (one
+per relation, each of length ``generators``); homomorphisms, six-term
+cycles and filtrated data are built on them, and the reports of the
+exactness checks are written back.  Spaces, point sets and matrix rows
+use the formats of ``jsonio``, with its split between InputFormatError
+and the mathematical FinitetopError subclasses.  A group with more than
+GENERATORS_CAP generators is refused with InputCapExceeded before anything
+is built for it.
+"""
+
+from .action import ActionOverX, IdealAssignment
+from .errors import InputCapExceeded, InputFormatError
+from .intmat import IntMatrix
+from .jsonio import (_int, _mask, _obj, _plain, carrier_from_key, carrier_key,
+                     indices, matrix_rows, matrix_to_json, space_from_json,
+                     space_to_json)
+from .ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup, GroupHom,
+                      SixTermCycle)
+from .spaces import ContinuousMap, family_key
+
+# Most generators a group may have on input.  Each group and map costs a
+# Smith normal form of a matrix with about this many rows; the point-count
+# data the tools build stay under ten.
+GENERATORS_CAP = 64
+
+
+# -- actions -------------------------------------------------------------------
+
+
+def action_from_json(obj):
+    """{"base": space, "prim": space, "psi": [values of the structure map]}"""
+    obj = _obj(obj, "action")
+    base = space_from_json(_obj(obj.get("base"), "action base"))
+    prim = space_from_json(_obj(obj.get("prim"), "action prim"))
+    values = obj.get("psi")
+    if not isinstance(values, list) or len(values) != prim.size:
+        raise InputFormatError("psi must list one base point per prim point")
+    values = [_int(v, "psi value") for v in values]
+    for v in values:
+        if not 0 <= v < base.size:
+            raise InputFormatError(f"psi value {v} out of range")
+    return ActionOverX(base, prim, ContinuousMap(prim, base, values))
+
+
+def action_to_json(action):
+    return {"base": space_to_json(action.base),
+            "prim": space_to_json(action.prim),
+            "psi": list(action.psi.assignment)}
+
+
+def assignment_from_json(obj):
+    """{"base": space, "prim": space, "values": {"x": [prim indices], ...}}
+
+    Returns (IdealAssignment, prim).  Keys are base point indices as
+    strings; every base point must appear, and only once.
+    """
+    obj = _obj(obj, "assignment")
+    base = space_from_json(_obj(obj.get("base"), "assignment base"))
+    prim = space_from_json(_obj(obj.get("prim"), "assignment prim"))
+    raw = _obj(obj.get("values"), "assignment values")
+    values = {}
+    for key, val in raw.items():
+        try:
+            x = int(key)
+        except ValueError:
+            raise InputFormatError(f"assignment key {key!r} is not a point index")
+        if not 0 <= x < base.size:
+            raise InputFormatError(f"assignment key {x} out of range")
+        if x in values:
+            raise InputFormatError(f"assignment key {key!r} repeats base point {x}")
+        values[x] = _mask(val, prim.size, f"ideal at {x}")
+    missing = [x for x in range(base.size) if x not in values]
+    if missing:
+        raise InputFormatError(f"assignment misses base points {missing}")
+    return IdealAssignment(base, values), prim
+
+
+def assignment_to_json(assign, prim):
+    return {"base": space_to_json(assign.base),
+            "prim": space_to_json(prim),
+            "values": {str(x): indices(m) for x, m in assign.values.items()}}
+
+
+# -- matrices and groups -------------------------------------------------------
+
+
+def matrix_from_json(value, what="matrix"):
+    return IntMatrix(matrix_rows(value, what))
+
+
+def group_from_json(obj):
+    """{"generators": n, "relations": [[c1, ..., cn], ...]}  (relations optional)"""
+    obj = _obj(obj, "group")
+    n = _int(obj.get("generators"), "generators")
+    if n < 0:
+        raise InputFormatError("generators must be nonnegative")
+    if n > GENERATORS_CAP:
+        raise InputCapExceeded(
+            f"groups are capped at {GENERATORS_CAP} generators, got {n}",
+            generators=n, cap=GENERATORS_CAP)
+    relators = matrix_from_json(obj.get("relations", []), "relations")
+    if relators.rows and relators.cols != n:
+        raise InputFormatError("each relation needs one coordinate per generator")
+    return FGAbelianGroup(n, IntMatrix.from_columns(relators.entries, rows=n))
+
+
+def group_to_json(group):
+    return {"generators": group.generators,
+            "relations": matrix_to_json(group.relations.transpose())}
+
+
+def invariants_to_json(group):
+    rank, torsion = group.invariants()
+    return {"rank": rank, "torsion": list(torsion)}
+
+
+def _hom(domain, codomain, value, what="matrix"):
+    m = matrix_from_json(value, what)
+    # a row-free JSON matrix cannot carry its column count
+    if codomain.generators == 0 and m.rows == 0:
+        m = IntMatrix.zeros(0, domain.generators)
+    return GroupHom(domain, codomain, m)
+
+
+def hom_from_json(obj):
+    """{"domain": group, "codomain": group, "matrix": [[...], ...]}"""
+    obj = _obj(obj, "hom")
+    domain = group_from_json(_obj(obj.get("domain"), "hom domain"))
+    codomain = group_from_json(_obj(obj.get("codomain"), "hom codomain"))
+    return _hom(domain, codomain, obj.get("matrix"))
+
+
+def hom_to_json(f):
+    return {"domain": group_to_json(f.domain),
+            "codomain": group_to_json(f.codomain),
+            "matrix": matrix_to_json(f.matrix)}
+
+
+def graded_from_json(obj):
+    obj = _obj(obj, "graded group")
+    return GradedGroup(group_from_json(_obj(obj.get("even"), "even part")),
+                       group_from_json(_obj(obj.get("odd"), "odd part")))
+
+
+def graded_to_json(g):
+    return {"even": group_to_json(g.even), "odd": group_to_json(g.odd)}
+
+
+def cycle_from_json(obj):
+    """{"groups": [six groups], "maps": [six matrices]}"""
+    obj = _obj(obj, "cycle")
+    groups = obj.get("groups")
+    maps = obj.get("maps")
+    if not isinstance(groups, list) or len(groups) != 6:
+        raise InputFormatError("a cycle needs exactly six groups")
+    if not isinstance(maps, list) or len(maps) != 6:
+        raise InputFormatError("a cycle needs exactly six maps")
+    groups = [group_from_json(_obj(g, "cycle group")) for g in groups]
+    homs = [_hom(groups[i], groups[(i + 1) % 6], maps[i], f"cycle map {i}")
+            for i in range(6)]
+    return SixTermCycle(groups, homs)
+
+
+def square_from_json(obj):
+    """{"top": hom, "right": hom, "left": hom, "bottom": hom}"""
+    obj = _obj(obj, "square")
+    out = []
+    for side in ("top", "right", "left", "bottom"):
+        out.append(hom_from_json(_obj(obj.get(side), f"{side} map")))
+    return tuple(out)
+
+
+# -- filtrated data ------------------------------------------------------------
+
+
+def datum_from_json(obj):
+    """A filtrated family of graded groups with its six-term cycles.
+
+    {"space": space,
+     "groups": {"0,1": {"even": group, "odd": group}, ...},
+     "cycles": [{"open": "0", "set": "0,1", "maps": [six matrices]}, ...]}
+
+    Carrier keys are comma-joined sorted point indices, "" for the empty
+    set.  No carrier and no (open, set) pair may be given twice.  Cycle
+    groups are wired from the assignment in the order
+    (even u, even y, even rest, odd u, odd y, odd rest).
+    """
+    obj = _obj(obj, "datum")
+    space = space_from_json(_obj(obj.get("space"), "datum space"))
+    raw_groups = _obj(obj.get("groups"), "datum groups")
+    assignment = {}
+    for key, val in raw_groups.items():
+        carrier = carrier_from_key(key, space.size)
+        if carrier in assignment:
+            raise InputFormatError(
+                f"group key {key!r} repeats carrier {indices(carrier)}")
+        assignment[carrier] = graded_from_json(val)
+    raw_cycles = obj.get("cycles")
+    if not isinstance(raw_cycles, list):
+        raise InputFormatError("datum needs a cycles list")
+    cycles = {}
+    for entry in raw_cycles:
+        entry = _obj(entry, "cycle entry")
+        u = carrier_from_key(entry.get("open"), space.size)
+        y = carrier_from_key(entry.get("set"), space.size)
+        if (u, y) in cycles:
+            raise InputFormatError(
+                f"cycle ({entry.get('open')!r}, {entry.get('set')!r}) repeats "
+                f"the pair ({indices(u)}, {indices(y)})")
+        rest = y & ~u
+        for m in (u, y, rest):
+            if m not in assignment:
+                raise InputFormatError(
+                    f"cycle ({entry.get('open')!r}, {entry.get('set')!r}) "
+                    "references a carrier with no assigned group")
+        maps = entry.get("maps")
+        if not isinstance(maps, list) or len(maps) != 6:
+            raise InputFormatError("each cycle entry needs six maps")
+        eu, ey, er = (assignment[m].even for m in (u, y, rest))
+        ou, oy, orr = (assignment[m].odd for m in (u, y, rest))
+        groups = (eu, ey, er, ou, oy, orr)
+        homs = [_hom(groups[i], groups[(i + 1) % 6], maps[i],
+                     f"cycle map {i}")
+                for i in range(6)]
+        cycles[(u, y)] = SixTermCycle(groups, homs)
+    return FiltratedKDatum(space, assignment, cycles)
+
+
+def datum_to_json(datum):
+    groups = {carrier_key(m): graded_to_json(g)
+              for m, g in sorted(datum.assignment.items(),
+                                 key=lambda kv: family_key(kv[0]))}
+    cycles = []
+    for (u, y), cycle in sorted(datum.cycles.items(),
+                                key=lambda p: (family_key(p[0][1]),
+                                               family_key(p[0][0]))):
+        cycles.append({"open": carrier_key(u), "set": carrier_key(y),
+                       "maps": [matrix_to_json(h.matrix) for h in cycle.maps]})
+    return {"space": space_to_json(datum.space),
+            "groups": groups, "cycles": cycles}
+
+
+# -- reports -------------------------------------------------------------------
+
+
+def exactness_to_json(report):
+    return {"ok": report.ok, "reason": report.reason,
+            "witness": _plain(report.witness)}
+
+
+def cycle_report_to_json(report):
+    first = report.first_failure()
+    return {"ok": report.ok,
+            "nodes": [exactness_to_json(n) for n in report.nodes],
+            "first_failure": None if first is None else first[0]}
+
+
+def datum_report_to_json(report):
+    return {"ok": report.ok,
+            "results": [{"open": carrier_key(u), "set": carrier_key(y),
+                         "report": cycle_report_to_json(rep)}
+                        for (u, y), rep in report.results]}
+
+
+def propagation_to_json(report):
+    if report.ok:
+        return {"ok": True, "deviation": None}
+    carrier, (u, y) = report.deviation
+    return {"ok": False,
+            "deviation": {"carrier": indices(carrier),
+                          "step": [indices(u), indices(y)]}}
+
+
+def two_point_to_json(report):
+    return {"delta": matrix_to_json(report.delta.matrix),
+            "kernel": invariants_to_json(report.kernel),
+            "cokernel": invariants_to_json(report.cokernel),
+            "middle": (None if report.middle is None
+                       else invariants_to_json(report.middle)),
+            "note": report.note}

@@ -10,7 +10,7 @@ and the degenerate two-point long exact sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     NotComposable,
@@ -95,12 +95,10 @@ class FGAbelianGroup:
         return "FGAbelianGroup(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(namedtuple("GradedGroup", "even odd")):
     """A group in even degree and one in odd degree."""
 
-    even: FGAbelianGroup
-    odd: FGAbelianGroup
+    __slots__ = ()
 
     def is_zero(self):
         return self.even.is_zero() and self.odd.is_zero()
@@ -215,11 +213,9 @@ def image(f):
     return group, GroupHom(group, f.codomain, f.matrix)
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    ok: bool
-    reason: str = ""
-    witness: tuple = ()
+class ExactnessReport(namedtuple("ExactnessReport", "ok reason witness",
+                                  defaults=("", ()))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -268,9 +264,8 @@ class SixTermCycle:
                 and self.groups == other.groups and self.maps == other.maps)
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    nodes: tuple
+class CycleReport(namedtuple("CycleReport", "nodes")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -321,9 +316,10 @@ class FiltratedKDatum:
         return sorted(out, key=lambda p: (family_key(p[1]), family_key(p[0])))
 
 
-@dataclass(frozen=True)
-class DatumReport:
-    results: tuple  # ((u, y), CycleReport) pairs
+class DatumReport(namedtuple("DatumReport", "results")):
+    """results holds ((u, y), CycleReport) pairs."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -352,10 +348,11 @@ def verify_datum(datum):
     return DatumReport(tuple(results))
 
 
-@dataclass(frozen=True)
-class PropagationReport:
-    ok: bool
-    deviation: tuple = ()  # (carrier, (u, y) step) when not ok
+class PropagationReport(namedtuple("PropagationReport", "ok deviation",
+                                    defaults=((),))):
+    """deviation is (carrier, (u, y) step) when not ok."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -394,13 +391,12 @@ def vanishing_propagation(datum):
     return PropagationReport(True)
 
 
-@dataclass(frozen=True)
-class TwoPointReport:
-    delta: GroupHom
-    kernel: FGAbelianGroup
-    cokernel: FGAbelianGroup
-    middle: FGAbelianGroup | None
-    note: str = ""
+class TwoPointReport(namedtuple("TwoPointReport",
+                                 "delta kernel cokernel middle note",
+                                 defaults=("",))):
+    """delta with its kernel and cokernel; middle is None when ambiguous."""
+
+    __slots__ = ()
 
 
 def two_point_sequence(top, right, left, bottom):

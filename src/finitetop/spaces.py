@@ -18,7 +18,7 @@ Order conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import inf
 
 from .errors import (
@@ -167,23 +167,28 @@ class FiniteSpace:
 
     ``rows[x]`` is U_x, the smallest open containing x.  ``opens`` lists the
     family sorted by (popcount, value), built on first use when the space
-    came from rows.  Equal rows mean equal families, so equality compares
-    size and rows.  Display labels are ignored by equality.
+    came from rows; ``open_count()`` counts it without listing, at most
+    once.  Equal rows mean equal families, so equality compares size and
+    rows.  Display labels are ignored by equality.
     """
 
-    __slots__ = ("size", "full", "rows", "labels", "_opens")
+    __slots__ = ("size", "full", "rows", "labels", "_opens", "_count")
 
     def __init__(self, size, opens, labels=None, validate=True):
         self._fill(size, labels)
         self._opens = tuple(sorted(set(opens), key=family_key))
+        self._count = None
         self.rows = _minimal_opens(size, self._opens, validate)
 
     @classmethod
-    def _from_rows(cls, size, rows, labels=None, opens=None):
-        """The space whose minimal opens are rows, a reflexive transitive relation."""
+    def _from_rows(cls, size, rows, labels=None, opens=None, count=None):
+        """The space whose minimal opens are rows, a reflexive transitive relation.
+
+        opens and count are its sorted open family and their number, if known.
+        """
         space = cls.__new__(cls)
         space._fill(size, labels)
-        space.rows, space._opens = tuple(rows), opens
+        space.rows, space._opens, space._count = tuple(rows), opens, count
         return space
 
     def _fill(self, size, labels):
@@ -208,11 +213,14 @@ class FiniteSpace:
         """len(opens), without listing them."""
         if self._opens is not None:
             return len(self._opens)
-        return _up_set_count(self.rows)
+        if self._count is None:
+            self._count = _up_set_count(self.rows)
+        return self._count
 
     def with_labels(self, labels):
         """This space with display labels, sharing its rows and opens."""
-        return FiniteSpace._from_rows(self.size, self.rows, labels, self._opens)
+        return FiniteSpace._from_rows(self.size, self.rows, labels, self._opens,
+                                      self._count)
 
     # -- basic structure -------------------------------------------------
 
@@ -474,11 +482,15 @@ def alexandrov_topology(pre, *, cap=OPEN_FAMILY_CAP):
     Its rows are the preorder's rows, and its opens are listed on first
     use.  k classes of equivalent points allow at most 2 ** k opens; past
     cap, the up-sets are counted, up to cap + 1, and CapExceeded refuses
-    more than cap of them before any open is built.
+    more than cap of them before any open is built.  A count within cap
+    is exact, and the space keeps it.
     """
-    if 1 << len(set(pre.leq)) > cap and _up_set_count(pre.leq, cap) > cap:
-        raise CapExceeded(f"Alexandrov topology exceeds {cap} opens", cap=cap)
-    return FiniteSpace._from_rows(pre.size, pre.leq)
+    count = None
+    if 1 << len(set(pre.leq)) > cap:
+        count = _up_set_count(pre.leq, cap)
+        if count > cap:
+            raise CapExceeded(f"Alexandrov topology exceeds {cap} opens", cap=cap)
+    return FiniteSpace._from_rows(pre.size, pre.leq, count=count)
 
 
 class ContinuousMap:
@@ -546,25 +558,20 @@ class ContinuousMap:
                 and self.is_injective() and self.is_open_map())
 
 
-@dataclass(frozen=True)
-class LocallyClosedSet:
+class LocallyClosedSet(namedtuple("LocallyClosedSet", "carrier u v")):
     """A difference U minus V of opens; build via FiniteSpace.locally_closed."""
 
-    carrier: int
-    u: int
-    v: int
+    __slots__ = ()
 
     @property
     def witness(self):
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(namedtuple("Filtration", "layers strata")):
     """Open layers empty = F_0 < F_1 < ... < F_len = X with strata X_j."""
 
-    layers: tuple
-    strata: tuple
+    __slots__ = ()
 
     @property
     def length(self):

@@ -11,7 +11,8 @@ import pytest
 import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
-from finitetop.jsonio import assignment_to_json, datum_to_json, space_from_json
+from finitetop.jsonio import space_from_json
+from finitetop.kjsonio import assignment_to_json, datum_to_json
 from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
 from fixtures import constant_zero_datum, point_count_datum
 from oracles import homeomorphism_oracle
@@ -149,6 +150,23 @@ def test_twenty_point_antichain_is_counted_not_listed(tmp_path, capsys):
         1, "", '{\n  "details": {\n    "opens": 1048576\n  },\n'
                '  "error": "CapExceeded",\n'
                '  "message": "completion capped at 16 base opens"\n}\n')
+
+
+# json.loads keeps the last of two equal keys, so each of these would
+# lose a value in silence
+@pytest.mark.parametrize("argv,text,key", [
+    (["info"], '{"size": 1, "opens": [[], [0]], "size": 2}', "size"),
+    (["action", "reconstruct"],
+     '{"base": %s, "prim": %s, "values": {"0": [0], "1": [0, 1], "0": [0, 1]}}'
+     % (json.dumps(SIERPINSKI), json.dumps(SIERPINSKI)), "0"),
+])
+def test_repeated_json_key_is_refused(tmp_path, capsys, argv, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "message": f"JSON object repeats the key {key!r}"}
 
 
 def test_plain_input_errors_carry_no_details(tmp_path, capsys):
@@ -562,13 +580,49 @@ def test_stdout_bytes_pinned(tmp_path, capsys, argv, length, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_module_entry_point(tmp_path):
-    path = jfile(tmp_path, "s.json", SIERPINSKI)
-    # the child imports the same package as this test, installed or not
+def run_fresh(*argv):
+    """The command line in a new interpreter that imports this test's package."""
     src = os.path.dirname(os.path.dirname(finitetop.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "finitetop.cli", "info", path],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_module_entry_point(tmp_path):
+    path = jfile(tmp_path, "s.json", SIERPINSKI)
+    # runpy warns when importing the package has already imported cli
+    proc = run_fresh("-W", "error", "-m", "finitetop.cli", "info", path)
+    assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["strata"] == [[1], [2]]
+
+
+def test_one_parser_answers_like_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # help text wraps at COLUMNS, which the child inherits
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {"space": jfile(tmp_path, "s.json", SIERPINSKI),
+             "action": jfile(tmp_path, "a.json", ninth_action_json()),
+             "matrix": jfile(tmp_path, "m.json", [[4, 6], [2, 2]])}
+    calls = [
+        ["info", "{space}"],
+        ["action", "restrict", "{action}"],
+        ["action", "restrict", "{action}", "--set", "1,3"],
+        ["enumerate", "--points", "-1"],
+        ["enumerate", "--points", "2", "--table"],
+        ["transmogrify", "{space}"],
+        ["--help"],
+        ["ktheory", "snf", "{matrix}"],
+        ["ktheory", "--help"],
+        ["action", "pushforward", "{action}"],
+        ["hasse", "{space}", "--dot"],
+    ]
+    for argv in calls:
+        argv = [arg.format(**files) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors and --help
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = run_fresh("-m", "finitetop.cli", *argv)
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr), argv

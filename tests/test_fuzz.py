@@ -1,7 +1,7 @@
 """Bounded fuzzing of the command line, in process.
 
 Every subcommand gets valid documents with one part replaced by small
-random JSON, or random JSON outright.  Whatever the input, ``main`` must
+random JSON, or random JSON outright; one seed document repeats a key.  Whatever the input, ``main`` must
 return 0, 1 or 2 (argparse exits with 2), write JSON to standard error
 when it returns 1, and let no exception escape.  Sizes stay small so each
 call is cheap: integers lie in -2..6, ``complete`` sees at most 3 points
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetop.cli import main
-from finitetop.jsonio import datum_to_json
+from finitetop.kjsonio import datum_to_json
 from finitetop.spaces import FiniteSpace
 from fixtures import constant_zero_datum, point_count_datum
 
@@ -70,6 +70,14 @@ def mutated(draw, seeds, top=6):
     return replaced(doc, path, draw(st.integers(-2, top) | small_json(top)))
 
 
+class Twice(dict):
+    """A JSON object whose text gives its first key again, last."""
+
+    def items(self):
+        pairs = list(super().items())
+        return pairs + pairs[:1]
+
+
 Z = {"generators": 1, "relations": []}
 MOD2 = {"generators": 1, "relations": [[2]]}
 ZERO = {"generators": 0, "relations": []}
@@ -78,7 +86,7 @@ NINTH = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 1, 2], [1, 3],
                               [0, 1, 3], [0, 1, 2, 3]]}
 V_SHAPE = {"preorder": {"size": 3, "leq": [[0, 1], [2, 1]]}}
 SPACES = [SIERPINSKI, NINTH, V_SHAPE,
-          {"size": 2, "opens": [[], [0, 1]]}]
+          {"size": 2, "opens": [[], [0, 1]]}, Twice(SIERPINSKI)]
 SMALL_SPACES = [SIERPINSKI, V_SHAPE, {"size": 3, "opens": [[], [0], [0, 1, 2]]}]
 ACTIONS = [{"base": NINTH, "prim": NINTH, "psi": [0, 1, 2, 3]},
            {"base": SIERPINSKI, "prim": V_SHAPE, "psi": [1, 0, 1]}]

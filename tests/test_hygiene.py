@@ -1,14 +1,17 @@
 """Hygiene: public names resolve, imports are live and local, docs match code."""
 
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
 
 import finitetop
-from finitetop import completion, enumeration, jsonio, spaces
+from finitetop import completion, enumeration, kjsonio, spaces
 from finitetop.cli import main
 
 PACKAGE = pathlib.Path(finitetop.__file__).parent
@@ -21,6 +24,97 @@ def test_public_names_resolve():
     missing = [name for name in finitetop.__all__ if not hasattr(finitetop, name)]
     assert missing == []
     assert len(set(finitetop.__all__)) == len(finitetop.__all__)
+
+
+def fresh(code, *args):
+    """Run code in a new interpreter that imports this package; its stdout as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_names_and_modules_resolve_on_first_use():
+    found = fresh("""
+import json, pathlib, sys
+import finitetop
+alone = sorted(m for m in sys.modules if m.startswith("finitetop."))
+star = {}
+exec("from finitetop import *", star)
+package = pathlib.Path(finitetop.__file__).parent
+modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+print(json.dumps({
+    "alone": alone,
+    "unbound": [n for n in finitetop.__all__ if n not in star],
+    "modules": [getattr(finitetop, m).__name__ for m in modules],
+    "expected": ["finitetop." + m for m in modules],
+    "undir": sorted(set(finitetop.__all__ + modules) - set(dir(finitetop))),
+}))
+""")
+    assert found["alone"] == [] and found["unbound"] == [] and found["undir"] == []
+    assert found["modules"] == found["expected"]
+
+
+LOADED = """
+import contextlib, io, json, sys
+bare = set(sys.modules)
+from finitetop.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - bare)]))
+"""
+NOT_FOR_SPACES = {f"finitetop.{m}" for m in (
+    "action", "lattice", "completion", "enumeration", "intmat", "ktheory",
+    "kjsonio")} | {"dataclasses"}
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    space = tmp_path / "s.json"
+    space.write_text('{"size": 2, "opens": [[], [0], [0, 1]]}')
+    loaded = {}
+    for argv in (["info"], ["validate"], ["hasse"], ["soberify"],
+                 ["alexandrov", "--to-preorder"]):
+        code, loaded[argv[0]] = fresh(LOADED, *argv, str(space))
+        assert code == 0
+        assert NOT_FOR_SPACES.isdisjoint(loaded[argv[0]]), argv
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[[2, 0], [0, 3]]")
+    code, snf = fresh(LOADED, "ktheory", "snf", str(matrix))
+    assert code == 0
+    assert set(snf) - set(loaded["info"]) == {"finitetop.intmat"}
+
+
+# functions that may import package modules: command entry points load what
+# they run, and the package resolves its names on first use
+LOCAL_IMPORTS = re.compile(r"cli\.py:(_cmd_\w+|main)|__init__\.py:__getattr__")
+
+
+def package_imports(func):
+    """Lines in a function body that import a finitetop module."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "finitetop"):
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "finitetop" for a in node.names):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("import_module", "__import__")):
+            yield node.lineno
+
+
+def test_package_imports_sit_at_module_top():
+    # an import inside a per-node helper runs on every node it visits
+    local = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{path.name}:{node.name}"
+                local += [(where, line) for line in package_imports(node)
+                          if not LOCAL_IMPORTS.fullmatch(where)]
+    assert local == []
 
 
 def imported_names(tree):
@@ -108,7 +202,7 @@ README_CAPS = {
     "filter completion topology": (completion.COMPLETION_OPENS_CAP, "opens"),
     "spaces read from JSON": (spaces.MAX_POINTS, "points"),
     "open lists read from JSON": (spaces.OPEN_FAMILY_CAP, "sets"),
-    "groups read from JSON": (jsonio.GENERATORS_CAP, "generators"),
+    "groups read from JSON": (kjsonio.GENERATORS_CAP, "generators"),
 }
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finitetop import jsonio
+from finitetop import jsonio, kjsonio
 from finitetop.action import ActionOverX
 from finitetop.errors import (CapExceeded, InputFormatError, NotContinuous,
                               NotTransitive, ShapeMismatch)
@@ -142,25 +142,25 @@ def test_action_roundtrip_and_errors():
         base = random_space(rng, rng.randint(1, 4))
         prim = random_space(rng, rng.randint(1, 4))
         act = ActionOverX(base, prim, random_continuous(rng, prim, base))
-        back = jsonio.action_from_json(jsonio.action_to_json(act))
+        back = kjsonio.action_from_json(kjsonio.action_to_json(act))
         assert back.base == act.base and back.psi == act.psi
     with pytest.raises(InputFormatError):
-        jsonio.action_from_json({"base": SIERPINSKI_JSON,
-                                 "prim": SIERPINSKI_JSON, "psi": [0]})
+        kjsonio.action_from_json({"base": SIERPINSKI_JSON,
+                                  "prim": SIERPINSKI_JSON, "psi": [0]})
 
 
 def test_assignment_roundtrip_and_errors():
     space = FiniteSpace.sierpinski()
     obj = {"base": SIERPINSKI_JSON, "prim": SIERPINSKI_JSON,
            "values": {"0": [0], "1": [0, 1]}}
-    assign, prim = jsonio.assignment_from_json(obj)
+    assign, prim = kjsonio.assignment_from_json(obj)
     assert assign.values == {0: 0b01, 1: 0b11}
-    assert jsonio.assignment_to_json(assign, prim) == obj
+    assert kjsonio.assignment_to_json(assign, prim) == obj
     for values in ({"0": [0]},                       # missing point 1
                    {"0": [0], "1": [0, 1], "x": []},
                    {"0": [0], "7": [0, 1]}):
         with pytest.raises(InputFormatError):
-            jsonio.assignment_from_json(dict(obj, values=values))
+            kjsonio.assignment_from_json(dict(obj, values=values))
 
 
 def test_assignment_refuses_a_point_given_twice():
@@ -169,38 +169,38 @@ def test_assignment_refuses_a_point_given_twice():
     for again in ("00", "+0", " 0"):
         values = dict(obj["values"], **{again: [0, 1]})
         with pytest.raises(InputFormatError) as err:
-            jsonio.assignment_from_json(dict(obj, values=values))
+            kjsonio.assignment_from_json(dict(obj, values=values))
         assert str(err.value) == f"assignment key {again!r} repeats base point 0"
 
 
 def test_matrix_roundtrip_and_errors():
     m = IntMatrix([[1, -2], [3, 4]])
-    assert jsonio.matrix_from_json(jsonio.matrix_to_json(m)) == m
-    assert jsonio.matrix_from_json([]).rows == 0
-    assert jsonio.matrix_from_json([[], []]).cols == 0
+    assert kjsonio.matrix_from_json(jsonio.matrix_to_json(m)) == m
+    assert kjsonio.matrix_from_json([]).rows == 0
+    assert kjsonio.matrix_from_json([[], []]).cols == 0
     for bad in ("x", [[1], [1, 2]], [[1], "x"], [[1.5]]):
         with pytest.raises(InputFormatError):
-            jsonio.matrix_from_json(bad)
+            kjsonio.matrix_from_json(bad)
 
 
 def test_group_roundtrip_and_errors():
     group = FGAbelianGroup(2, IntMatrix([[2, 0], [0, 3]]))
-    assert jsonio.group_from_json(jsonio.group_to_json(group)) == group
-    assert jsonio.group_from_json({"generators": 1}) == FGAbelianGroup.free(1)
-    assert jsonio.invariants_to_json(group) == {"rank": 0, "torsion": [6]}
+    assert kjsonio.group_from_json(kjsonio.group_to_json(group)) == group
+    assert kjsonio.group_from_json({"generators": 1}) == FGAbelianGroup.free(1)
+    assert kjsonio.invariants_to_json(group) == {"rank": 0, "torsion": [6]}
     with pytest.raises(InputFormatError):
-        jsonio.group_from_json({"generators": -1})
+        kjsonio.group_from_json({"generators": -1})
     with pytest.raises(InputFormatError):
-        jsonio.group_from_json({"generators": 2, "relations": [[2]]})
+        kjsonio.group_from_json({"generators": 2, "relations": [[2]]})
 
 
 def test_group_generator_cap():
-    cap = jsonio.GENERATORS_CAP
-    assert jsonio.group_from_json({"generators": cap}).rank == cap
+    cap = kjsonio.GENERATORS_CAP
+    assert kjsonio.group_from_json({"generators": cap}).rank == cap
     # refused before anything of that size is built
     for n in (cap + 1, 10 ** 12):
         with pytest.raises(CapExceeded) as err:
-            jsonio.group_from_json({"generators": n})
+            kjsonio.group_from_json({"generators": n})
         assert isinstance(err.value, InputFormatError)
         assert err.value.details == {"generators": n, "cap": cap}
 
@@ -208,13 +208,13 @@ def test_group_generator_cap():
 def test_hom_roundtrip():
     f = GroupHom(FGAbelianGroup.cyclic(2), FGAbelianGroup.cyclic(4),
                  IntMatrix([[2]]))
-    assert jsonio.hom_from_json(jsonio.hom_to_json(f)) == f
+    assert kjsonio.hom_from_json(kjsonio.hom_to_json(f)) == f
 
 
 def test_hom_zero_row_coercion():
     # [] cannot say how many columns a 0 x n matrix has; the codomain does
-    f = jsonio.hom_from_json({"domain": {"generators": 2},
-                              "codomain": {"generators": 0}, "matrix": []})
+    f = kjsonio.hom_from_json({"domain": {"generators": 2},
+                               "codomain": {"generators": 0}, "matrix": []})
     assert f.matrix.rows == 0 and f.matrix.cols == 2
 
 
@@ -222,24 +222,24 @@ def test_cycle_roundtrip():
     zero = {"generators": 0, "relations": []}
     torsion = {"generators": 1, "relations": [[2]]}
     # a 0 x 0 matrix is [], a 1 x 0 matrix is [[]]
-    cycle = jsonio.cycle_from_json({
+    cycle = kjsonio.cycle_from_json({
         "groups": [torsion, torsion, zero, zero, zero, zero],
         "maps": [[[1]], [], [], [], [], [[]]]})
     assert verify_six_term(cycle).ok
     for bad in ({"groups": [zero] * 5, "maps": [[]] * 6},
                 {"groups": [zero] * 6, "maps": [[]] * 5}):
         with pytest.raises(InputFormatError):
-            jsonio.cycle_from_json(bad)
+            kjsonio.cycle_from_json(bad)
 
 
 def test_square_parsing():
     ident = {"domain": {"generators": 1}, "codomain": {"generators": 1},
              "matrix": [[1]]}
     double = dict(ident, matrix=[[2]])
-    top, right, left, bottom = jsonio.square_from_json(
+    top, right, left, bottom = kjsonio.square_from_json(
         {"top": ident, "right": double, "left": double, "bottom": ident})
     report = two_point_sequence(top, right, left, bottom)
-    assert jsonio.two_point_to_json(report) == {
+    assert kjsonio.two_point_to_json(report) == {
         "delta": [[2]], "kernel": {"rank": 0, "torsion": []},
         "cokernel": {"rank": 0, "torsion": [2]},
         "middle": {"rank": 0, "torsion": [2]}, "note": ""}
@@ -261,7 +261,7 @@ def test_datum_roundtrip():
     rng = random.Random(604)
     for space in (FiniteSpace.sierpinski(), random_poset_space(rng, 3)):
         datum = point_count_datum(space)
-        back = jsonio.datum_from_json(jsonio.datum_to_json(datum))
+        back = kjsonio.datum_from_json(kjsonio.datum_to_json(datum))
         assert back.space == datum.space
         assert back.assignment == datum.assignment
         assert back.cycles == datum.cycles
@@ -271,13 +271,13 @@ def test_datum_roundtrip():
 def test_datum_schema_errors():
     # {0, 2} is not locally closed in the three-point chain, so no group
     # was ever assigned to it
-    chained = jsonio.datum_to_json(constant_zero_datum(FiniteSpace.chain(3)))
+    chained = kjsonio.datum_to_json(constant_zero_datum(FiniteSpace.chain(3)))
     orphan = dict(chained, cycles=chained["cycles"]
                   + [{"open": "", "set": "0,2", "maps": [[]] * 6}])
     with pytest.raises(InputFormatError):
-        jsonio.datum_from_json(orphan)
+        kjsonio.datum_from_json(orphan)
     # dropping a carrier's group leaves a locally closed set uncovered
-    datum = jsonio.datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
+    datum = kjsonio.datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
     pruned = dict(datum, groups={k: v for k, v in datum["groups"].items()
                                  if k != "1"})
     keep = []
@@ -288,19 +288,19 @@ def test_datum_schema_errors():
             keep.append(c)
     pruned["cycles"] = keep
     with pytest.raises(ShapeMismatch):
-        jsonio.datum_from_json(pruned)
+        kjsonio.datum_from_json(pruned)
 
 
 def test_datum_refuses_a_carrier_or_cycle_given_twice():
-    datum = jsonio.datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
+    datum = kjsonio.datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
     groups = dict(datum["groups"], **{"1,0": datum["groups"]["0,1"]})
     with pytest.raises(InputFormatError) as err:
-        jsonio.datum_from_json(dict(datum, groups=groups))
+        kjsonio.datum_from_json(dict(datum, groups=groups))
     assert str(err.value) == "group key '1,0' repeats carrier [0, 1]"
     whole = next(c for c in datum["cycles"] if (c["open"], c["set"]) == ("", "0,1"))
     for again in (whole, dict(whole, set="1,0")):
         with pytest.raises(InputFormatError) as err:
-            jsonio.datum_from_json(dict(datum, cycles=datum["cycles"] + [again]))
+            kjsonio.datum_from_json(dict(datum, cycles=datum["cycles"] + [again]))
         assert str(err.value) == (f"cycle ('', {again['set']!r}) "
                                   "repeats the pair ([], [0, 1])")
 
@@ -308,19 +308,19 @@ def test_datum_refuses_a_carrier_or_cycle_given_twice():
 def test_report_serializers():
     f = GroupHom.identity(FGAbelianGroup.free(1))
     report = is_exact_at(f, f)
-    assert jsonio.exactness_to_json(report) == {
+    assert kjsonio.exactness_to_json(report) == {
         "ok": False, "reason": "composite is not zero",
         "witness": ["generator", 0]}
     datum = constant_zero_datum(FiniteSpace.sierpinski(), special=3,
                                 group=FGAbelianGroup.cyclic(2))
-    rep = jsonio.datum_report_to_json(verify_datum(datum))
+    rep = kjsonio.datum_report_to_json(verify_datum(datum))
     assert rep["ok"] is False
     assert {"open", "set", "report"} <= set(rep["results"][0])
     from finitetop.ktheory import vanishing_propagation
-    prop = jsonio.propagation_to_json(vanishing_propagation(datum))
+    prop = kjsonio.propagation_to_json(vanishing_propagation(datum))
     assert prop == {"ok": False,
                     "deviation": {"carrier": [0, 1], "step": [[0], [0, 1]]}}
-    ok_prop = jsonio.propagation_to_json(
+    ok_prop = kjsonio.propagation_to_json(
         vanishing_propagation(constant_zero_datum(FiniteSpace.sierpinski())))
     assert ok_prop == {"ok": True, "deviation": None}
 

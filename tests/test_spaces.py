@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               NotClosedUnderUnion, NotContinuous, NotLocallyClosed,
                               NotReflexive, NotT0, NotTransitive)
 from finitetop import spaces
+from finitetop.cli import main
+from finitetop.jsonio import preorder_to_json
 from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
                               Preorder, alexandrov_topology, bits, hasse_dot,
                               mask_of, space_from_edges, validate_topology)
@@ -230,6 +233,24 @@ def test_alexandrov_refuses_hostile_preorders_before_listing(monkeypatch):
     space = alexandrov_topology(bipartite(random.Random(15), 15, 15))
     assert 1 << 15 < space.open_count() <= OPEN_FAMILY_CAP
     assert space._opens is None
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_info_counts_the_up_sets_once(tmp_path, capsys, monkeypatch, labeled):
+    # past the 2 ** classes gate, the count that decides the cap is the
+    # count info prints
+    pre = bipartite(random.Random(15), 15, 15)
+    doc = {"preorder": preorder_to_json(pre)}
+    if labeled:
+        doc["points"] = [f"p{x}" for x in range(pre.size)]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    count, calls = spaces._up_set_count, []
+    monkeypatch.setattr(spaces, "_up_set_count",
+                        lambda *args: calls.append(args) or count(*args))
+    assert main(["info", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["opens"] == count(pre.leq)
+    assert len(calls) == 1
 
 
 def random_interleaved_preorder(rng, n):
