@@ -33,62 +33,7 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = frozenset(_EXPORTS) | {"cli", "jsonio", "kjsonio"}
 
-__all__ = [
-    "ActionOverX",
-    "CompletionSpace",
-    "ContinuousMap",
-    "FGAbelianGroup",
-    "FiltratedKDatum",
-    "Filtration",
-    "FiniteSpace",
-    "FinitetopError",
-    "GradedGroup",
-    "GroupHom",
-    "IdealAssignment",
-    "InputFormatError",
-    "IntMatrix",
-    "LatticeMap",
-    "LocallyClosedSet",
-    "Preorder",
-    "SixTermCycle",
-    "alexandrov_topology",
-    "are_homeomorphic",
-    "build_yprime",
-    "canonical_form",
-    "census",
-    "cokernel",
-    "connected_catalog",
-    "continuous_to_lattice_map",
-    "enumerate_labeled_t0",
-    "enumerate_labeled_topologies",
-    "filtration_of_action",
-    "from_discontinuous",
-    "hasse_dot",
-    "image",
-    "is_exact_at",
-    "is_tight",
-    "kernel",
-    "kernel_basis",
-    "lattice_map_to_continuous",
-    "minimal_ideals",
-    "neighborhood_filter_embedding",
-    "preserves_finite_meets",
-    "preserves_joins",
-    "pushforward",
-    "reconstruct",
-    "restrict",
-    "smith_normal_form",
-    "solve",
-    "space_from_canonical",
-    "space_from_edges",
-    "subquotient_support",
-    "to_discontinuous",
-    "two_point_sequence",
-    "validate_topology",
-    "vanishing_propagation",
-    "verify_datum",
-    "verify_six_term",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

@@ -90,7 +90,8 @@ def build_yprime(base):
     """
     k = base.open_count()
     if k > OPENS_CAP:
-        raise CapExceeded(f"completion capped at {OPENS_CAP} base opens", opens=k)
+        raise CapExceeded(f"completion capped at {OPENS_CAP} base opens",
+                          opens=k, cap=OPENS_CAP)
     nonempty = [u for u in base.opens if u]
     inclusion = Preorder(len(nonempty),
                          [mask_of(j for j, v in enumerate(nonempty) if u & ~v == 0)

@@ -17,6 +17,7 @@ from collections import namedtuple
 from .errors import CapExceeded
 from .spaces import (
     Preorder,
+    _up_sets,
     alexandrov_topology,
     bits,
     mask_of,
@@ -38,16 +39,16 @@ def _extend_relations(n, t0, rows, downs):
     new point i picks an up-closed set u (everything above i) and a
     down-closed set d (everything below); transitivity through i forces
     u within rows[j] for every j in d, and partial orders forbid u meeting d.
+    The down-sets are the up-sets of the opposite preorder, whose rows are
+    downs; both are tried in numeric order.
     """
     i = len(rows)
     if i == n:
         yield tuple(rows)
         return
-    subsets = range(1 << i)
-    upsets = [u for u in subsets if all(rows[j] & ~u == 0 for j in bits(u))]
-    downsets = [d for d in subsets if all(downs[j] & ~d == 0 for j in bits(d))]
     bit = 1 << i
-    for u in upsets:
+    downsets = sorted(_up_sets(downs))
+    for u in sorted(_up_sets(rows)):
         allowed = 0
         for j in range(i):
             if u & ~rows[j] == 0:
@@ -71,7 +72,8 @@ def enumerate_labeled_preorders(n, t0=False):
         raise ValueError(f"point count must be nonnegative, got {n}")
     cap = T0_CAP if t0 else CENSUS_CAP
     if n > cap:
-        raise CapExceeded(f"relation enumeration capped at {cap} points", n=n)
+        raise CapExceeded(f"relation enumeration capped at {cap} points",
+                          n=n, cap=cap)
     return (Preorder(n, rows, validate=False)
             for rows in _extend_relations(n, t0, [], []))
 
@@ -87,7 +89,8 @@ def enumerate_labeled_topologies(n):
     Sorted by the family read as a number, bit m-1 marking each proper open m.
     """
     if n > TOPOLOGY_CAP:
-        raise CapExceeded(f"topology enumeration capped at {TOPOLOGY_CAP} points", n=n)
+        raise CapExceeded(f"topology enumeration capped at {TOPOLOGY_CAP} points",
+                          n=n, cap=TOPOLOGY_CAP)
     return tuple(sorted(topologies_from_preorders(n), key=lambda s: sum(
         1 << (m - 1) for m in s.opens if 0 < m < s.full)))
 
@@ -95,7 +98,8 @@ def enumerate_labeled_topologies(n):
 def enumerate_labeled_t0(n):
     """Every T0 topology on n labeled points, one per labeled partial order."""
     if n > T0_CAP:
-        raise CapExceeded(f"T0 enumeration capped at {T0_CAP} points", n=n)
+        raise CapExceeded(f"T0 enumeration capped at {T0_CAP} points",
+                          n=n, cap=T0_CAP)
     return tuple(topologies_from_preorders(n, t0=True))
 
 
@@ -111,7 +115,7 @@ def canonical_form(space):
     """
     if space.size > CANONICAL_CAP:
         raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} points",
-                          n=space.size)
+                          n=space.size, cap=CANONICAL_CAP)
     quotient, sizes = space, [1] * space.size
     if not space.is_t0():
         # the subspace on the first point of each class is the quotient
@@ -174,7 +178,8 @@ class CensusRow(namedtuple("CensusRow", "n connected t0 labeled_count classes"))
 def census(n, connected=False, t0=False):
     """Count labeled spaces passing the filters and list their classes."""
     if n > CENSUS_CAP:
-        raise CapExceeded(f"census capped at {CENSUS_CAP} points", n=n)
+        raise CapExceeded(f"census capped at {CENSUS_CAP} points", n=n,
+                          cap=CENSUS_CAP)
     count = 0
     forms = set()
     for space in topologies_from_preorders(n, t0=t0):

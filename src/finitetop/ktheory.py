@@ -19,7 +19,7 @@ from .errors import (
     SquareNotCommuting,
 )
 from .intmat import IntMatrix, kernel_basis, smith_normal_form, solve
-from .spaces import bits, family_key
+from .spaces import _up_sets, bits
 
 
 class FGAbelianGroup:
@@ -308,12 +308,14 @@ class FiltratedKDatum:
         return self.assignment[carrier]
 
     def pairs(self):
-        """All (u, y): y locally closed, u = y & w for an open w, deterministic."""
-        out = set()
-        for lc in self.space.locally_closed_sets():
-            for w in self.space.opens:
-                out.add((lc.carrier & w, lc.carrier))
-        return sorted(out, key=lambda p: (family_key(p[1]), family_key(p[0])))
+        """All (u, y): y locally closed, u = y & w for an open w.
+
+        The u for one y are the opens of the subspace on y.  Pairs come by
+        y, then u, each in family_key order.
+        """
+        rows = self.space.rows
+        return [(u, lc.carrier) for lc in self.space.locally_closed_sets()
+                for u in _up_sets(rows, lc.carrier)]
 
 
 class DatumReport(namedtuple("DatumReport", "results")):

@@ -81,48 +81,49 @@ def _components(rows):
     return tuple(out)
 
 
-def _minimal_opens(size, family, check):
+def _minimal_opens(size, family):
     """Rows of a sorted family, each the AND of the members holding its point.
 
-    With check, the family is validated as validate_topology describes.
+    The family is validated on the way, as validate_topology describes.
     """
     full = (1 << size) - 1
-    if check:
-        for m in family:
-            if m & ~full:
-                raise ValueError(f"open {m:#x} not within ground set of size {size}")
-        members = frozenset(family)
-        if 0 not in members:
-            raise MissingEmpty("empty set is not open")
-        if full not in members:
-            raise MissingFull("full set is not open")
+    for m in family:
+        if m & ~full:
+            raise ValueError(f"open {m:#x} not within ground set of size {size}")
+    members = frozenset(family)
+    if 0 not in members:
+        raise MissingEmpty("empty set is not open")
+    if full not in members:
+        raise MissingFull("full set is not open")
     rows = [full] * size
     for m in family:
         for x in bits(m):
             meet = rows[x] & m
-            if check and meet != rows[x] and meet not in members:
+            if meet != rows[x] and meet not in members:
                 raise NotClosedUnderIntersection(
                     f"intersection of {sorted(bits(rows[x]))} and "
                     f"{sorted(bits(m))} is not open", witness=(rows[x], m))
             rows[x] = meet
-    if check:
-        for a in family:
-            for x in bits(full & ~a):
-                if a | rows[x] not in members:
-                    raise NotClosedUnderUnion(
-                        f"union of {sorted(bits(a))} and {sorted(bits(rows[x]))} "
-                        "is not open", witness=(a, rows[x]))
+    for a in family:
+        for x in bits(full & ~a):
+            if a | rows[x] not in members:
+                raise NotClosedUnderUnion(
+                    f"union of {sorted(bits(a))} and {sorted(bits(rows[x]))} "
+                    "is not open", witness=(a, rows[x]))
     return tuple(rows)
 
 
-def _up_sets(rows):
-    """Every up-set of the preorder rows, sorted by family_key.
+def _up_sets(rows, within=None):
+    """Every up-set of the preorder rows inside within, sorted by family_key.
 
+    These are the opens of the subspace on within, all points by default.
     The up-sets of the points left miss the lowest one, c, and all below
     it, or hold U_c; both ways hold at least one, so the recursion is a
     full binary tree with one leaf per up-set.
     """
-    downs = [_down(rows, 1 << c) for c in range(len(rows))]
+    if within is None:
+        within = (1 << len(rows)) - 1
+    downs = {c: _down(rows, 1 << c) for c in bits(within)}
     opens = []
 
     def rec(rest, cur):
@@ -131,9 +132,9 @@ def _up_sets(rows):
             return
         c = (rest & -rest).bit_length() - 1
         rec(rest & ~downs[c], cur)
-        rec(rest & ~rows[c], cur | rows[c])
+        rec(rest & ~rows[c], cur | rows[c] & within)
 
-    rec((1 << len(rows)) - 1, 0)
+    rec(within, 0)
     opens.sort(key=family_key)
     return tuple(opens)
 
@@ -174,11 +175,11 @@ class FiniteSpace:
 
     __slots__ = ("size", "full", "rows", "labels", "_opens", "_count")
 
-    def __init__(self, size, opens, labels=None, validate=True):
+    def __init__(self, size, opens, labels=None):
         self._fill(size, labels)
         self._opens = tuple(sorted(set(opens), key=family_key))
         self._count = None
-        self.rows = _minimal_opens(size, self._opens, validate)
+        self.rows = _minimal_opens(size, self._opens)
 
     @classmethod
     def _from_rows(cls, size, rows, labels=None, opens=None, count=None):
@@ -193,7 +194,8 @@ class FiniteSpace:
 
     def _fill(self, size, labels):
         if not 0 <= size <= MAX_POINTS:
-            raise CapExceeded(f"point count {size} outside 0..{MAX_POINTS}", size=size)
+            raise CapExceeded(f"point count {size} outside 0..{MAX_POINTS}",
+                              size=size, cap=MAX_POINTS)
         self.size = size
         self.full = (1 << size) - 1
         if labels is not None:
@@ -328,7 +330,19 @@ class FiniteSpace:
         return LocallyClosedSet(s, w[0], w[1])
 
     def locally_closed_sets(self):
-        carriers = {u & ~v for u in self.opens for v in self.opens}
+        """Each locally closed S once, as U minus V with U = the up-closure of S.
+
+        V = U minus S is then an up-set of the points of U strictly above
+        another point of U, and each such V leaves a locally closed S.
+        """
+        strict = [mask_of(y for y in bits(row) if self.rows[y] != row)
+                  for row in self.rows]
+        carriers = []
+        for u in self.opens:
+            above = 0
+            for x in bits(u):
+                above |= strict[x]
+            carriers += (u & ~v for v in _up_sets(self.rows, above))
         return tuple(self.locally_closed(c) for c in sorted(carriers, key=family_key))
 
     # -- T0-only structure --------------------------------------------------
@@ -380,11 +394,11 @@ class FiniteSpace:
 
     @classmethod
     def empty(cls):
-        return cls(0, [0], validate=False)
+        return cls._from_rows(0, ())
 
     @classmethod
     def point(cls):
-        return cls(1, [0, 1], validate=False)
+        return cls._from_rows(1, (1,))
 
     @classmethod
     def discrete(cls, n):
@@ -393,12 +407,12 @@ class FiniteSpace:
     @classmethod
     def chaotic(cls, n):
         # only the two mandatory opens; non-T0 for n >= 2
-        return cls(n, [0, (1 << n) - 1], validate=False)
+        return cls._from_rows(n, [mask_of(range(n))] * n)
 
     @classmethod
     def chain(cls, n):
         """Opens are the initial segments; point 0 is the open point."""
-        return cls(n, [(1 << k) - 1 for k in range(n + 1)], validate=False)
+        return cls._from_rows(n, [(2 << x) - 1 for x in range(n)])
 
     @classmethod
     def sierpinski(cls):
@@ -415,7 +429,7 @@ def validate_topology(size, family, labels=None):
     NotClosedUnderUnion(a, U_x).  That accepts exactly the topologies, since
     a member is the union of the rows of its points.
     """
-    return FiniteSpace(size, family, labels=labels, validate=True)
+    return FiniteSpace(size, family, labels=labels)
 
 
 class Preorder:

@@ -48,7 +48,7 @@ def random_continuous(rng, dom, cod, tries=60):
 def permuted_space(space, perm):
     """Relabel points by perm; the result is homeomorphic by construction."""
     opens = [mask_of(perm[i] for i in bits(u)) for u in space.opens]
-    return FiniteSpace(space.size, opens, validate=False)
+    return FiniteSpace(space.size, opens)
 
 
 def brute_locally_closed(space):
@@ -164,7 +164,7 @@ def topologies_by_family_filter(n):
                 ok = False
                 break
         if ok:
-            out.append(FiniteSpace(n, fam, validate=False))
+            out.append(FiniteSpace(n, fam))
     return out
 
 

@@ -147,7 +147,7 @@ def test_twenty_point_antichain_is_counted_not_listed(tmp_path, capsys):
     assert run(capsys, "validate", path) == (
         0, '{\n  "ok": true,\n  "opens": 1048576,\n  "size": 20\n}\n', "")
     assert run(capsys, "complete", path) == (
-        1, "", '{\n  "details": {\n    "opens": 1048576\n  },\n'
+        1, "", '{\n  "details": {\n    "cap": 16,\n    "opens": 1048576\n  },\n'
                '  "error": "CapExceeded",\n'
                '  "message": "completion capped at 16 base opens"\n}\n')
 
@@ -567,6 +567,9 @@ PINNED_STDOUT = [
     # block of consecutive points
     (["enumerate", "--points", "4", "--up-to-homeo"], 11324,
      "d21bcd670e9befb9ad86f99b4b9f735af9aaf0467d5fd43139218e5a97cd5845"),
+    # labeled T0 spaces in generation order
+    (["enumerate", "--points", "4", "--t0"], 87317,
+     "25b0d4c299052d7a8ed3f2abe5c683b92c3662fe4b85b3b7f71d470cd903e54c"),
 ]
 
 

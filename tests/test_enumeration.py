@@ -3,16 +3,19 @@ import random
 
 import pytest
 
-from finitetop.enumeration import (are_homeomorphic, canonical_form, census,
-                                   connected_catalog, enumerate_labeled_preorders,
+from finitetop.completion import OPENS_CAP, build_yprime
+from finitetop.enumeration import (CANONICAL_CAP, CENSUS_CAP, T0_CAP,
+                                   TOPOLOGY_CAP, are_homeomorphic,
+                                   canonical_form, census, connected_catalog,
+                                   enumerate_labeled_preorders,
                                    enumerate_labeled_t0,
                                    enumerate_labeled_topologies,
                                    space_from_canonical,
                                    topologies_from_preorders)
 from finitetop import spaces
 from finitetop.errors import CapExceeded
-from finitetop.spaces import (FiniteSpace, Preorder, alexandrov_topology, bits,
-                              space_from_edges)
+from finitetop.spaces import (MAX_POINTS, FiniteSpace, Preorder,
+                              alexandrov_topology, bits, space_from_edges)
 from oracles import (homeomorphism_oracle, permuted_space, random_poset_space,
                      random_space, topologies_by_family_filter)
 
@@ -89,6 +92,23 @@ def test_enumeration_caps():
         canonical_form(FiniteSpace.discrete(9))
     with pytest.raises(CapExceeded):
         are_homeomorphic(FiniteSpace.discrete(9), FiniteSpace.chaotic(9))
+
+
+@pytest.mark.parametrize("refused,cap", [
+    (lambda: enumerate_labeled_preorders(7), CENSUS_CAP),
+    (lambda: enumerate_labeled_preorders(8, t0=True), T0_CAP),
+    (lambda: enumerate_labeled_topologies(6), TOPOLOGY_CAP),
+    (lambda: enumerate_labeled_t0(8), T0_CAP),
+    (lambda: canonical_form(FiniteSpace.discrete(9)), CANONICAL_CAP),
+    (lambda: census(7), CENSUS_CAP),
+    (lambda: build_yprime(FiniteSpace.chain(OPENS_CAP)), OPENS_CAP),
+    (lambda: FiniteSpace(MAX_POINTS + 1, [0]), MAX_POINTS),
+], ids=["preorders", "partial-orders", "topologies", "t0", "canonical-form",
+        "census", "completion-base-opens", "points"])
+def test_every_refusal_names_its_cap(refused, cap):
+    with pytest.raises(CapExceeded) as err:
+        refused()
+    assert err.value.details["cap"] == cap
 
 
 # -- canonical forms -------------------------------------------------------------

@@ -129,10 +129,15 @@ def imported_names(tree):
 
 
 def used_names(tree):
-    """Names read anywhere in the module, and the strings listed in __all__."""
+    """Names read anywhere in the module, and the strings listed in __all__.
+
+    An __all__ computed from other names reads those names, so only a
+    literal list adds strings.
+    """
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
+                and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
             used |= {elt.value for elt in node.value.elts}
@@ -163,6 +168,17 @@ def test_private_helpers_have_callers():
             if not any(n == name and not (m == module and first <= line <= last)
                        for m, n, line in used)]
     assert defined and idle == []
+
+
+def test_library_scans_no_power_set():
+    # exhaustive subset scans are second routes; they live in tests/oracles.py
+    scans = [(path.name, node.lineno) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "range"
+             and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.LShift)
+                     for arg in node.args)]
+    assert scans == []
 
 
 # CI installs only pytest and hypothesis beside the package itself

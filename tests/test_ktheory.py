@@ -13,8 +13,9 @@ from finitetop.ktheory import (FGAbelianGroup, GradedGroup, GroupHom,
 from finitetop.spaces import FiniteSpace, family_key
 from fixtures import (constant_zero_datum, point_count_datum, random_divisors,
                       random_torsion_cycle, random_zero_composite)
-from oracles import (diagonal_group, element_exact, element_image,
-                     element_kernel, random_poset_space, random_torsion_hom)
+from oracles import (brute_locally_closed, diagonal_group, element_exact,
+                     element_image, element_kernel, random_poset_space,
+                     random_space, random_torsion_hom)
 
 Z = FGAbelianGroup.free
 CYCLIC = FGAbelianGroup.cyclic
@@ -244,13 +245,17 @@ def test_canonical_kernel_cokernel_cycle_is_exact():
 
 
 def test_pairs_are_relative_opens():
-    space = random_poset_space(random.Random(904), 4)
-    datum = constant_zero_datum(space)
-    pairs = datum.pairs()
-    assert pairs == sorted(set(pairs),
-                           key=lambda p: (family_key(p[1]), family_key(p[0])))
-    for u, y in pairs:
-        assert any(u == y & w for w in space.opens)
+    # every relative open once, in order; equal rows in the non-T0 spaces
+    # exercise the "strictly above" rule of the listing
+    rng = random.Random(907)
+    spaces = [random_poset_space(random.Random(904), 4)]
+    spaces += [(random_space if i % 2 else random_poset_space)(rng, rng.randint(5, 7))
+               for i in range(30)]
+    for space in spaces:
+        want = {(y & w, y) for y in brute_locally_closed(space)
+                for w in space.opens}
+        assert constant_zero_datum(space).pairs() == sorted(
+            want, key=lambda p: (family_key(p[1]), family_key(p[0])))
 
 
 def test_point_count_datum_verifies():

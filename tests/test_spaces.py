@@ -13,8 +13,9 @@ from finitetop import spaces
 from finitetop.cli import main
 from finitetop.jsonio import preorder_to_json
 from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
-                              Preorder, alexandrov_topology, bits, hasse_dot,
-                              mask_of, space_from_edges, validate_topology)
+                              Preorder, alexandrov_topology, bits, family_key,
+                              hasse_dot, mask_of, space_from_edges,
+                              validate_topology)
 from oracles import (brute_check_family, brute_closure, brute_interior,
                      brute_irreducible_closed_sets, brute_is_sober,
                      brute_locally_closed, brute_locally_closed_witnesses,
@@ -383,9 +384,13 @@ def test_subspace_topology():
 
 
 def test_locally_closed_matches_brute_force():
-    for space in spaces_up_to(3):
-        carriers = {lc.carrier for lc in space.locally_closed_sets()}
-        assert carriers == brute_locally_closed(space)
+    # equal rows in the random non-T0 spaces exercise the "strictly above" rule
+    rng = random.Random(12)
+    randoms = [(random_space if i % 2 else random_poset_space)(rng, rng.randint(5, 7))
+               for i in range(40)]
+    for space in [*spaces_up_to(3), *randoms]:
+        carriers = [lc.carrier for lc in space.locally_closed_sets()]
+        assert carriers == sorted(brute_locally_closed(space), key=family_key)
         for s in range(1 << space.size):
             assert space.is_locally_closed(s) == (s in carriers)
 
