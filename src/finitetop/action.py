@@ -16,7 +16,6 @@ from .errors import (
     NotOpen,
     NotSober,
 )
-from .lattice import LatticeMap, lattice_map_to_continuous
 from .spaces import ContinuousMap, LocallyClosedSet, bits
 
 
@@ -144,10 +143,11 @@ def reconstruct(assign, prim):
 
     Checks, in order: the base is sober, every value is open, the values
     cover P, and the pairwise compatibility a_x & a_y = union of a_z over z
-    in U_x & U_y.  Compatibility makes U -> union of a_x over x in U respect
-    finite meets: it gives table[U] & table[V] within table[U & V], and its
-    x = y case the reverse inclusion.  The lattice map is then converted
-    back into a continuous map.
+    in U_x & U_y.  By compatibility, a_x lies within a_y for y <= x, and a
+    point p of a_x & a_y lies in some a_z with z above x and y.  So the
+    points x with p in a_x, nonempty by the cover, are the closure of one
+    point, psi(p), and p lies in a_x exactly when x <= psi(p).  Only the
+    minimal opens are read, never the open family.
     """
     space = assign.base
     if not space.is_sober():
@@ -171,13 +171,13 @@ def reconstruct(assign, prim):
                 raise CompatibilityFailure(
                     f"ideals at {x} and {y} do not meet along the shared opens",
                     x=x, y=y)
-    table = {}
-    for u in space.opens:
-        m = 0
-        for x in bits(u):
-            m |= values[x]
-        table[u] = m
-    psi = lattice_map_to_continuous(LatticeMap(space, prim, table))
+    below = [0] * prim.size  # below[p] = {x : p in a_x}
+    for x in range(space.size):
+        for p in bits(values[x]):
+            below[p] |= 1 << x
+    generic = {space.closure(1 << x): x for x in range(space.size)}
+    psi = ContinuousMap(prim, space, [generic[space.closure(b)] for b in below],
+                        validate=False)
     return ActionOverX(space, prim, psi)
 
 

@@ -34,14 +34,16 @@ def _json_object(pairs):
 
 
 def _read_json(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+    # undecodable bytes, over-long integer literals and over-deep nesting
+    # are malformed input too, not just syntax errors
     try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
         return json.loads(text, object_pairs_hook=_json_object)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}")
 
 
@@ -67,6 +69,7 @@ def _cmd_validate(args):
 def _cmd_info(args):
     space = jsonio.space_from_json(_read_json(args.space))
     t0 = space.is_t0()
+    filt = space.canonical_filtration() if t0 else None
     out = {
         "size": space.size,
         "opens": space.open_count(),
@@ -74,9 +77,8 @@ def _cmd_info(args):
         "sober": space.is_sober(),
         "connected": space.is_connected(),
         "components": [_names(space, c) for c in space.connected_components()],
-        "length": space.length() if t0 else None,
-        "strata": ([_names(space, s) for s in space.canonical_filtration().strata]
-                   if t0 else None),
+        "length": filt.length if t0 else None,
+        "strata": [_names(space, s) for s in filt.strata] if t0 else None,
     }
     _emit(out)
     return 0

@@ -1,12 +1,12 @@
 """Exhaustive generation and classification of small finite spaces.
 
 Spaces are generated one labeled preorder at a time, by row-by-row
-extension of relation matrices, and each preorder gives its Alexandrov
-topology.  A finite space is determined by its T0 quotient and the size of
-each class of points with equal minimal opens, so classification up to
-homeomorphism goes through one canonical byte encoding of the quotient:
-cover edges minimised over relabelings, with point invariants and class
-sizes keeping the permutation set small.
+extension of relation matrices, and each preorder's rows are the minimal
+opens of its Alexandrov topology.  A finite space is determined by its T0
+quotient and the size of each class of points with equal minimal opens,
+so classification up to homeomorphism goes through one canonical byte
+encoding of the quotient: cover edges minimised over relabelings, with
+point invariants and class sizes keeping the permutation set small.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from collections import namedtuple
 
 from .errors import CapExceeded
 from .spaces import (
+    FiniteSpace,
     Preorder,
     _up_sets,
     alexandrov_topology,
@@ -66,33 +67,20 @@ def _extend_relations(n, t0, rows, downs):
             yield from _extend_relations(n, t0, rows2, downs2)
 
 
-def enumerate_labeled_preorders(n, t0=False):
-    """All preorders (or partial orders) on points 0..n-1, one per labeling."""
+def _labeled_spaces(n, t0=False):
+    """Spaces on points 0..n-1, one per labeled preorder (partial order if t0)."""
     if n < 0:
         raise ValueError(f"point count must be nonnegative, got {n}")
-    cap = T0_CAP if t0 else CENSUS_CAP
-    if n > cap:
-        raise CapExceeded(f"relation enumeration capped at {cap} points",
-                          n=n, cap=cap)
-    return (Preorder(n, rows, validate=False)
+    return (FiniteSpace._from_rows(n, rows)
             for rows in _extend_relations(n, t0, [], []))
 
 
-def topologies_from_preorders(n, t0=False):
-    return (alexandrov_topology(pre)
-            for pre in enumerate_labeled_preorders(n, t0=t0))
-
-
 def enumerate_labeled_topologies(n):
-    """Every topology on n labeled points exactly once; n is capped at 5.
-
-    Sorted by the family read as a number, bit m-1 marking each proper open m.
-    """
+    """Every topology on n labeled points once, in generation order; n <= 5."""
     if n > TOPOLOGY_CAP:
         raise CapExceeded(f"topology enumeration capped at {TOPOLOGY_CAP} points",
                           n=n, cap=TOPOLOGY_CAP)
-    return tuple(sorted(topologies_from_preorders(n), key=lambda s: sum(
-        1 << (m - 1) for m in s.opens if 0 < m < s.full)))
+    return tuple(_labeled_spaces(n))
 
 
 def enumerate_labeled_t0(n):
@@ -100,7 +88,7 @@ def enumerate_labeled_t0(n):
     if n > T0_CAP:
         raise CapExceeded(f"T0 enumeration capped at {T0_CAP} points",
                           n=n, cap=T0_CAP)
-    return tuple(topologies_from_preorders(n, t0=True))
+    return tuple(_labeled_spaces(n, t0=True))
 
 
 # -- classification up to homeomorphism --------------------------------------
@@ -182,7 +170,7 @@ def census(n, connected=False, t0=False):
                           cap=CENSUS_CAP)
     count = 0
     forms = set()
-    for space in topologies_from_preorders(n, t0=t0):
+    for space in _labeled_spaces(n, t0=t0):
         if connected and not space.is_connected():
             continue
         count += 1

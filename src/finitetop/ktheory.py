@@ -363,33 +363,27 @@ class PropagationReport(namedtuple("PropagationReport", "ok deviation",
 def vanishing_propagation(datum):
     """Re-run the induction: zero on points forces zero on every carrier.
 
-    Locally closed sets are walked by (filtration level, size); each one is
-    split along the previous filtration layer, or, for antichains, at its
-    smallest point.  The first carrier whose assigned group is not zero is
-    reported together with the split pair that forces it.
+    Locally closed sets are walked by (filtration level, size).  The first
+    carrier y whose assigned group is not zero is reported together with
+    the split pair that forces it: the part of y in the previous filtration
+    layer when that is not empty, else y minus its smallest point, and
+    (0, y) when y has at most one point.
     """
     space = datum.space
     filt = space.canonical_filtration()
     order = sorted((lc.carrier for lc in space.locally_closed_sets()),
                    key=lambda s: (filt.level_of_set(s), s.bit_count(), s))
     for y in order:
-        if y == 0:
-            if not datum.group(y).is_zero():
-                return PropagationReport(False, (y, (0, y)))
+        if datum.group(y).is_zero():
             continue
-        j = filt.level_of_set(y)
-        below = y & filt.layers[j - 1]
+        below = y & filt.layers[filt.level_of_set(y) - 1]
         if below:
             step = (below, y)
-        elif y.bit_count() == 1:
-            if not datum.group(y).is_zero():
-                return PropagationReport(False, (y, (0, y)))
-            continue
+        elif y.bit_count() > 1:
+            step = (y & ~(y & -y), y)
         else:
-            low = y & -y
-            step = (y & ~low, y)
-        if not datum.group(y).is_zero():
-            return PropagationReport(False, (y, step))
+            step = (0, y)
+        return PropagationReport(False, (y, step))
     return PropagationReport(True)
 
 

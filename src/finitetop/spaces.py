@@ -364,17 +364,9 @@ class FiniteSpace:
         return tuple(sorted(edges))
 
     def length(self):
-        """Cardinality of the longest specialisation chain."""
+        """Cardinality of the longest specialisation chain: the number of strata."""
         self._require_t0("length")
-        up = [row & ~(1 << x) for x, row in enumerate(self.rows)]
-        memo = {}
-
-        def h(x):
-            if x not in memo:
-                memo[x] = 1 + max((h(y) for y in bits(up[x])), default=0)
-            return memo[x]
-
-        return max((h(x) for x in range(self.size)), default=0)
+        return self.canonical_filtration().length
 
     def canonical_filtration(self):
         """Peel off the open (maximal) points of the remainder, level by level."""

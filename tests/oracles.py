@@ -146,6 +146,19 @@ def brute_is_sober(space):
     return all(points.count(c) == 1 for c in brute_irreducible_closed_sets(space))
 
 
+def brute_chain_length(space):
+    """Points on the longest strict chain x < y < ... of a T0 space."""
+    up = [row & ~(1 << x) for x, row in enumerate(space.rows)]
+    memo = {}
+
+    def h(x):
+        if x not in memo:
+            memo[x] = 1 + max((h(y) for y in bits(up[x])), default=0)
+        return memo[x]
+
+    return max((h(x) for x in range(space.size)), default=0)
+
+
 def topologies_by_family_filter(n):
     """Keep every subset family closed under union and meet (tiny n only).
 

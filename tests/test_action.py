@@ -8,6 +8,7 @@ from finitetop.action import (ActionOverX, IdealAssignment, fiber_support,
                               reconstruct, restrict, subquotient_support)
 from finitetop.errors import (CompatibilityFailure, CoverFailure, DomainMismatch,
                               NotOpen, NotSober)
+from finitetop import spaces
 from finitetop.spaces import ContinuousMap, FiniteSpace, bits, mask_of
 from oracles import (brute_locally_closed_witnesses, brute_meet_failures,
                      random_continuous, random_poset_space, random_space)
@@ -201,6 +202,18 @@ def test_reconstruct_roundtrip_random():
         act = ActionOverX(base, prim, random_continuous(rng, prim, base))
         rebuilt = reconstruct(minimal_ideals(act), prim)
         assert rebuilt.psi == act.psi
+
+
+def test_reconstruct_builds_no_open_family(monkeypatch):
+    # psi is read off the ideals at the minimal opens; listing the 2^20
+    # opens of the base would go through spaces._up_sets
+    def refuse(*args):
+        raise AssertionError("an open family was built")
+
+    base = FiniteSpace.discrete(20)
+    act = ActionOverX(base, base, ContinuousMap.identity(base))
+    monkeypatch.setattr(spaces, "_up_sets", refuse)
+    assert reconstruct(minimal_ideals(act), base) == act
 
 
 def test_reconstruct_random_assignments_meet_or_refuse():

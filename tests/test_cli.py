@@ -70,6 +70,21 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert json.loads(err)["error"] == "input"
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000,
+    b"9" * 5_000,
+    b"\xff\xfe[]",
+], ids=["deep-nesting", "long-integer", "not-utf8"])
+def test_undecodable_json_exits_2(tmp_path, capsys, content):
+    # past the recursion limit, past the integer digit limit, and a UTF-16
+    # byte order mark where UTF-8 is read
+    path = tmp_path / "s.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.json")
     assert code == 2
@@ -547,10 +562,11 @@ def test_ktheory_datum_verify_defect_bytes(tmp_path, capsys):
 # sha256 and length of stdout as the subset-family and closed-set scans
 # produced them; the point-closure and preorder routes must keep every byte
 PINNED_STDOUT = [
+    # labeled spaces in generation order
     (["enumerate", "--points", "4"], 123933,
-     "113b0192f4ee6a98fd72a4f60a721b172d87ce4346eaa0b4312ff793d995bc13"),
+     "7207296a3208335ced566aa573aaccb670ec09ec96feed150498a147e1f96cc7"),
     (["enumerate", "--points", "3", "--connected"], 3850,
-     "fa8688716a5b3efceba7f7c05ec28db840e8a57371c33d06313aa04412bd0951"),
+     "23538f321ee20d83b90751eab8912d91feda081e23358c7f20582eabc6179530"),
     (["soberify", TWO_BLOCKS], 284,
      "c22914f4f248ed51058dea9b7c0aa7c0c4007ab885beb029ee2397fa28a0307b"),
     (["info", TWO_BLOCKS], 203,

@@ -7,11 +7,9 @@ from finitetop.completion import OPENS_CAP, build_yprime
 from finitetop.enumeration import (CANONICAL_CAP, CENSUS_CAP, T0_CAP,
                                    TOPOLOGY_CAP, are_homeomorphic,
                                    canonical_form, census, connected_catalog,
-                                   enumerate_labeled_preorders,
                                    enumerate_labeled_t0,
                                    enumerate_labeled_topologies,
-                                   space_from_canonical,
-                                   topologies_from_preorders)
+                                   space_from_canonical)
 from finitetop import spaces
 from finitetop.errors import CapExceeded
 from finitetop.spaces import (MAX_POINTS, FiniteSpace, Preorder,
@@ -58,25 +56,25 @@ def test_census_builds_no_open_family(monkeypatch):
 
 def test_two_enumeration_routes_agree():
     # family filtering and preorder extension are independent algorithms;
-    # the labeled listing sorts the preorder route into the filter's order
+    # they list the same spaces, each in its own order
     for n in range(5):
         by_filter = topologies_by_family_filter(n)
-        assert set(by_filter) == set(topologies_from_preorders(n))
-        assert enumerate_labeled_topologies(n) == tuple(by_filter)
+        labeled = enumerate_labeled_topologies(n)
+        assert len(labeled) == len(by_filter)
+        assert set(labeled) == set(by_filter)
 
 
 def test_preorder_enumeration_is_duplicate_free():
     for n in range(5):
-        rows_list = list(enumerate_labeled_preorders(n))
+        rows_list = [s.rows for s in enumerate_labeled_topologies(n)]
         assert len(rows_list) == len(set(rows_list)) == TOPOLOGY_COUNTS[n]
 
 
 def test_enumeration_refuses_negative_point_counts():
     # every route goes through the preorder generator, which would never
     # reach a negative depth
-    for route in (enumerate_labeled_preorders, enumerate_labeled_topologies,
-                  enumerate_labeled_t0, census,
-                  lambda n: enumerate_labeled_preorders(n, t0=True)):
+    for route in (enumerate_labeled_topologies, enumerate_labeled_t0, census,
+                  lambda n: census(n, t0=True)):
         with pytest.raises(ValueError, match="nonnegative"):
             route(-1)
 
@@ -95,15 +93,13 @@ def test_enumeration_caps():
 
 
 @pytest.mark.parametrize("refused,cap", [
-    (lambda: enumerate_labeled_preorders(7), CENSUS_CAP),
-    (lambda: enumerate_labeled_preorders(8, t0=True), T0_CAP),
     (lambda: enumerate_labeled_topologies(6), TOPOLOGY_CAP),
     (lambda: enumerate_labeled_t0(8), T0_CAP),
     (lambda: canonical_form(FiniteSpace.discrete(9)), CANONICAL_CAP),
     (lambda: census(7), CENSUS_CAP),
     (lambda: build_yprime(FiniteSpace.chain(OPENS_CAP)), OPENS_CAP),
     (lambda: FiniteSpace(MAX_POINTS + 1, [0]), MAX_POINTS),
-], ids=["preorders", "partial-orders", "topologies", "t0", "canonical-form",
+], ids=["topologies", "t0", "canonical-form",
         "census", "completion-base-opens", "points"])
 def test_every_refusal_names_its_cap(refused, cap):
     with pytest.raises(CapExceeded) as err:

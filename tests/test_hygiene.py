@@ -84,6 +84,19 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     code, snf = fresh(LOADED, "ktheory", "snf", str(matrix))
     assert code == 0
     assert set(snf) - set(loaded["info"]) == {"finitetop.intmat"}
+    # reconstruct reads psi off the ideals, so no command loads the lattice
+    cycle = tmp_path / "c.json"
+    cycle.write_text(json.dumps({"groups": [{"generators": 0, "relations": []}] * 6,
+                                 "maps": [[]] * 6}))
+    sierpinski = json.loads(space.read_text())
+    action = tmp_path / "a.json"
+    action.write_text(json.dumps({"base": sierpinski, "prim": sierpinski,
+                                  "psi": [0, 1]}))
+    for argv in (["ktheory", "six-term", str(cycle)],
+                 ["action", "check", str(action)]):
+        code, modules = fresh(LOADED, *argv)
+        assert code == 0
+        assert "finitetop.lattice" not in modules, argv
 
 
 # functions that may import package modules: command entry points load what

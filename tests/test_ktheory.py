@@ -288,6 +288,19 @@ def test_seeded_flaw_is_caught():
     assert prop.deviation == (3, (1, 3))
 
 
+@pytest.mark.parametrize("space,carrier,step", [
+    (FiniteSpace.sierpinski(), 0b00, (0b00, 0b00)),
+    (FiniteSpace.sierpinski(), 0b10, (0b00, 0b10)),
+    (FiniteSpace.sierpinski(), 0b11, (0b01, 0b11)),
+    (FiniteSpace.discrete(2), 0b11, (0b10, 0b11)),
+], ids=["empty", "one-point", "meets-lower-layer", "one-stratum"])
+def test_propagation_deviation_names_the_split(space, carrier, step):
+    # the split is along the lower layer when y meets it, else y minus its
+    # lowest point, and (0, y) when y has at most one point
+    datum = constant_zero_datum(space, special=carrier, group=Z(1))
+    assert vanishing_propagation(datum).deviation == (carrier, step)
+
+
 def test_propagation_flags_nonzero_point():
     space = FiniteSpace.sierpinski()
     datum = constant_zero_datum(space, special=2, group=Z(1))
