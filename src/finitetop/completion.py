@@ -105,15 +105,11 @@ def build_yprime(base):
 
 
 def neighborhood_filter_embedding(base, completion=None):
-    """Send each point to the filter of opens around it."""
+    """Send each point to the filter of opens around it: the lifted identity table."""
     comp = completion if completion is not None else build_yprime(base)
     if comp.base != base:
         raise DomainMismatch("completion was built over a different space")
-    assignment = []
-    for x in range(base.size):
-        contents = frozenset(u for u in base.opens if u >> x & 1)
-        assignment.append(comp.index_of(contents))
-    return ContinuousMap(base, comp.space, assignment)
+    return from_discontinuous(comp, base, {u: u for u in base.opens}).psi
 
 
 def from_discontinuous(completion, prim, table):

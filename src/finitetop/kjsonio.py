@@ -149,6 +149,12 @@ def graded_to_json(g):
     return {"even": group_to_json(g.even), "odd": group_to_json(g.odd)}
 
 
+def _cycle(groups, maps):
+    """Six groups and the six JSON matrices between consecutive ones."""
+    return SixTermCycle(groups, [_hom(groups[i], groups[(i + 1) % 6], maps[i],
+                                      f"cycle map {i}") for i in range(6)])
+
+
 def cycle_from_json(obj):
     """{"groups": [six groups], "maps": [six matrices]}"""
     obj = _obj(obj, "cycle")
@@ -158,10 +164,7 @@ def cycle_from_json(obj):
         raise InputFormatError("a cycle needs exactly six groups")
     if not isinstance(maps, list) or len(maps) != 6:
         raise InputFormatError("a cycle needs exactly six maps")
-    groups = [group_from_json(_obj(g, "cycle group")) for g in groups]
-    homs = [_hom(groups[i], groups[(i + 1) % 6], maps[i], f"cycle map {i}")
-            for i in range(6)]
-    return SixTermCycle(groups, homs)
+    return _cycle([group_from_json(_obj(g, "cycle group")) for g in groups], maps)
 
 
 def square_from_json(obj):
@@ -221,11 +224,7 @@ def datum_from_json(obj):
             raise InputFormatError("each cycle entry needs six maps")
         eu, ey, er = (assignment[m].even for m in (u, y, rest))
         ou, oy, orr = (assignment[m].odd for m in (u, y, rest))
-        groups = (eu, ey, er, ou, oy, orr)
-        homs = [_hom(groups[i], groups[(i + 1) % 6], maps[i],
-                     f"cycle map {i}")
-                for i in range(6)]
-        cycles[(u, y)] = SixTermCycle(groups, homs)
+        cycles[(u, y)] = _cycle((eu, ey, er, ou, oy, orr), maps)
     return FiltratedKDatum(space, assignment, cycles)
 
 

@@ -3,16 +3,18 @@
 The lattice of a finite space is its open family ordered by inclusion, so
 joins are unions and meets are intersections and distributivity comes for
 free; a lattice map is a table from the opens of one space to the opens of
-another.  The main content is the reconstruction of a continuous map from
-an inclusion-of-ideals style table: a map of lattices that respects joins
-and finite meets comes from a unique continuous map when the target space
-of points is sober.
+another.  Preservation of joins and of finite meets is decided at the
+irreducible opens, in time linear in the table.  A table that keeps both,
+from the opens of a sober X to the opens of P, is the preimage table of a
+unique continuous map P -> X, which ``action.reconstruct`` reads off the
+values at the minimal opens.
 """
 
 from __future__ import annotations
 
+from .action import IdealAssignment, reconstruct
 from .errors import NotSober, PreservationFailure
-from .spaces import ContinuousMap
+from .spaces import bits
 
 
 class LatticeMap:
@@ -45,36 +47,40 @@ class LatticeMap:
 
 
 def _preservation_failures(m):
-    """Yield (kind, a, b) for each join or meet the table breaks.
+    """Yield (kind, a) at each open a, in family order, whose law the table breaks.
 
-    The order is fixed: the empty join (bottom to bottom), the empty meet
-    (top to top), then "join" and "meet" for each pair a <= b in element
-    order.  Pairs suffice on a finite lattice, because any union or
-    intersection is a fold of pairwise ones.
+    Join-irreducibles are join-prime and meet-irreducibles meet-prime in a
+    finite distributive lattice (Birkhoff), so both laws are decided per
+    open: every open a is the union of the minimal opens U_x over x in a,
+    and the intersection of the opens X - cl(x) over x not in a.  The empty
+    join breaks as ("join", 0), the empty meet as ("meet", full).
     """
-    table = m.table
-    if table[0] != 0:
-        yield ("empty join", 0, 0)
-    top = m.source.full
-    if table[top] != m.target.full:
-        yield ("empty meet", top, top)
-    elems = m.source.opens
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            if table[a | b] != (table[a] | table[b]):
-                yield ("join", a, b)
-            if table[a & b] != (table[a] & table[b]):
-                yield ("meet", a, b)
+    source, table = m.source, m.table
+    points = range(source.size)
+    at_rows = [table[source.minimal_open(x)] for x in points]
+    at_coclosures = [table[source.full ^ source.closure(1 << x)] for x in points]
+    for a in source.opens:
+        value = table[a]
+        join = 0
+        for x in bits(a):
+            join |= at_rows[x]
+        if value != join:
+            yield ("join", a)
+        meet = m.target.full
+        for x in bits(source.full ^ a):
+            meet &= at_coclosures[x]
+        if value != meet:
+            yield ("meet", a)
 
 
 def preserves_joins(m):
     """The table respects unions of every subset, the empty one included."""
-    return not any(kind.endswith("join") for kind, _, _ in _preservation_failures(m))
+    return not any(kind == "join" for kind, _ in _preservation_failures(m))
 
 
 def preserves_finite_meets(m):
-    """The table respects pairwise meets and the empty meet (top to top)."""
-    return not any(kind.endswith("meet") for kind, _, _ in _preservation_failures(m))
+    """The table respects finite intersections, the empty one (top to top) included."""
+    return not any(kind == "meet" for kind, _ in _preservation_failures(m))
 
 
 def continuous_to_lattice_map(psi):
@@ -86,11 +92,8 @@ def continuous_to_lattice_map(psi):
 def lattice_map_to_continuous(m):
     """Rebuild the point map P -> X from its preimage table; X must be sober.
 
-    X is the source of the table and P its target.  For each point p the
-    union of all opens whose image misses p has an irreducible closed
-    complement, and p goes to its unique generic point.  Once joins and
-    meets are preserved, the opens whose image holds p form a prime filter,
-    so the complement is irreducible and the map reproduces the table.
+    X is the source of the table and P its target.  A table that keeps joins
+    and meets passes every check of ``reconstruct`` on its values at U_x.
     """
     space_x, space_p = m.source, m.target
     if not space_x.is_sober():
@@ -99,13 +102,5 @@ def lattice_map_to_continuous(m):
     if witness is not None:
         raise PreservationFailure(
             f"table fails {witness[0]} preservation", witness=witness)
-    # on a sober space the irreducible closed sets are the point closures
-    generic = {space_x.closure(1 << x): x for x in range(space_x.size)}
-    assignment = []
-    for p in range(space_p.size):
-        u_p = 0
-        for u in space_x.opens:
-            if not m.table[u] >> p & 1:
-                u_p |= u
-        assignment.append(generic[space_x.full ^ u_p])
-    return ContinuousMap(space_p, space_x, assignment, validate=False)
+    values = {x: m.table[space_x.minimal_open(x)] for x in range(space_x.size)}
+    return reconstruct(IdealAssignment(space_x, values), space_p).psi

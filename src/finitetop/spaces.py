@@ -611,11 +611,13 @@ def space_from_edges(size, edges, labels=None):
 
 
 def hasse_dot(space):
-    """Render the cover diagram in DOT, one node per point, drawn direction."""
+    """Render the cover diagram in DOT, each label a quoted id with \\ and " escaped."""
+    ids = [str(space.label_of(x)).replace("\\", "\\\\").replace('"', '\\"')
+           for x in range(space.size)]
     lines = ["digraph hasse {"]
     for x in range(space.size):
-        lines.append(f'  "{space.label_of(x)}";')
+        lines.append(f'  "{ids[x]}";')
     for a, b in space.hasse_edges():
-        lines.append(f'  "{space.label_of(a)}" -> "{space.label_of(b)}";')
+        lines.append(f'  "{ids[a]}" -> "{ids[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

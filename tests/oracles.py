@@ -243,6 +243,29 @@ def random_monotone_table(rng, base, prim):
     return table
 
 
+def brute_preservation_failures(m):
+    """Yield (kind, a, b) for each join or meet a lattice map's table breaks.
+
+    The order is fixed: the empty join (bottom to bottom), the empty meet
+    (top to top), then "join" and "meet" for each pair a <= b in element
+    order.  Pairs suffice on a finite lattice, because any union or
+    intersection is a fold of pairwise ones.
+    """
+    table = m.table
+    if table[0] != 0:
+        yield ("empty join", 0, 0)
+    top = m.source.full
+    if table[top] != m.target.full:
+        yield ("empty meet", top, top)
+    elems = m.source.opens
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            if table[a | b] != (table[a] | table[b]):
+                yield ("join", a, b)
+            if table[a & b] != (table[a] & table[b]):
+                yield ("meet", a, b)
+
+
 def brute_meet_failures(space, table):
     """Every pair of opens (u, v) whose table values do not meet at u & v."""
     return [(u, v) for u in space.opens for v in space.opens

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -290,6 +291,22 @@ def test_hasse_edges_and_dot(tmp_path, capsys):
     code, out, _ = run(capsys, "hasse", chain, "--dot")
     assert code == 0
     assert out.startswith("digraph") and '"0" -> "1";' in out
+
+
+def test_hasse_dot_escapes_labels(tmp_path, capsys):
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    statement = re.compile(rf"  {quoted}(?: -> {quoted})?;")
+    opens = [[], [0], [0, 1]]
+    for points, body in (
+            (['a"b', "c\\"], ['"a\\"b"', '"c\\\\"']),
+            (["x", "y z"], ['"x"', '"y z"'])):
+        space = jfile(tmp_path, "s.json", {"size": 2, "opens": opens, "points": points})
+        code, out, _ = run(capsys, "hasse", space, "--dot")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:-1] == [f"  {body[0]};", f"  {body[1]};",
+                               f"  {body[0]} -> {body[1]};"]
+        assert all(statement.fullmatch(line) for line in lines[1:-1])
 
 
 def test_hasse_requires_t0(tmp_path, capsys):

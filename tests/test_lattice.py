@@ -6,8 +6,9 @@ from finitetop.errors import NotSober, PreservationFailure
 from finitetop.lattice import (LatticeMap, continuous_to_lattice_map,
                                lattice_map_to_continuous,
                                preserves_finite_meets, preserves_joins)
-from finitetop.spaces import ContinuousMap, FiniteSpace
-from oracles import random_continuous, random_poset_space
+from finitetop.spaces import ContinuousMap, FiniteSpace, bits
+from oracles import (brute_preservation_failures, random_continuous,
+                     random_monotone_table, random_poset_space, random_space)
 
 
 def test_lattice_map_totality():
@@ -89,21 +90,94 @@ def test_reconstruction_needs_sober_point_space():
 
 def test_reconstruction_rejects_broken_tables():
     p = FiniteSpace.point()
-    # the first failure in scan order: empty join, empty meet, then the
-    # join and the meet of each pair; in the discrete three-point space the
-    # pair (1, 2) breaks its meet before (1, 4) breaks its join
+    # the first failure in family order, "join" before "meet" at each open;
+    # the empty join fails at the empty open, the empty meet at the full one
     for x, table, first in (
-            (FiniteSpace.discrete(2), {0: 0, 1: 0, 2: 0, 3: 1}, ("join", 1, 2)),
+            (FiniteSpace.discrete(2), {0: 0, 1: 0, 2: 0, 3: 1}, ("join", 3)),
             (FiniteSpace.discrete(3),
-             {0: 0, 1: 1, 2: 1, 4: 0, 3: 1, 5: 0, 6: 0, 7: 1}, ("meet", 1, 2)),
-            (FiniteSpace.sierpinski(), {0: 1, 1: 1, 3: 1}, ("empty join", 0, 0)),
-            (FiniteSpace.discrete(2), {0: 0, 1: 0, 2: 0, 3: 0}, ("empty meet", 3, 3)),
+             {0: 0, 1: 1, 2: 1, 4: 0, 3: 1, 5: 0, 6: 0, 7: 1}, ("meet", 1)),
+            (FiniteSpace.sierpinski(), {0: 1, 1: 1, 3: 1}, ("join", 0)),
+            (FiniteSpace.discrete(2), {0: 0, 1: 0, 2: 0, 3: 0}, ("meet", 3)),
     ):
         m = LatticeMap(x, p, table)
         with pytest.raises(PreservationFailure) as err:
             lattice_map_to_continuous(m)
         assert err.value.details["witness"] == first
         assert str(err.value) == f"table fails {first[0]} preservation"
+
+
+def _random_table(rng, source, target, kind):
+    if kind == "monotone":
+        return random_monotone_table(rng, source, target)
+    if kind == "unions":
+        at_rows = [rng.choice(target.opens) for _ in range(source.size)]
+        table = {}
+        for a in source.opens:
+            table[a] = 0
+            for x in bits(a):
+                table[a] |= at_rows[x]
+        return table
+    # only an empty space maps into an empty source
+    if kind == "perturbed" and (source.size or not target.size):
+        table = continuous_to_lattice_map(
+            random_continuous(rng, target, source)).table
+        table[rng.choice(source.opens)] = rng.choice(target.opens)
+        return table
+    return {a: rng.choice(target.opens) for a in source.opens}
+
+
+def test_predicates_match_the_pair_scan():
+    rng = random.Random(101)
+    kinds = ("monotone", "unions", "arbitrary", "perturbed")
+    verdicts = set()
+    rebuilt = 0
+    for i in range(4000):
+        n = rng.randint(0, 5)
+        source = (random_poset_space if i // 4 % 2 else random_space)(rng, n)
+        target = random_poset_space(rng, rng.randint(0, 4))
+        m = LatticeMap(source, target, _random_table(rng, source, target, kinds[i % 4]))
+        failures = list(brute_preservation_failures(m))
+        joins = not any(kind.endswith("join") for kind, _, _ in failures)
+        meets = not any(kind.endswith("meet") for kind, _, _ in failures)
+        assert preserves_joins(m) == joins
+        assert preserves_finite_meets(m) == meets
+        verdicts.add((joins, meets))
+        if not source.is_sober():
+            continue
+        if joins and meets:
+            assert continuous_to_lattice_map(lattice_map_to_continuous(m)) == m
+            rebuilt += 1
+        else:
+            with pytest.raises(PreservationFailure):
+                lattice_map_to_continuous(m)
+    assert len(verdicts) == 4
+    assert rebuilt > 500
+
+
+class _CountingTable(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_preservation_reads_the_table_linearly():
+    x = FiniteSpace.discrete(8)
+    bound = len(x.opens) * (x.size + 2)
+    for predicate in (preserves_joins, preserves_finite_meets):
+        m = continuous_to_lattice_map(ContinuousMap.identity(x))
+        m.table = _CountingTable(m.table)
+        assert predicate(m)
+        assert 0 < m.table.reads <= bound
+
+
+def test_discrete_twelve_round_trips():
+    x = FiniteSpace.discrete(12)
+    psi = ContinuousMap.identity(x)
+    m = continuous_to_lattice_map(psi)
+    assert len(m.table) == 4096
+    assert lattice_map_to_continuous(m) == psi
 
 
 def test_collapse_to_closed_point():
