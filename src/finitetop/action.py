@@ -90,7 +90,7 @@ def restrict(action, y):
     prim_sub, prim_pts = action.prim.subspace(action.psi.preimage(y.carrier))
     assignment = [base_pos[action.psi(p)] for p in prim_pts]
     return ActionOverX(base_sub, prim_sub,
-                       ContinuousMap(prim_sub, base_sub, assignment, validate=False))
+                       ContinuousMap(prim_sub, base_sub, assignment))
 
 
 def is_tight(action):
@@ -176,8 +176,7 @@ def reconstruct(assign, prim):
         for p in bits(values[x]):
             below[p] |= 1 << x
     generic = {space.closure(1 << x): x for x in range(space.size)}
-    psi = ContinuousMap(prim, space, [generic[space.closure(b)] for b in below],
-                        validate=False)
+    psi = ContinuousMap(prim, space, [generic[space.closure(b)] for b in below])
     return ActionOverX(space, prim, psi)
 
 

@@ -147,7 +147,7 @@ def _cmd_complete(args):
     from .completion import build_yprime, neighborhood_filter_embedding
     space = jsonio.space_from_json(_read_json(args.space))
     completion = build_yprime(space)
-    emb = neighborhood_filter_embedding(space, completion)
+    emb = neighborhood_filter_embedding(completion)
     filters = [[indices(u) for u in sorted(p, key=family_key)]
                for p in completion.points]
     _emit({"space": jsonio.space_to_json(completion.space),

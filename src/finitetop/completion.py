@@ -12,8 +12,8 @@ their topology.  On a finite set the opens a subbasis generates are the
 unions of finite intersections of its members, so the minimal open around
 a filter F is the intersection of B_U over U in F, which is {G : G contains F}.
 A finite topology is the Alexandrov topology of its minimal opens, so the
-completion is the Alexandrov topology of filter inclusion, and both the
-filters and their opens come from ``alexandrov_topology``.
+completion is the space whose rows are filter inclusion, and the filters
+themselves are the up-sets of the inclusion order on the nonempty opens.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from .errors import (
     NotMonotone,
     NotOpen,
 )
-from .spaces import (MAX_POINTS, ContinuousMap, Preorder, alexandrov_topology,
-                     bits, family_key, mask_of)
+from .spaces import (MAX_POINTS, ContinuousMap, FiniteSpace, _up_sets, bits,
+                     family_key, mask_of)
 
 OPENS_CAP = 16
-COMPLETION_OPENS_CAP = 8192
 
 
 class CompletionSpace:
@@ -61,10 +60,11 @@ def _filter_key(contents):
 
 
 def _assemble(base, filters):
-    """Index the filters canonically and materialize their topology.
+    """Index the filters canonically and give them their topology.
 
     The minimal open around a filter is every filter containing it: the
-    intersection of its B_U, or all points for an empty family.
+    intersection of its B_U, or all points for an empty family.  These
+    rows {G : G contains F} are reflexive and transitive by construction.
     """
     points = sorted(map(frozenset, filters), key=_filter_key)
     basis = {u: mask_of(i for i, p in enumerate(points) if u in p)
@@ -75,8 +75,7 @@ def _assemble(base, filters):
         for u in p:
             row &= basis[u]
         rows.append(row)
-    space = alexandrov_topology(Preorder(len(points), rows, validate=False),
-                                cap=COMPLETION_OPENS_CAP)
+    space = FiniteSpace._from_rows(len(points), rows)
     return CompletionSpace(base, points, space, basis)
 
 
@@ -93,10 +92,9 @@ def build_yprime(base):
         raise CapExceeded(f"completion capped at {OPENS_CAP} base opens",
                           opens=k, cap=OPENS_CAP)
     nonempty = [u for u in base.opens if u]
-    inclusion = Preorder(len(nonempty),
-                         [mask_of(j for j, v in enumerate(nonempty) if u & ~v == 0)
-                          for u in nonempty], validate=False)
-    ups = alexandrov_topology(inclusion).opens
+    inclusion = [mask_of(j for j, v in enumerate(nonempty) if u & ~v == 0)
+                 for u in nonempty]
+    ups = _up_sets(inclusion)
     # the empty up-set is no filter; each filter becomes a point
     if len(ups) - 1 > MAX_POINTS:
         raise CapExceeded(f"completion capped at {MAX_POINTS} filters",
@@ -104,12 +102,10 @@ def build_yprime(base):
     return _assemble(base, [[nonempty[j] for j in bits(m)] for m in ups if m])
 
 
-def neighborhood_filter_embedding(base, completion=None):
-    """Send each point to the filter of opens around it: the lifted identity table."""
-    comp = completion if completion is not None else build_yprime(base)
-    if comp.base != base:
-        raise DomainMismatch("completion was built over a different space")
-    return from_discontinuous(comp, base, {u: u for u in base.opens}).psi
+def neighborhood_filter_embedding(completion):
+    """Send each base point to its filter of opens: the lifted identity table."""
+    base = completion.base
+    return from_discontinuous(completion, base, {u: u for u in base.opens}).psi
 
 
 def from_discontinuous(completion, prim, table):
@@ -130,9 +126,11 @@ def from_discontinuous(completion, prim, table):
     for u in base.opens:
         if not prim.is_open(table[u]):
             raise NotOpen(f"table value at {sorted(bits(u))} is not open in prim")
+    # every larger open is reached from u by adding one row at a time
     for u in base.opens:
-        for v in base.opens:
-            if u & ~v == 0 and table[u] & ~table[v]:
+        for x in bits(base.full & ~u):
+            v = u | base.rows[x]
+            if table[u] & ~table[v]:
                 raise NotMonotone(
                     f"table not monotone at {sorted(bits(u))} within {sorted(bits(v))}",
                     witness=(u, v))

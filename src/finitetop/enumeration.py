@@ -26,7 +26,7 @@ from .spaces import (
 )
 
 TOPOLOGY_CAP = 5
-T0_CAP = 7
+T0_CAP = 6
 CENSUS_CAP = 6
 CANONICAL_CAP = 8
 
@@ -84,7 +84,7 @@ def enumerate_labeled_topologies(n):
 
 
 def enumerate_labeled_t0(n):
-    """Every T0 topology on n labeled points, one per labeled partial order."""
+    """Every T0 topology on n labeled points, one per labeled partial order; n <= 6."""
     if n > T0_CAP:
         raise CapExceeded(f"T0 enumeration capped at {T0_CAP} points",
                           n=n, cap=T0_CAP)

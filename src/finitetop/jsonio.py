@@ -56,7 +56,7 @@ def _mask(value, size, what):
 
 
 def _labels(value, size):
-    """Display labels: None, or unique strings or integers, one per point."""
+    """Display labels: None, or strings or integers, one per point, unique as text."""
     if value is None:
         return None
     if not isinstance(value, list) or len(value) != size:
@@ -65,8 +65,8 @@ def _labels(value, size):
         if isinstance(label, bool) or not isinstance(label, (str, int)):
             raise InputFormatError(
                 f"point label {label!r} is not a string or an integer")
-    if len(set(value)) != size:
-        raise InputFormatError("point labels must be unique")
+    if len(set(map(str, value))) != size:
+        raise InputFormatError("point labels must be unique as text")
     return tuple(value)
 
 
@@ -83,8 +83,8 @@ def space_from_json(obj):
     {"size": n, "opens": [[0], [0, 1], ...]}  or
     {"preorder": {"size": n, "leq": [[x, y], ...]}}   (diagonal implied)
 
-    Either form may carry "points", a list of display labels: unique
-    strings or integers, one per point.
+    Either form may carry "points", a list of display labels: strings or
+    integers, one per point, no two with the same text.
     """
     obj = _obj(obj, "space")
     if "preorder" in obj:

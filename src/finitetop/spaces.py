@@ -200,8 +200,8 @@ class FiniteSpace:
         self.full = (1 << size) - 1
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != size or len(set(labels)) != size:
-                raise ValueError("labels must be unique and one per point")
+            if len(labels) != size or len(set(map(str, labels))) != size:
+                raise ValueError("labels must be unique as text and one per point")
         self.labels = labels
 
     @property
@@ -260,7 +260,7 @@ class FiniteSpace:
 
     def specialization(self):
         """Specialisation preorder; row x is {y : x <= y} = U_x."""
-        return Preorder(self.size, self.rows, validate=False)
+        return Preorder(self.size, self.rows)
 
     def is_t0(self):
         return len(set(self.rows)) == self.size
@@ -306,7 +306,7 @@ class FiniteSpace:
     def inclusion(self, s):
         """Subspace on mask s together with its inclusion map into this space."""
         sub, pts = self.subspace(s)
-        return sub, ContinuousMap(sub, self, pts, validate=False)
+        return sub, ContinuousMap(sub, self, pts)
 
     # -- locally closed sets ----------------------------------------------
 
@@ -429,24 +429,23 @@ class Preorder:
 
     __slots__ = ("size", "leq")
 
-    def __init__(self, size, rows, validate=True):
+    def __init__(self, size, rows):
         self.size = size
         self.leq = tuple(rows)
         if len(self.leq) != size:
             raise ValueError("need one relation row per point")
-        if validate:
-            full = (1 << size) - 1
-            for x, row in enumerate(self.leq):
-                if row & ~full:
-                    raise ValueError(f"row {x} mentions points outside 0..{size - 1}")
-                if not row >> x & 1:
-                    raise NotReflexive(f"{x} is not related to itself", point=x)
-            for x, row in enumerate(self.leq):
-                for y in bits(row):
-                    if self.leq[y] & ~row:
-                        z = next(bits(self.leq[y] & ~row))
-                        raise NotTransitive(
-                            f"{x}<={y} and {y}<={z} but not {x}<={z}", witness=(x, y, z))
+        full = (1 << size) - 1
+        for x, row in enumerate(self.leq):
+            if row & ~full:
+                raise ValueError(f"row {x} mentions points outside 0..{size - 1}")
+            if not row >> x & 1:
+                raise NotReflexive(f"{x} is not related to itself", point=x)
+        for x, row in enumerate(self.leq):
+            for y in bits(row):
+                if self.leq[y] & ~row:
+                    z = next(bits(self.leq[y] & ~row))
+                    raise NotTransitive(
+                        f"{x}<={y} and {y}<={z} but not {x}<={z}", witness=(x, y, z))
 
     def __eq__(self, other):
         return (isinstance(other, Preorder)
@@ -475,27 +474,28 @@ class Preorder:
             for x in range(size):
                 if rows[x] >> y & 1:
                     rows[x] |= rows[y]
-        return cls(size, rows, validate=False)
+        return cls(size, rows)
 
     @classmethod
     def discrete(cls, n):
-        return cls(n, [1 << x for x in range(n)], validate=False)
+        return cls(n, [1 << x for x in range(n)])
 
 
-def alexandrov_topology(pre, *, cap=OPEN_FAMILY_CAP):
+def alexandrov_topology(pre):
     """The space whose opens are all up-closed subsets of the preorder.
 
     Its rows are the preorder's rows, and its opens are listed on first
     use.  k classes of equivalent points allow at most 2 ** k opens; past
-    cap, the up-sets are counted, up to cap + 1, and CapExceeded refuses
-    more than cap of them before any open is built.  A count within cap
-    is exact, and the space keeps it.
+    OPEN_FAMILY_CAP, the up-sets are counted up to one more, and CapExceeded
+    refuses a count past the cap before any open is built.  A count within
+    the cap is exact, and the space keeps it.
     """
     count = None
-    if 1 << len(set(pre.leq)) > cap:
-        count = _up_set_count(pre.leq, cap)
-        if count > cap:
-            raise CapExceeded(f"Alexandrov topology exceeds {cap} opens", cap=cap)
+    if 1 << len(set(pre.leq)) > OPEN_FAMILY_CAP:
+        count = _up_set_count(pre.leq, OPEN_FAMILY_CAP)
+        if count > OPEN_FAMILY_CAP:
+            raise CapExceeded(f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens",
+                              cap=OPEN_FAMILY_CAP)
     return FiniteSpace._from_rows(pre.size, pre.leq, count=count)
 
 
@@ -504,7 +504,7 @@ class ContinuousMap:
 
     __slots__ = ("domain", "codomain", "assignment")
 
-    def __init__(self, domain, codomain, assignment, validate=True):
+    def __init__(self, domain, codomain, assignment):
         self.domain = domain
         self.codomain = codomain
         self.assignment = tuple(assignment)
@@ -512,12 +512,11 @@ class ContinuousMap:
             raise ValueError("need one image per domain point")
         if any(not 0 <= v < codomain.size for v in self.assignment):
             raise ValueError("image point out of range")
-        if validate:
-            # preimages keep unions, so the first open (family order) that fails is a row
-            for u in sorted(set(codomain.rows), key=family_key):
-                if not domain.is_open(self.preimage(u)):
-                    raise NotContinuous(
-                        f"preimage of open {sorted(bits(u))} is not open", witness=u)
+        # preimages keep unions, so the first open (family order) that fails is a row
+        for u in sorted(set(codomain.rows), key=family_key):
+            if not domain.is_open(self.preimage(u)):
+                raise NotContinuous(
+                    f"preimage of open {sorted(bits(u))} is not open", witness=u)
 
     def __eq__(self, other):
         return (isinstance(other, ContinuousMap)
@@ -542,15 +541,14 @@ class ContinuousMap:
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, range(space.size), validate=False)
+        return cls(space, space, range(space.size))
 
     def then(self, other):
         """Composition self followed by other."""
         if other.domain != self.codomain:
             raise DomainMismatch("composition needs matching middle space")
         return ContinuousMap(self.domain, other.codomain,
-                             [other.assignment[v] for v in self.assignment],
-                             validate=False)
+                             [other.assignment[v] for v in self.assignment])
 
     def is_injective(self):
         return len(set(self.assignment)) == self.domain.size

@@ -221,6 +221,63 @@ def brute_completion_opens(seeds, cap):
     return fam
 
 
+def brute_monotone_failure(base, table):
+    """The first pair of opens (u, v), u within v, whose values are not nested.
+
+    Every pair is scanned, u then v in family order; None for a monotone table.
+    """
+    for u in base.opens:
+        for v in base.opens:
+            if u & ~v == 0 and table[u] & ~table[v]:
+                return (u, v)
+    return None
+
+
+def _poset_key(rows):
+    """The least relabeled rows over orders that sort the points by key.
+
+    A point's key is (up-set size, down-set size); an isomorphism keeps
+    keys, so two posets get the same key exactly when they are isomorphic.
+    """
+    n = len(rows)
+    downs = [sum(1 << y for y in range(n) if rows[y] >> x & 1) for x in range(n)]
+    keys = [(rows[x].bit_count(), downs[x].bit_count()) for x in range(n)]
+    groups = [[x for x in range(n) if keys[x] == k] for k in sorted(set(keys))]
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, groups)):
+        order = [x for part in parts for x in part]
+        pos = {x: i for i, x in enumerate(order)}
+        relabeled = tuple(sum(1 << pos[y] for y in bits(rows[x])) for x in order)
+        if best is None or relabeled < best:
+            best = relabeled
+    return best
+
+
+def t0_bases_by_open_count(max_opens):
+    """{k: rows of each T0 space with k opens, one per homeomorphism class}.
+
+    Every poset has a minimal point, so each one grows from a smaller one by
+    a new minimal point p whose row is p plus an up-set S.  The up-sets of
+    the grown poset are the old ones, and p with each old one holding S, so
+    growth never lowers the count and stops past max_opens.
+    """
+    level = [((), [0])]  # the empty poset and its one up-set
+    found = {}
+    while level:
+        grown = {}
+        for rows, ups in level:
+            found.setdefault(len(ups), []).append(rows)
+            p = 1 << len(rows)
+            for s in ups:
+                above = [u for u in ups if s & ~u == 0]
+                if len(ups) + len(above) <= max_opens:
+                    new = rows + (s | p,)
+                    grown.setdefault(_poset_key(new),
+                                     (new, ups + [u | p for u in above]))
+        level = list(grown.values())
+    return found
+
+
 def random_monotone_table(rng, base, prim):
     """Monotone endpoint-fixing table O(base) -> O(prim).
 

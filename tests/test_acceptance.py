@@ -180,7 +180,7 @@ def test_c06_completion():
             table = random_monotone_table(rng, base, prim)
             act = from_discontinuous(comp, prim, table)
             assert to_discontinuous(comp, act) == table
-            iota = neighborhood_filter_embedding(base, comp)
+            iota = neighborhood_filter_embedding(comp)
             g = random_continuous(rng, prim, base)
             lifted = from_discontinuous(
                 comp, prim, {u: g.preimage(u) for u in base.opens})

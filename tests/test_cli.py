@@ -293,6 +293,16 @@ def test_hasse_edges_and_dot(tmp_path, capsys):
     assert out.startswith("digraph") and '"0" -> "1";' in out
 
 
+def test_hasse_dot_refuses_labels_that_print_alike(tmp_path, capsys):
+    # 1 and "1" would both print as the DOT node "1"
+    space = jfile(tmp_path, "s.json", {"size": 2, "opens": [[], [0], [0, 1]],
+                                       "points": [1, "1"]})
+    code, out, err = run(capsys, "hasse", space, "--dot")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input",
+                               "message": "point labels must be unique as text"}
+
+
 def test_hasse_dot_escapes_labels(tmp_path, capsys):
     quoted = r'"(?:[^"\\]|\\.)*"'
     statement = re.compile(rf"  {quoted}(?: -> {quoted})?;")

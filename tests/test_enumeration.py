@@ -83,7 +83,7 @@ def test_enumeration_caps():
     with pytest.raises(CapExceeded):
         enumerate_labeled_topologies(6)
     with pytest.raises(CapExceeded):
-        enumerate_labeled_t0(8)
+        enumerate_labeled_t0(7)
     with pytest.raises(CapExceeded):
         census(7)
     with pytest.raises(CapExceeded):
@@ -94,7 +94,7 @@ def test_enumeration_caps():
 
 @pytest.mark.parametrize("refused,cap", [
     (lambda: enumerate_labeled_topologies(6), TOPOLOGY_CAP),
-    (lambda: enumerate_labeled_t0(8), T0_CAP),
+    (lambda: enumerate_labeled_t0(7), T0_CAP),
     (lambda: canonical_form(FiniteSpace.discrete(9)), CANONICAL_CAP),
     (lambda: census(7), CENSUS_CAP),
     (lambda: build_yprime(FiniteSpace.chain(OPENS_CAP)), OPENS_CAP),

@@ -183,6 +183,24 @@ def test_private_helpers_have_callers():
     assert defined and idle == []
 
 
+def test_public_callables_take_no_switches():
+    # constructors always check and each construction has one cap, so no
+    # public function or method takes a validate or cap parameter
+    switches = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not re.match(r"_[^_]", node.name)):
+                    a = node.args
+                    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                    switches += [(path.name, node.name, p)
+                                 for p in sorted(names & {"validate", "cap"})]
+    assert switches == []
+
+
 def test_library_scans_no_power_set():
     # exhaustive subset scans are second routes; they live in tests/oracles.py
     scans = [(path.name, node.lineno) for path in MODULES
@@ -228,7 +246,6 @@ README_CAPS = {
     "topology built from a preorder": (spaces.OPEN_FAMILY_CAP, "opens"),
     "filter completion": (completion.OPENS_CAP, "base opens"),
     "filter completion filters": (spaces.MAX_POINTS, "filters"),
-    "filter completion topology": (completion.COMPLETION_OPENS_CAP, "opens"),
     "spaces read from JSON": (spaces.MAX_POINTS, "points"),
     "open lists read from JSON": (spaces.OPEN_FAMILY_CAP, "sets"),
     "groups read from JSON": (kjsonio.GENERATORS_CAP, "generators"),

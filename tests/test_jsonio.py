@@ -36,14 +36,14 @@ def test_space_labels():
 
 def test_space_label_errors():
     preorder = {"preorder": {"size": 2, "leq": [[1, 0]]}}
-    for labels in ([1, 1], [[1], [2]], ["a"], ["a", "b", "c"], [True, False],
-                   [1.5, 2], [None, "b"], [{"a": 1}, "b"]):
+    for labels in ([1, 1], [1, "1"], [[1], [2]], ["a"], ["a", "b", "c"],
+                   [True, False], [1.5, 2], [None, "b"], [{"a": 1}, "b"]):
         for base in (SIERPINSKI_JSON, preorder):
             with pytest.raises(InputFormatError):
                 jsonio.space_from_json(dict(base, points=labels))
-    # strings and integers may mix as long as they stay distinct
-    space = jsonio.space_from_json(dict(preorder, points=[1, "1"]))
-    assert space.labels == (1, "1")
+    # strings and integers may mix as long as they print differently
+    space = jsonio.space_from_json(dict(preorder, points=[1, "2"]))
+    assert space.labels == (1, "2")
 
 
 def test_space_from_preorder_form():

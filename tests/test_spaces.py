@@ -103,6 +103,9 @@ def test_labels_checked():
         validate_topology(2, [0, 1, 3], labels=("a",))
     with pytest.raises(ValueError):
         validate_topology(2, [0, 1, 3], labels=("a", "a"))
+    # labels print in DOT and JSON, so 1 and "1" are the same label
+    with pytest.raises(ValueError):
+        FiniteSpace.sierpinski().with_labels((1, "1"))
 
 
 # -- closure and interior --------------------------------------------------------
@@ -167,25 +170,22 @@ def test_opens_are_up_sets():
             assert all(rows[x] & ~u == 0 for x in bits(u))
 
 
-def test_alexandrov_open_cap():
-    # an antichain exactly at the cap passes
-    assert len(alexandrov_topology(Preorder.discrete(3), cap=8).opens) == 8
-    # one point more: 2 ** 4 opens, refused before any open is built
-    with pytest.raises(CapExceeded) as err:
-        alexandrov_topology(Preorder.discrete(4), cap=8)
-    assert err.value.details == {"cap": 8}
-    assert str(err.value) == "Alexandrov topology exceeds 8 opens"
-    # a 2-chain beside two points: 3 * 2 * 2 = 12 opens
-    with pytest.raises(CapExceeded) as err:
-        alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1001]), cap=8)
-    assert err.value.details == {"cap": 8}
-    # three maximal points over one point: 2 ** 3 + 1 = 9 opens, one too many
-    with pytest.raises(CapExceeded) as err:
-        alexandrov_topology(Preorder(4, [0b0001, 0b0010, 0b0100, 0b1111]), cap=8)
-    assert err.value.details == {"cap": 8}
-    assert str(err.value) == "Alexandrov topology exceeds 8 opens"
-    assert len(alexandrov_topology(
-        Preorder(4, [0b0001, 0b0010, 0b0100, 0b1111]), cap=9).opens) == 9
+def test_alexandrov_open_cap(monkeypatch):
+    # the count stops at cap + 1: an antichain exactly at the cap is exact
+    assert spaces._up_set_count(Preorder.discrete(3).leq, 8) == 8
+    # one point more: 2 ** 4 up-sets, counted to 9
+    assert spaces._up_set_count(Preorder.discrete(4).leq, 8) == 9
+    # a 2-chain beside two points: 3 * 2 * 2 = 12 up-sets
+    assert spaces._up_set_count((0b0001, 0b0010, 0b0100, 0b1001), 8) == 9
+    # three maximal points over one point: 2 ** 3 + 1 = 9 up-sets
+    fan = (0b0001, 0b0010, 0b0100, 0b1111)
+    assert spaces._up_set_count(fan, 8) == 9
+    assert spaces._up_set_count(fan, 9) == 9
+    # a 20-point antichain sits exactly at the cap: admitted, and left unlisted
+    refuse_listing(monkeypatch)
+    antichain = alexandrov_topology(Preorder.discrete(20))
+    assert antichain.open_count() == OPEN_FAMILY_CAP
+    assert antichain._opens is None
 
 
 def refuse_listing(monkeypatch):
@@ -205,9 +205,8 @@ def test_alexandrov_bound_multiplies_components(monkeypatch):
     with pytest.raises(CapExceeded) as err:
         alexandrov_topology(Preorder(33, rows))
     assert err.value.details == {"cap": OPEN_FAMILY_CAP}
-    two_chains = alexandrov_topology(Preorder(6, rows[:6]), cap=16)
-    assert two_chains.open_count() == 16
-    assert two_chains._opens is None
+    assert str(err.value) == f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens"
+    assert spaces._up_set_count(rows[:6], 16) == 16
 
 
 def bipartite(rng, low, high):
