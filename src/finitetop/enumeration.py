@@ -1,23 +1,37 @@
 """Exhaustive generation and classification of small finite spaces.
 
-Spaces are generated one labeled preorder at a time, by row-by-row
-extension of relation matrices, and each preorder's rows are the minimal
-opens of its Alexandrov topology.  A finite space is determined by its T0
-quotient and the size of each class of points with equal minimal opens,
-so classification up to homeomorphism goes through one canonical byte
-encoding of the quotient: cover edges minimised over relabelings, with
-point invariants and class sizes keeping the permutation set small.
+A finite space is its specialisation preorder, and a preorder is its T0
+quotient, a poset, with the size of each class of points with equal
+minimal opens.  Classification up to homeomorphism is therefore an
+isomorphism test of posets whose points carry class sizes; it goes through
+one canonical byte encoding: the cover edges of the quotient minimised
+over the relabelings that keep point invariants in order.  Points with
+equal upper and lower covers (twins) are interchangeable, so the search
+tries each twin class in one order only, and the relabelings that reach
+the minimum count the automorphisms.
+
+The census grows classes, not labelings: every poset on k + 1 points is a
+poset on k points with a new maximal point above one of its down-sets, and
+one representative per canonical form is kept.  A space on n points is a
+poset on k <= n points with a composition s of n into k class sizes, and
+its class holds n! / (prod s_i! * |Aut_s|) labeled spaces, Aut_s being the
+automorphisms that keep the sizes.  Labeled spaces are generated one
+preorder at a time, by row-by-row extension of relation matrices, for the
+labeled listings alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from math import factorial, prod
 
 from .errors import CapExceeded
 from .spaces import (
     FiniteSpace,
     Preorder,
+    _components,
+    _down,
     _up_sets,
     alexandrov_topology,
     bits,
@@ -27,8 +41,15 @@ from .spaces import (
 
 TOPOLOGY_CAP = 5
 T0_CAP = 6
-CENSUS_CAP = 6
-CANONICAL_CAP = 8
+CENSUS_CAP = 7
+# one step per point and per cover edge of each order tried; no space on
+# 8 points needs more than 8! * (8 + 16) = 967,680
+RELABELING_CAP = 1 << 20
+
+
+def _require_nonnegative(n):
+    if n < 0:
+        raise ValueError(f"point count must be nonnegative, got {n}")
 
 
 # -- generation by relation-matrix extension --------------------------------
@@ -69,8 +90,7 @@ def _extend_relations(n, t0, rows, downs):
 
 def _labeled_spaces(n, t0=False):
     """Spaces on points 0..n-1, one per labeled preorder (partial order if t0)."""
-    if n < 0:
-        raise ValueError(f"point count must be nonnegative, got {n}")
+    _require_nonnegative(n)
     return (FiniteSpace._from_rows(n, rows)
             for rows in _extend_relations(n, t0, [], []))
 
@@ -93,55 +113,110 @@ def enumerate_labeled_t0(n):
 
 # -- classification up to homeomorphism --------------------------------------
 
+def _twin_orders(classes):
+    """Yield every order of the points of classes that lists each class ascending."""
+    if not any(classes):
+        yield ()
+        return
+    for c, members in enumerate(classes):
+        if members:
+            rest = [*classes[:c], members[1:], *classes[c + 1:]]
+            for tail in _twin_orders(rest):
+                yield (members[0], *tail)
+
+
+def _canonical(rows, sizes):
+    """(canonical form, |Aut_s|) of a poset, as up-set rows, with class sizes.
+
+    Points are ordered by their invariants (up-set, down-set, lower and
+    upper cover counts, class size) and the cover matrix is minimised over
+    the orders inside each group of equal invariants.  Two points of one
+    group with equal upper and lower covers are twins: swapping them is an
+    automorphism, so only orders listing each twin class ascending are
+    tried.  Two orders reach the minimum iff they differ by an automorphism,
+    so the orders that reach it, times the orders of each twin class, count
+    the automorphisms.  Each order costs a step per point and per cover
+    edge; the steps are counted before the search, which refuses past
+    RELABELING_CAP of them.
+    """
+    n = len(rows)
+    strict = [row & ~(1 << x) for x, row in enumerate(rows)]
+    upper, below, down = [0] * n, [[] for _ in rows], [1] * n
+    for x in range(n):
+        above = 0  # points over a point strictly above x: not covers
+        for z in bits(strict[x]):
+            above |= strict[z]
+            down[z] += 1
+        upper[x] = strict[x] & ~above
+        for a in bits(upper[x]):
+            below[a].append(x)
+    keys = [(rows[x].bit_count(), down[x], len(below[x]), upper[x].bit_count(),
+             sizes[x]) for x in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+    choices, orders, twins = [], 1, 1
+    for _, group in itertools.groupby(order, key=keys.__getitem__):
+        group = tuple(group)
+        # a lone point has one order; building its twin key anyway made
+        # random queries about 40% slower
+        if len(group) == 1:
+            choices.append((group,))
+            continue
+        classes = {}
+        for x in group:
+            classes.setdefault((upper[x], *below[x]), []).append(x)
+        classes = list(classes.values())
+        swaps = prod(factorial(len(c)) for c in classes)
+        orders *= factorial(len(group)) // swaps
+        twins *= swaps
+        choices.append(_twin_orders(classes))
+    steps = orders * (n + sum(map(len, below)))
+    if steps > RELABELING_CAP:
+        raise CapExceeded(
+            f"canonical form capped at {RELABELING_CAP} relabeling steps",
+            orders=orders, steps=steps, cap=RELABELING_CAP)
+    best, hits = None, 0
+    for combo in itertools.product(*choices):
+        placed = [x for part in combo for x in part]
+        bit = [0] * n
+        for pos, x in enumerate(placed):
+            bit[x] = 1 << pos
+        cand = [sum([bit[y] for y in below[x]]) for x in placed]
+        if best is None or cand < best:
+            best, hits = cand, 1
+        elif cand == best:
+            hits += 1
+    width = (n + 7) // 8
+    form = bytes([n, *(v for x in order for v in keys[x])])
+    return form + b"".join(r.to_bytes(width, "big") for r in best), hits * twins
+
+
 def canonical_form(space):
     """Byte encoding equal for two spaces iff they are homeomorphic.
 
     A finite space is its T0 quotient with the size of each class of equal
     rows.  The encoding is the quotient size, the sorted point invariants
     (up-set, down-set, out-degree, in-degree, class size), then the least
-    cover-edge adjacency matrix over relabelings that keep them in order.
+    cover-edge adjacency matrix over relabelings that keep them in order,
+    each row (n + 7) // 8 bytes, big-endian.  Past RELABELING_CAP steps,
+    a step per point and per cover edge of each relabeling to try, it
+    raises CapExceeded.
     """
-    if space.size > CANONICAL_CAP:
-        raise CapExceeded(f"canonical form capped at {CANONICAL_CAP} points",
-                          n=space.size, cap=CANONICAL_CAP)
-    quotient, sizes = space, [1] * space.size
+    rows, sizes = space.rows, [1] * space.size
     if not space.is_t0():
         # the subspace on the first point of each class is the quotient
-        distinct = dict.fromkeys(space.rows)
-        quotient = space.subspace(mask_of(space.rows.index(r) for r in distinct))[0]
-        sizes = [space.rows.count(r) for r in distinct]
-    n, rows = quotient.size, quotient.rows
-    adj, indeg, down = [0] * n, [0] * n, [0] * n
-    for a, b in quotient.hasse_edges():
-        adj[a] |= 1 << b
-        indeg[b] += 1
-    for row in rows:
-        for x in bits(row):
-            down[x] += 1
-    keys = [(rows[x].bit_count(), down[x], adj[x].bit_count(), indeg[x], sizes[x])
-            for x in range(n)]
-    order = sorted(range(n), key=lambda x: keys[x])
-    groups = [list(g) for _, g in itertools.groupby(order, key=lambda x: keys[x])]
-    sig = b"".join(bytes(keys[x]) for x in order)
-    best = b"\xff" * n  # no encoding is larger: a row of at most 8 points fits a byte
-    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
-        perm = [0] * n
-        for pos, x in enumerate(itertools.chain.from_iterable(combo)):
-            perm[x] = pos
-        new_rows = [0] * n
-        for x in range(n):
-            r = 0
-            for y in bits(adj[x]):
-                r |= 1 << perm[y]
-            new_rows[perm[x]] = r
-        best = min(best, bytes(new_rows))
-    return bytes([n]) + sig + best
+        distinct = dict.fromkeys(rows)
+        sizes = [rows.count(r) for r in distinct]
+        rows = space.subspace(mask_of(rows.index(r) for r in distinct))[0].rows
+    return _canonical(rows, sizes)[0]
 
 
 def space_from_canonical(form):
     """The quotient with each point expanded into consecutive points of one class."""
     n = form[0]
-    sizes, adj = form[5:1 + 5 * n:5], form[1 + 5 * n:]
+    width = (n + 7) // 8
+    sizes, matrix = form[5:1 + 5 * n:5], form[1 + 5 * n:]
+    adj = [int.from_bytes(matrix[i * width:(i + 1) * width], "big")
+           for i in range(n)]
     cls = [i for i, size in enumerate(sizes) for _ in range(size)]
     pairs = [(x, y) for x, i in enumerate(cls) for y, j in enumerate(cls)
              if i == j or adj[j] >> i & 1]
@@ -163,18 +238,59 @@ class CensusRow(namedtuple("CensusRow", "n connected t0 labeled_count classes"))
         return len(self.classes)
 
 
+def _poset_classes(n):
+    """For k = 0..n, the rows of one poset per class on k points.
+
+    Each poset on k + 1 points is a poset on k points with a new maximal
+    point above one of its down-sets (the up-sets of the opposite order).
+    """
+    levels = [[()]]
+    for k in range(n):
+        bit = 1 << k
+        grown = {}
+        for rows in levels[-1]:
+            downs = [_down(rows, 1 << x) for x in range(k)]
+            for d in _up_sets(downs):
+                new = tuple(r | bit if d >> y & 1 else r
+                            for y, r in enumerate(rows)) + (bit,)
+                grown.setdefault(_canonical(new, (1,) * (k + 1))[0], new)
+        levels.append(list(grown.values()))
+    return levels
+
+
+def _compositions(n, k):
+    """Every way to write n as an ordered sum of k positive parts."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        ends = (0, *cuts, n)
+        yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
 def census(n, connected=False, t0=False):
-    """Count labeled spaces passing the filters and list their classes."""
+    """Count labeled spaces passing the filters and list their classes.
+
+    The classes come from the posets on at most n points, with a
+    composition of n into class sizes when t0 is off; each class adds
+    n! / (prod s_i! * |Aut_s|) labeled spaces.
+    """
+    _require_nonnegative(n)
     if n > CENSUS_CAP:
         raise CapExceeded(f"census capped at {CENSUS_CAP} points", n=n,
                           cap=CENSUS_CAP)
-    count = 0
-    forms = set()
-    for space in _labeled_spaces(n, t0=t0):
-        if connected and not space.is_connected():
-            continue
-        count += 1
-        forms.add(canonical_form(space))
+    levels = _poset_classes(n)
+    count, forms = 0, set()
+    for k in ([n] if t0 else range(n + 1)):
+        for rows in levels[k]:
+            if connected and len(_components(rows)) != 1:
+                continue
+            for sizes in _compositions(n, k):
+                form, aut = _canonical(rows, sizes)
+                if form not in forms:
+                    forms.add(form)
+                    count += factorial(n) // (prod(map(factorial, sizes)) * aut)
     return CensusRow(n, connected, t0, count, tuple(sorted(forms)))
 
 

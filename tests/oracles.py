@@ -9,6 +9,7 @@ import itertools
 from math import gcd
 
 from finitetop.completion import _assemble
+from finitetop.enumeration import CensusRow, _labeled_spaces
 from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               NotClosedUnderIntersection, NotClosedUnderUnion,
                               NotContinuous)
@@ -193,6 +194,56 @@ def homeomorphism_oracle(x1, x2):
         if image == fam2:
             return True
     return False
+
+
+def brute_canonical_form(space):
+    """canonical_form by trying every order inside each group of point keys.
+
+    Same encoding, no twin classes and no relabeling cap: every
+    permutation of every group is tried (rows wider than 8 points take
+    (n + 7) // 8 bytes each, big-endian).
+    """
+    quotient, sizes = space, [1] * space.size
+    if not space.is_t0():
+        distinct = dict.fromkeys(space.rows)
+        quotient = space.subspace(mask_of(space.rows.index(r) for r in distinct))[0]
+        sizes = [space.rows.count(r) for r in distinct]
+    n, rows = quotient.size, quotient.rows
+    adj, indeg, down = [0] * n, [0] * n, [0] * n
+    for a, b in quotient.hasse_edges():
+        adj[a] |= 1 << b
+        indeg[b] += 1
+    for row in rows:
+        for x in bits(row):
+            down[x] += 1
+    keys = [(rows[x].bit_count(), down[x], adj[x].bit_count(), indeg[x], sizes[x])
+            for x in range(n)]
+    order = sorted(range(n), key=lambda x: keys[x])
+    groups = [list(g) for _, g in itertools.groupby(order, key=lambda x: keys[x])]
+    sig = b"".join(bytes(keys[x]) for x in order)
+    width = (n + 7) // 8
+    best = None
+    for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
+        perm = [0] * n
+        for pos, x in enumerate(itertools.chain.from_iterable(combo)):
+            perm[x] = pos
+        new_rows = [0] * n
+        for x in range(n):
+            new_rows[perm[x]] = sum(1 << perm[y] for y in bits(adj[x]))
+        enc = b"".join(r.to_bytes(width, "big") for r in new_rows)
+        best = enc if best is None else min(best, enc)
+    return bytes([n]) + sig + best
+
+
+def labeled_census(n, connected=False, t0=False):
+    """census(n, connected, t0) by visiting every labeled space (small n only)."""
+    count, forms = 0, set()
+    for space in _labeled_spaces(n, t0=t0):
+        if connected and not space.is_connected():
+            continue
+        count += 1
+        forms.add(brute_canonical_form(space))
+    return CensusRow(n, connected, t0, count, tuple(sorted(forms)))
 
 
 def build_power_space(base):

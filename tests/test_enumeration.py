@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from finitetop.completion import OPENS_CAP, build_yprime
-from finitetop.enumeration import (CANONICAL_CAP, CENSUS_CAP, T0_CAP,
+from finitetop.enumeration import (CENSUS_CAP, RELABELING_CAP, T0_CAP,
                                    TOPOLOGY_CAP, are_homeomorphic,
                                    canonical_form, census, connected_catalog,
                                    enumerate_labeled_t0,
@@ -14,28 +15,30 @@ from finitetop import spaces
 from finitetop.errors import CapExceeded
 from finitetop.spaces import (MAX_POINTS, FiniteSpace, Preorder,
                               alexandrov_topology, bits, space_from_edges)
-from oracles import (homeomorphism_oracle, permuted_space, random_poset_space,
+from oracles import (brute_canonical_form, homeomorphism_oracle,
+                     labeled_census, permuted_space, random_poset_space,
                      random_space, topologies_by_family_filter)
 
-# labeled topologies (OEIS A000798) and labeled T0 topologies, which are
-# the labeled partial orders (A001035), by point count
-TOPOLOGY_COUNTS = [1, 1, 4, 29, 355, 6942]
-T0_COUNTS = [1, 1, 3, 19, 219, 4231]
+# labeled topologies (OEIS A000798), labeled T0 topologies, which are the
+# labeled partial orders (A001035), and connected labeled partial orders
+# (A001927), by point count
+TOPOLOGY_COUNTS = [1, 1, 4, 29, 355, 6942, 209527, 9535241]
+T0_COUNTS = [1, 1, 3, 19, 219, 4231, 130023, 6129859]
+CONNECTED_T0_COUNTS = [0, 1, 2, 12, 146, 3060, 101642, 5106612]
 
 # homeomorphism classes: all (A001930), T0 (posets, A000112) and
 # connected T0 (connected posets, A000608)
-CLASS_COUNTS = [1, 1, 3, 9, 33, 139]
-T0_CLASS_COUNTS = [1, 1, 2, 5, 16, 63]
+CLASS_COUNTS = [1, 1, 3, 9, 33, 139, 718, 4535]
+T0_CLASS_COUNTS = [1, 1, 2, 5, 16, 63, 318, 2045]
 # the empty space has no components, so it does not count as connected;
-# A000608 starts with 1 there
-CONNECTED_T0_CLASS_COUNTS = [0, 1, 1, 3, 10, 44]
+# A000608 and A001927 start with 1 there
+CONNECTED_T0_CLASS_COUNTS = [0, 1, 1, 3, 10, 44, 238, 1650]
 
 
 def test_labeled_counts_frozen():
-    for n, want in enumerate(TOPOLOGY_COUNTS):
-        assert len(enumerate_labeled_topologies(n)) == want
-    for n, want in enumerate(T0_COUNTS):
-        assert len(enumerate_labeled_t0(n)) == want
+    for n in range(6):
+        assert len(enumerate_labeled_topologies(n)) == TOPOLOGY_COUNTS[n]
+        assert len(enumerate_labeled_t0(n)) == T0_COUNTS[n]
 
 
 def test_census_builds_no_open_family(monkeypatch):
@@ -79,24 +82,49 @@ def test_enumeration_refuses_negative_point_counts():
             route(-1)
 
 
+def two_chains(k):
+    """k disjoint 2-chains: no twins, so k! * k! orders to try."""
+    return space_from_edges(2 * k, [(2 * i + 1, 2 * i) for i in range(k)])
+
+
 def test_enumeration_caps():
     with pytest.raises(CapExceeded):
         enumerate_labeled_topologies(6)
     with pytest.raises(CapExceeded):
         enumerate_labeled_t0(7)
     with pytest.raises(CapExceeded):
-        census(7)
+        census(8)
+    # 9! * 9! orders, counted before any is tried
+    with pytest.raises(CapExceeded) as err:
+        canonical_form(two_chains(9))
+    # each order relabels 18 points and 9 cover edges
+    assert err.value.details == {"orders": 362880 ** 2, "steps": 362880 ** 2 * 27,
+                                 "cap": RELABELING_CAP}
+    perm = list(range(18))
+    random.Random(5).shuffle(perm)
     with pytest.raises(CapExceeded):
-        canonical_form(FiniteSpace.discrete(9))
-    with pytest.raises(CapExceeded):
-        are_homeomorphic(FiniteSpace.discrete(9), FiniteSpace.chaotic(9))
+        are_homeomorphic(two_chains(9), permuted_space(two_chains(9), perm))
+    # five 2-chains try 5! * 5! orders, under the cap
+    assert canonical_form(two_chains(5))[0] == 10
+    # beside a complete bipartite block of 10 + 10 twins the same 14,400
+    # orders each relabel 30 points and 105 cover edges, past the cap; built
+    # from rows, since its open family has 2,047 * 3^5 members
+    # point 2i lies below 2i + 1, and each of 10..19 below all of 20..29
+    tops = sum(1 << x for x in range(20, 30))
+    wide = FiniteSpace._from_rows(30, [1 << x | 1 << (x | 1) for x in range(10)]
+                                  + [1 << x | tops for x in range(10, 20)]
+                                  + [1 << x for x in range(20, 30)])
+    with pytest.raises(CapExceeded) as err:
+        canonical_form(wide)
+    assert err.value.details == {"orders": 14400, "steps": 14400 * 135,
+                                 "cap": RELABELING_CAP}
 
 
 @pytest.mark.parametrize("refused,cap", [
     (lambda: enumerate_labeled_topologies(6), TOPOLOGY_CAP),
     (lambda: enumerate_labeled_t0(7), T0_CAP),
-    (lambda: canonical_form(FiniteSpace.discrete(9)), CANONICAL_CAP),
-    (lambda: census(7), CENSUS_CAP),
+    (lambda: canonical_form(two_chains(9)), RELABELING_CAP),
+    (lambda: census(8), CENSUS_CAP),
     (lambda: build_yprime(FiniteSpace.chain(OPENS_CAP)), OPENS_CAP),
     (lambda: FiniteSpace(MAX_POINTS + 1, [0]), MAX_POINTS),
 ], ids=["topologies", "t0", "canonical-form",
@@ -140,6 +168,66 @@ def test_canonical_form_roundtrip():
         row = census(n)
         for form in row.classes:
             assert canonical_form(space_from_canonical(form)) == form
+
+
+def test_canonical_form_matches_brute_search_labeled():
+    # twin classes tried in one order each give the bytes of every order
+    for n in range(6):
+        for space in enumerate_labeled_topologies(n):
+            assert canonical_form(space) == brute_canonical_form(space)
+
+
+def test_canonical_form_matches_brute_search_random():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        space = random_poset_space(rng, n) if rng.random() < 0.5 else random_space(rng, n)
+        assert canonical_form(space) == brute_canonical_form(space)
+
+
+def shapes(n):
+    """Antichain, fan (one point below the rest), cofan and chain on n points.
+
+    Built from their rows: past 20 points the first three have more opens
+    than alexandrov_topology lists, and the canonical form reads rows only.
+    """
+    full = (1 << n) - 1
+    rows = {"antichain": [1 << x for x in range(n)],
+            "fan": [full] + [1 << x for x in range(1, n)],
+            "cofan": [1] + [1 | 1 << x for x in range(1, n)],
+            "chain": [full & ~((1 << x) - 1) for x in range(n)]}
+    return {name: FiniteSpace._from_rows(n, r) for name, r in rows.items()}
+
+
+def relabeled(space, perm):
+    rows = [0] * space.size
+    for x, row in enumerate(space.rows):
+        rows[perm[x]] = sum(1 << perm[y] for y in bits(row))
+    return FiniteSpace._from_rows(space.size, rows)
+
+
+@pytest.mark.parametrize("n", [9, 20, 63])
+def test_are_homeomorphic_past_eight_points(n):
+    rng = random.Random(n)
+    found = shapes(n)
+    for name, space in found.items():
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert are_homeomorphic(space, relabeled(space, perm)), name
+    forms = [canonical_form(space) for space in found.values()]
+    assert len(set(forms)) == len(forms)
+    assert all(len(f) == 1 + 5 * n + n * ((n + 7) // 8) for f in forms)
+
+
+def test_space_from_canonical_past_eight_points():
+    rng = random.Random(17)
+    poset = random_poset_space(rng, 12)
+    # four points of the poset become classes of two
+    space = blown_up(poset, [2] * 4 + [1] * 8)
+    form = canonical_form(space)
+    back = space_from_canonical(form)
+    assert back.size == 16 and canonical_form(back) == form
+    assert form == brute_canonical_form(space)
 
 
 def blown_up(poset, sizes):
@@ -187,33 +275,42 @@ def test_are_homeomorphic_cheap_rejections():
 # -- census -----------------------------------------------------------------------
 
 
+def assert_census_matches_oeis(n):
+    row = census(n)
+    assert (row.class_count(), row.labeled_count) == (CLASS_COUNTS[n], TOPOLOGY_COUNTS[n])
+    row = census(n, t0=True)
+    assert (row.class_count(), row.labeled_count) == (T0_CLASS_COUNTS[n], T0_COUNTS[n])
+    row = census(n, connected=True, t0=True)
+    assert (row.class_count(), row.labeled_count) == (
+        CONNECTED_T0_CLASS_COUNTS[n], CONNECTED_T0_COUNTS[n])
+
+
 def test_census_class_counts_frozen():
-    for n in range(6):
-        assert census(n).class_count() == CLASS_COUNTS[n]
-        assert census(n).labeled_count == TOPOLOGY_COUNTS[n]
-        assert census(n, t0=True).class_count() == T0_CLASS_COUNTS[n]
-        assert census(n, t0=True).labeled_count == T0_COUNTS[n]
-        assert (census(n, connected=True, t0=True).class_count()
-                == CONNECTED_T0_CLASS_COUNTS[n])
+    for n in range(7):
+        assert_census_matches_oeis(n)
 
 
 def test_census_labeled_connected_counts():
-    # reference values from the exponential-formula recurrence over posets
+    # the exponential formula: a labeled poset is a set of connected ones
+    # on the blocks of a partition of its points
+    for n in range(1, len(T0_COUNTS)):
+        split = sum(math.comb(n - 1, k - 1) * CONNECTED_T0_COUNTS[k] * T0_COUNTS[n - k]
+                    for k in range(1, n + 1))
+        assert split == T0_COUNTS[n]
     assert census(3, connected=True, t0=True).labeled_count == 12
     assert census(4, connected=True, t0=True).labeled_count == 146
     assert census(5, connected=True, t0=True).labeled_count == 3060
 
 
+@pytest.mark.parametrize("n", [*range(6), pytest.param(6, marks=pytest.mark.slow)])
+def test_class_census_matches_labeled_census(n):
+    for connected, t0 in itertools.product((False, True), repeat=2):
+        assert census(n, connected, t0) == labeled_census(n, connected, t0)
+
+
 @pytest.mark.slow
-def test_census_six_points():
-    assert census(6).class_count() == 718
-    assert census(6).labeled_count == 209527
-    row = census(6, t0=True)
-    assert row.class_count() == 318
-    assert row.labeled_count == 130023
-    conn = census(6, connected=True, t0=True)
-    assert conn.class_count() == 238
-    assert conn.labeled_count == 101642
+def test_census_seven_points():
+    assert_census_matches_oeis(7)
 
 
 # -- the printed catalog -----------------------------------------------------------

@@ -5,7 +5,11 @@ random JSON, or random JSON outright; one seed document repeats a key.  Whatever
 return 0, 1 or 2 (argparse exits with 2), write JSON to standard error
 when it returns 1, and let no exception escape.  Sizes stay small so each
 call is cheap: integers lie in -2..6, ``complete`` sees at most 3 points
-and ``enumerate`` at most 4.
+and ``enumerate`` at most 4, apart from seeds the caps refuse before any
+work (a five-point discrete base with 32 opens for ``complete``, eight
+points for ``enumerate``).  The canonical form has no command of its own,
+so its relabeling refusal is fuzzed in the library: spaces near the cap,
+as they are or with a few order pairs dropped or added.
 """
 
 import contextlib
@@ -17,8 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetop.cli import main
+from finitetop.enumeration import (RELABELING_CAP, canonical_form,
+                                   space_from_canonical)
+from finitetop.errors import CapExceeded
 from finitetop.kjsonio import datum_to_json
-from finitetop.spaces import FiniteSpace
+from finitetop.spaces import FiniteSpace, Preorder, alexandrov_topology
 from fixtures import constant_zero_datum, point_count_datum
 
 KEYS = ("size", "opens", "points", "preorder", "leq", "base", "prim", "psi",
@@ -87,7 +94,9 @@ NINTH = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 1, 2], [1, 3],
 V_SHAPE = {"preorder": {"size": 3, "leq": [[0, 1], [2, 1]]}}
 SPACES = [SIERPINSKI, NINTH, V_SHAPE,
           {"size": 2, "opens": [[], [0, 1]]}, Twice(SIERPINSKI)]
-SMALL_SPACES = [SIERPINSKI, V_SHAPE, {"size": 3, "opens": [[], [0], [0, 1, 2]]}]
+# five unrelated points have 32 opens, past the 16-open cap of complete
+SMALL_SPACES = [{"preorder": {"size": 5}}, SIERPINSKI, V_SHAPE,
+                {"size": 3, "opens": [[], [0], [0, 1, 2]]}]
 ACTIONS = [{"base": NINTH, "prim": NINTH, "psi": [0, 1, 2, 3]},
            {"base": SIERPINSKI, "prim": V_SHAPE, "psi": [1, 0, 1]}]
 ASSIGNMENTS = [{"base": NINTH, "prim": NINTH,
@@ -118,8 +127,8 @@ def command(draw):
         flags = draw(st.lists(st.sampled_from(
             ("--connected", "--t0", "--up-to-homeo", "--table", "--json")),
             unique=True, max_size=4))
-        points = str(draw(st.integers(-2, 4)))
-        return ["enumerate", "--points", points, *flags], []
+        points = draw(st.integers(-2, 4) | st.just(8))
+        return ["enumerate", "--points", str(points), *flags], []
     if kind in ("validate", "info", "soberify", "hasse"):
         extra = ["--dot"] if kind == "hasse" and draw(st.booleans()) else []
         return [kind, "{0}", *extra], [draw(mutated(SPACES))]
@@ -171,3 +180,34 @@ def test_cli_survives_bounded_fuzz(workdir, case):
     assert code in (0, 1, 2), (argv, docs)
     if code == 1:
         json.loads(err.getvalue())
+
+
+def two_chains(k):
+    """Order pairs of k disjoint 2-chains: k! * k! relabelings, no twins."""
+    return 2 * k, [(2 * i, 2 * i + 1) for i in range(k)]
+
+
+# five chains are answered (216,000 steps); six and nine are refused
+ORDER_SEEDS = [two_chains(5), two_chains(6), two_chains(9)]
+
+
+@st.composite
+def near_the_relabeling_cap(draw):
+    size, pairs = draw(st.sampled_from(ORDER_SEEDS))
+    kept = [p for p in pairs if draw(st.integers(0, 7))]
+    point = st.integers(0, size - 1)
+    added = draw(st.lists(st.tuples(point, point), max_size=2))
+    return size, kept + added
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=near_the_relabeling_cap())
+def test_canonical_form_answers_or_refuses_from_its_count(case):
+    size, pairs = case
+    space = alexandrov_topology(Preorder.generated_by(size, pairs))
+    try:
+        form = canonical_form(space)
+    except CapExceeded as exc:
+        assert exc.details["cap"] == RELABELING_CAP < exc.details["steps"]
+    else:
+        assert canonical_form(space_from_canonical(form)) == form

@@ -242,7 +242,7 @@ README_CAPS = {
     "labeled topology enumeration": (enumeration.TOPOLOGY_CAP, "points"),
     "labeled T0 enumeration": (enumeration.T0_CAP, "points"),
     "census up to homeomorphism": (enumeration.CENSUS_CAP, "points"),
-    "canonical forms": (enumeration.CANONICAL_CAP, "points"),
+    "canonical forms": (enumeration.RELABELING_CAP, "relabeling steps"),
     "topology built from a preorder": (spaces.OPEN_FAMILY_CAP, "opens"),
     "filter completion": (completion.OPENS_CAP, "base opens"),
     "filter completion filters": (spaces.MAX_POINTS, "filters"),
