@@ -31,7 +31,7 @@ _EXPORTS = {
                "hasse_dot", "space_from_edges", "validate_topology"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULES = frozenset(_EXPORTS) | {"cli", "jsonio", "kjsonio"}
+_MODULES = frozenset(_EXPORTS) | {"ajsonio", "cli", "jsonio", "kjsonio"}
 
 __all__ = sorted(_HOME)
 

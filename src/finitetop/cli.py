@@ -7,7 +7,8 @@ keys, so identical inputs give identical bytes.  A JSON object that gives
 one key twice is malformed input.
 
 Each command imports the modules it runs when it starts, so a command on
-spaces loads no enumeration, completion, action or group code.
+spaces loads no enumeration, completion, action or group code, an action
+command no group code, and a group command no action code.
 """
 
 import argparse
@@ -160,12 +161,12 @@ def _cmd_complete(args):
 
 
 def _cmd_action(args):
-    from . import kjsonio
+    from . import ajsonio
     from .action import (filtration_of_action, fiber_support, is_tight,
                          minimal_ideals, pushforward, reconstruct, restrict)
     action = None
     if args.mode in ("check", "restrict", "pushforward", "filtrate"):
-        action = kjsonio.action_from_json(_read_json(args.file))
+        action = ajsonio.action_from_json(_read_json(args.file))
     if args.mode == "check":
         assign = minimal_ideals(action)
         _emit({"ok": True, "tight": is_tight(action),
@@ -175,13 +176,13 @@ def _cmd_action(args):
     if args.mode == "restrict":
         carrier = jsonio.carrier_from_key(args.set, action.base.size)
         small = restrict(action, carrier)
-        _emit({"action": kjsonio.action_to_json(small),
+        _emit({"action": ajsonio.action_to_json(small),
                "base_points": indices(carrier),
                "prim_points": indices(action.psi.preimage(carrier))})
         return 0
     if args.mode == "pushforward":
         f = jsonio.map_from_json(_read_json(args.extra))
-        _emit(kjsonio.action_to_json(pushforward(f, action)))
+        _emit(ajsonio.action_to_json(pushforward(f, action)))
         return 0
     if args.mode == "filtrate":
         filt = action.base.canonical_filtration()
@@ -195,8 +196,8 @@ def _cmd_action(args):
         _emit({"layers": [indices(m) for m in filt.layers],
                "strata": rows})
         return 0
-    assign, prim = kjsonio.assignment_from_json(_read_json(args.file))
-    _emit(kjsonio.action_to_json(reconstruct(assign, prim)))
+    assign, prim = ajsonio.assignment_from_json(_read_json(args.file))
+    _emit(ajsonio.action_to_json(reconstruct(assign, prim)))
     return 0
 
 
@@ -236,9 +237,9 @@ def _cmd_ktheory(args):
         ok = cycles.ok
         out = {"cycles": kjsonio.datum_report_to_json(cycles),
                "propagation": None}
-        # the vanishing bootstrap only applies when every point group is zero
-        if all(datum.group(1 << x).is_zero()
-               for x in range(datum.space.size)):
+        # the vanishing bootstrap needs a zero group on every point (so T0)
+        if datum.space.is_t0() and all(datum.group(1 << x).is_zero()
+                                       for x in range(datum.space.size)):
             prop = vanishing_propagation(datum)
             out["propagation"] = kjsonio.propagation_to_json(prop)
             ok = ok and prop.ok

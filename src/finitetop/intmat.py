@@ -114,12 +114,6 @@ class IntMatrix:
             tuple(a + b for a, b in zip(self.entries, other.entries)),
             self.rows, self.cols + other.cols)
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return IntMatrix._trusted(self.entries + other.entries,
-                                  self.rows + other.rows, self.cols)
-
     def apply(self, vector):
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")

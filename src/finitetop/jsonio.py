@@ -10,7 +10,7 @@ OPEN_FAMILY_CAP are refused with InputCapExceeded, which is both kinds,
 before anything is built for them.
 
 Nothing here needs the group or action modules, so the space commands
-load none of them; the formats built on those live in ``kjsonio``.
+load none of them; their formats live in ``kjsonio`` and ``ajsonio``.
 """
 
 from .errors import InputCapExceeded, InputFormatError
@@ -68,6 +68,14 @@ def _labels(value, size):
     if len(set(map(str, value))) != size:
         raise InputFormatError("point labels must be unique as text")
     return tuple(value)
+
+
+def _index(text):
+    """The point index that text spells in ASCII digits alone, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # past the interpreter's digit limit
+        return None
 
 
 def indices(mask):
@@ -144,12 +152,6 @@ def map_from_json(obj):
     return ContinuousMap(domain, codomain, values)
 
 
-def map_to_json(f):
-    return {"domain": space_to_json(f.domain),
-            "codomain": space_to_json(f.codomain),
-            "values": list(f.assignment)}
-
-
 # -- matrices ------------------------------------------------------------------
 
 
@@ -183,12 +185,9 @@ def carrier_from_key(key, size):
         raise InputFormatError("carrier keys must be strings")
     if key == "":
         return 0
-    parts = []
-    for piece in key.split(","):
-        try:
-            parts.append(int(piece))
-        except ValueError:
-            raise InputFormatError(f"bad carrier key {key!r}")
+    parts = [_index(piece) for piece in key.split(",")]
+    if None in parts:
+        raise InputFormatError(f"bad carrier key {key!r}")
     return _mask(parts, size, f"carrier {key!r}")
 
 

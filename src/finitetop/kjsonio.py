@@ -1,87 +1,26 @@
-"""JSON wire formats for actions, groups, and filtrated K-theory data.
+"""JSON wire formats for groups and filtrated K-theory data.
 
-Actions and ideal assignments are spaces plus point data.  Groups are
-presentations whose relations travel as a list of relator vectors (one
-per relation, each of length ``generators``); homomorphisms, six-term
-cycles and filtrated data are built on them, and the reports of the
-exactness checks are written back.  Spaces, point sets and matrix rows
+Groups are presentations whose relations travel as a list of relator
+vectors (one per relation, each of length ``generators``); homomorphisms,
+six-term cycles and filtrated data are built on them, and the reports of
+the exactness checks are written back.  Spaces, point sets and matrix rows
 use the formats of ``jsonio``, with its split between InputFormatError
 and the mathematical FinitetopError subclasses.  A group with more than
 GENERATORS_CAP generators is refused with InputCapExceeded before anything
 is built for it.
 """
 
-from .action import ActionOverX, IdealAssignment
 from .errors import InputCapExceeded, InputFormatError
 from .intmat import IntMatrix
-from .jsonio import (_int, _mask, _obj, _plain, carrier_from_key, carrier_key,
-                     indices, matrix_rows, matrix_to_json, space_from_json,
-                     space_to_json)
+from .jsonio import (_int, _obj, _plain, carrier_from_key, carrier_key, indices,
+                     matrix_rows, matrix_to_json, space_from_json)
 from .ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup, GroupHom,
                       SixTermCycle)
-from .spaces import ContinuousMap, family_key
 
 # Most generators a group may have on input.  Each group and map costs a
 # Smith normal form of a matrix with about this many rows; the point-count
 # data the tools build stay under ten.
 GENERATORS_CAP = 64
-
-
-# -- actions -------------------------------------------------------------------
-
-
-def action_from_json(obj):
-    """{"base": space, "prim": space, "psi": [values of the structure map]}"""
-    obj = _obj(obj, "action")
-    base = space_from_json(_obj(obj.get("base"), "action base"))
-    prim = space_from_json(_obj(obj.get("prim"), "action prim"))
-    values = obj.get("psi")
-    if not isinstance(values, list) or len(values) != prim.size:
-        raise InputFormatError("psi must list one base point per prim point")
-    values = [_int(v, "psi value") for v in values]
-    for v in values:
-        if not 0 <= v < base.size:
-            raise InputFormatError(f"psi value {v} out of range")
-    return ActionOverX(base, prim, ContinuousMap(prim, base, values))
-
-
-def action_to_json(action):
-    return {"base": space_to_json(action.base),
-            "prim": space_to_json(action.prim),
-            "psi": list(action.psi.assignment)}
-
-
-def assignment_from_json(obj):
-    """{"base": space, "prim": space, "values": {"x": [prim indices], ...}}
-
-    Returns (IdealAssignment, prim).  Keys are base point indices as
-    strings; every base point must appear, and only once.
-    """
-    obj = _obj(obj, "assignment")
-    base = space_from_json(_obj(obj.get("base"), "assignment base"))
-    prim = space_from_json(_obj(obj.get("prim"), "assignment prim"))
-    raw = _obj(obj.get("values"), "assignment values")
-    values = {}
-    for key, val in raw.items():
-        try:
-            x = int(key)
-        except ValueError:
-            raise InputFormatError(f"assignment key {key!r} is not a point index")
-        if not 0 <= x < base.size:
-            raise InputFormatError(f"assignment key {x} out of range")
-        if x in values:
-            raise InputFormatError(f"assignment key {key!r} repeats base point {x}")
-        values[x] = _mask(val, prim.size, f"ideal at {x}")
-    missing = [x for x in range(base.size) if x not in values]
-    if missing:
-        raise InputFormatError(f"assignment misses base points {missing}")
-    return IdealAssignment(base, values), prim
-
-
-def assignment_to_json(assign, prim):
-    return {"base": space_to_json(assign.base),
-            "prim": space_to_json(prim),
-            "values": {str(x): indices(m) for x, m in assign.values.items()}}
 
 
 # -- matrices and groups -------------------------------------------------------
@@ -107,11 +46,6 @@ def group_from_json(obj):
     return FGAbelianGroup(n, IntMatrix.from_columns(relators.entries, rows=n))
 
 
-def group_to_json(group):
-    return {"generators": group.generators,
-            "relations": matrix_to_json(group.relations.transpose())}
-
-
 def invariants_to_json(group):
     rank, torsion = group.invariants()
     return {"rank": rank, "torsion": list(torsion)}
@@ -133,20 +67,10 @@ def hom_from_json(obj):
     return _hom(domain, codomain, obj.get("matrix"))
 
 
-def hom_to_json(f):
-    return {"domain": group_to_json(f.domain),
-            "codomain": group_to_json(f.codomain),
-            "matrix": matrix_to_json(f.matrix)}
-
-
 def graded_from_json(obj):
     obj = _obj(obj, "graded group")
     return GradedGroup(group_from_json(_obj(obj.get("even"), "even part")),
                        group_from_json(_obj(obj.get("odd"), "odd part")))
-
-
-def graded_to_json(g):
-    return {"even": group_to_json(g.even), "odd": group_to_json(g.odd)}
 
 
 def _cycle(groups, maps):
@@ -186,8 +110,9 @@ def datum_from_json(obj):
      "groups": {"0,1": {"even": group, "odd": group}, ...},
      "cycles": [{"open": "0", "set": "0,1", "maps": [six matrices]}, ...]}
 
-    Carrier keys are comma-joined sorted point indices, "" for the empty
-    set.  No carrier and no (open, set) pair may be given twice.  Cycle
+    Carrier keys are comma-joined point indices in ASCII digits, "" for
+    the empty set.  No carrier and no (open, set) pair may be given twice.
+    FiltratedKDatum then checks the carriers and pairs themselves.  Cycle
     groups are wired from the assignment in the order
     (even u, even y, even rest, odd u, odd y, odd rest).
     """
@@ -226,20 +151,6 @@ def datum_from_json(obj):
         ou, oy, orr = (assignment[m].odd for m in (u, y, rest))
         cycles[(u, y)] = _cycle((eu, ey, er, ou, oy, orr), maps)
     return FiltratedKDatum(space, assignment, cycles)
-
-
-def datum_to_json(datum):
-    groups = {carrier_key(m): graded_to_json(g)
-              for m, g in sorted(datum.assignment.items(),
-                                 key=lambda kv: family_key(kv[0]))}
-    cycles = []
-    for (u, y), cycle in sorted(datum.cycles.items(),
-                                key=lambda p: (family_key(p[0][1]),
-                                               family_key(p[0][0]))):
-        cycles.append({"open": carrier_key(u), "set": carrier_key(y),
-                       "maps": [matrix_to_json(h.matrix) for h in cycle.maps]})
-    return {"space": space_to_json(datum.space),
-            "groups": groups, "cycles": cycles}
 
 
 # -- reports -------------------------------------------------------------------

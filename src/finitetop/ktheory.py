@@ -70,9 +70,6 @@ class FGAbelianGroup:
     def is_zero(self):
         return self.rank == 0 and not self.torsion
 
-    def is_isomorphic(self, other):
-        return self.rank == other.rank and self.torsion == other.torsion
-
     def order(self):
         """Number of elements, or None when infinite."""
         if self.rank:
@@ -161,9 +158,6 @@ class GroupHom:
 
     def __call__(self, coords):
         return self.matrix.apply(coords)
-
-    def is_zero_hom(self):
-        return _induced_zero(self.matrix, self.codomain)
 
 
 def compose(outer, inner):
@@ -291,6 +285,11 @@ class FiltratedKDatum:
     assignment maps carrier masks to GradedGroups; cycles maps pairs
     (u, y) with u relatively open in y to the six-term cycle on
     (even(u), even(y), even(y minus u), odd(u), odd(y), odd(y minus u)).
+
+    Faults are raised in this order, each kind first in the order given:
+    an assigned carrier that is not locally closed (NotLocallyClosed), a
+    locally closed set with no group (ShapeMismatch, in family_key order),
+    and a cycle key that is not such a pair (ShapeMismatch).
     """
 
     __slots__ = ("space", "assignment", "cycles")
@@ -299,10 +298,20 @@ class FiltratedKDatum:
         self.space = space
         self.assignment = dict(assignment)
         self.cycles = dict(cycles)
+        for carrier in self.assignment:
+            space.locally_closed(carrier)
         for lc in space.locally_closed_sets():
             if lc.carrier not in self.assignment:
                 raise ShapeMismatch(
                     f"no group assigned to {sorted(bits(lc.carrier))}")
+        # every locally closed set now has a group, and only those do
+        rows = space.rows
+        for u, y in self.cycles:
+            if (y not in self.assignment or u & ~y
+                    or any(rows[x] & y & ~u for x in bits(u))):
+                raise ShapeMismatch(
+                    f"cycle ({sorted(bits(u))}, {sorted(bits(y))}) is not a "
+                    "relative-open pair", pair=(u, y))
 
     def group(self, carrier):
         return self.assignment[carrier]
@@ -326,9 +335,6 @@ class DatumReport(namedtuple("DatumReport", "results")):
     @property
     def ok(self):
         return all(r.ok for _, r in self.results)
-
-    def failures(self):
-        return [(pair, rep) for pair, rep in self.results if not rep.ok]
 
 
 def verify_datum(datum):

@@ -319,9 +319,6 @@ class FiniteSpace:
         v = u & (self.full ^ cl)
         return (u, v)
 
-    def is_locally_closed(self, s):
-        return self.locally_closed_witness(s) is not None
-
     def locally_closed(self, s):
         w = self.locally_closed_witness(s)
         if w is None:
@@ -460,9 +457,6 @@ class Preorder:
     def pairs(self):
         return [(x, y) for x in range(self.size) for y in bits(self.leq[x])]
 
-    def up_set(self, x):
-        return self.leq[x]
-
     @classmethod
     def generated_by(cls, size, pairs):
         """Reflexive-transitive closure of the given pairs."""
@@ -580,13 +574,6 @@ class Filtration(namedtuple("Filtration", "layers strata")):
     @property
     def length(self):
         return len(self.strata)
-
-    def level_of(self, x):
-        """1-based index of the stratum containing point x."""
-        for j, s in enumerate(self.strata, start=1):
-            if s >> x & 1:
-                return j
-        raise ValueError(f"point {x} not in any stratum")
 
     def level_of_set(self, s):
         """Smallest j with s contained in layer j (0 for the empty set)."""

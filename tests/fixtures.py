@@ -1,13 +1,17 @@
-"""Shared builders for group-theoretic test data.
+"""Shared builders for group-theoretic test data, and writers for input files.
 
 Unlike oracles.py these construct library objects, so they are fixtures,
 not reference routes.  The verdicts about them still come from oracles.
+No command emits maps, groups, homomorphisms, ideal assignments or data,
+so their JSON writers live here, where tests build input files with them;
+tests/test_jsonio.py reads each one back through the library's reader.
 """
 
 from finitetop.intmat import IntMatrix
+from finitetop.jsonio import carrier_key, indices, matrix_to_json, space_to_json
 from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                GroupHom, SixTermCycle)
-from finitetop.spaces import bits
+from finitetop.spaces import bits, family_key
 from oracles import diagonal_group, element_kernel, random_torsion_hom
 
 # small torsion factors; products are kept at or below 36
@@ -113,3 +117,47 @@ def constant_zero_datum(space, special=None, group=None):
                          for i in range(6))
             cycles[(u, y)] = SixTermCycle(groups, maps)
     return FiltratedKDatum(space, assignment, cycles)
+
+
+# -- JSON writers --------------------------------------------------------------
+
+
+def map_to_json(f):
+    return {"domain": space_to_json(f.domain),
+            "codomain": space_to_json(f.codomain),
+            "values": list(f.assignment)}
+
+
+def assignment_to_json(assign, prim):
+    return {"base": space_to_json(assign.base),
+            "prim": space_to_json(prim),
+            "values": {str(x): indices(m) for x, m in assign.values.items()}}
+
+
+def group_to_json(group):
+    return {"generators": group.generators,
+            "relations": matrix_to_json(group.relations.transpose())}
+
+
+def hom_to_json(f):
+    return {"domain": group_to_json(f.domain),
+            "codomain": group_to_json(f.codomain),
+            "matrix": matrix_to_json(f.matrix)}
+
+
+def graded_to_json(g):
+    return {"even": group_to_json(g.even), "odd": group_to_json(g.odd)}
+
+
+def datum_to_json(datum):
+    groups = {carrier_key(m): graded_to_json(g)
+              for m, g in sorted(datum.assignment.items(),
+                                 key=lambda kv: family_key(kv[0]))}
+    cycles = []
+    for (u, y), cycle in sorted(datum.cycles.items(),
+                                key=lambda p: (family_key(p[0][1]),
+                                               family_key(p[0][0]))):
+        cycles.append({"open": carrier_key(u), "set": carrier_key(y),
+                       "maps": [matrix_to_json(h.matrix) for h in cycle.maps]})
+    return {"space": space_to_json(datum.space),
+            "groups": groups, "cycles": cycles}

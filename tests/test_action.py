@@ -78,7 +78,7 @@ def test_support_carrier_is_locally_closed_in_prim():
         act = random_action(rng)
         for lc in act.base.locally_closed_sets():
             sup = subquotient_support(act, lc)
-            assert act.prim.is_locally_closed(sup.carrier)
+            assert act.prim.locally_closed_witness(sup.carrier) is not None
 
 
 def test_pushforward_along_identity_and_collapse():

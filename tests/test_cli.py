@@ -13,9 +13,9 @@ import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
 from finitetop.jsonio import space_from_json
-from finitetop.kjsonio import assignment_to_json, datum_to_json
 from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
-from fixtures import constant_zero_datum, point_count_datum
+from fixtures import (assignment_to_json, constant_zero_datum, datum_to_json,
+                      point_count_datum)
 from oracles import homeomorphism_oracle
 from finitetop.ktheory import FGAbelianGroup, GroupHom, SixTermCycle
 
@@ -512,6 +512,53 @@ def test_ktheory_datum_verify_rejects_seeded_flaw(tmp_path, capsys):
     failures = [r for r in parsed["cycles"]["results"]
                 if not r["report"]["ok"]]
     assert any(r["open"] == "0" and r["set"] == "0,1" for r in failures)
+
+
+ZERO_GRADED = {"even": {"generators": 0, "relations": []},
+               "odd": {"generators": 0, "relations": []}}
+
+
+def test_ktheory_datum_verify_on_a_space_that_is_not_t0(tmp_path, capsys):
+    # on the chaotic two-point space only "" and "0,1" are locally closed
+    datum = datum_to_json(constant_zero_datum(FiniteSpace.chaotic(2)))
+    assert sorted(datum["groups"]) == ["", "0,1"] and len(datum["cycles"]) == 3
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "d.json", datum))
+    assert code == 0 and err == ""
+    parsed = json.loads(out)
+    assert parsed["ok"] is True and parsed["propagation"] is None
+    assert len(parsed["cycles"]["results"]) == 3
+    # groups on the points are groups on sets that are not locally closed
+    datum["groups"].update({"0": ZERO_GRADED, "1": ZERO_GRADED})
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "p.json", datum))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "NotLocallyClosed",
+                               "message": "[0] is not open in its closure",
+                               "details": {"carrier": 1}}
+
+
+def test_ktheory_datum_verify_refuses_what_it_would_not_check(tmp_path, capsys):
+    chain = datum_to_json(constant_zero_datum(FiniteSpace.chain(3)))
+    groups = dict(chain["groups"], **{"0,2": ZERO_GRADED})
+    stray = {"open": "2", "set": "0,2", "maps": [[]] * 6}
+    not_open = {"open": "1", "set": "0,1", "maps": [[]] * 6}
+    carrier = {"error": "NotLocallyClosed",
+               "message": "[0, 2] is not open in its closure",
+               "details": {"carrier": 5}}
+    pair = {"error": "ShapeMismatch",
+            "message": "cycle ([1], [0, 1]) is not a relative-open pair",
+            "details": {"pair": [2, 3]}}
+    # a carrier that is not locally closed comes before a pair that is not
+    # relative-open
+    for groups, extra, error in ((groups, [stray], carrier),
+                                 (groups, [not_open], carrier),
+                                 (chain["groups"], [not_open], pair)):
+        datum = dict(chain, groups=groups, cycles=chain["cycles"] + extra)
+        code, out, err = run(capsys, "ktheory", "datum-verify",
+                             jfile(tmp_path, "d.json", datum))
+        assert code == 1 and out == ""
+        assert json.loads(err) == error
 
 
 def test_ktheory_two_point(tmp_path, capsys):

@@ -24,9 +24,8 @@ from finitetop.cli import main
 from finitetop.enumeration import (RELABELING_CAP, canonical_form,
                                    space_from_canonical)
 from finitetop.errors import CapExceeded
-from finitetop.kjsonio import datum_to_json
 from finitetop.spaces import FiniteSpace, Preorder, alexandrov_topology
-from fixtures import constant_zero_datum, point_count_datum
+from fixtures import constant_zero_datum, datum_to_json, point_count_datum
 
 KEYS = ("size", "opens", "points", "preorder", "leq", "base", "prim", "psi",
         "values", "domain", "codomain", "matrix", "generators", "relations",
@@ -106,13 +105,20 @@ ASSIGNMENTS = [{"base": NINTH, "prim": NINTH,
 MAPS = [{"domain": NINTH, "codomain": {"size": 1, "opens": [[], [0]]},
          "values": [0, 0, 0, 0]}]
 HOM = {"domain": Z, "codomain": Z, "matrix": [[2]]}
+POINT_COUNT = datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
+# the chaotic two-point space has groups on "" and "0,1" only: its points
+# are not locally closed; the last datum spells the key "1" as "0_1"
+DATA = [POINT_COUNT,
+        datum_to_json(constant_zero_datum(FiniteSpace.sierpinski())),
+        datum_to_json(constant_zero_datum(FiniteSpace.chaotic(2))),
+        dict(POINT_COUNT, groups={"0_1" if key == "1" else key: group
+                                  for key, group in POINT_COUNT["groups"].items()})]
 DOCS = {
     "snf": [{"matrix": [[2, 0], [0, 3]]}, [[4, 6], [2, 2]]],
     "exact": [{"f": HOM, "g": {"domain": Z, "codomain": MOD2, "matrix": [[1]]}}],
     "six-term": [{"groups": [MOD2, MOD2, ZERO, ZERO, ZERO, ZERO],
                   "maps": [[[1]], [], [], [], [], [[]]]}],
-    "datum-verify": [datum_to_json(point_count_datum(FiniteSpace.sierpinski())),
-                     datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))],
+    "datum-verify": DATA,
     "two-point": [{"top": HOM, "right": HOM, "left": HOM, "bottom": HOM}],
 }
 

@@ -12,7 +12,8 @@ import pytest
 
 import finitetop
 from finitetop import completion, enumeration, kjsonio, spaces
-from finitetop.cli import main
+from finitetop.cli import build_parser, main
+from fixtures import constant_zero_datum, datum_to_json
 
 PACKAGE = pathlib.Path(finitetop.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -65,38 +66,80 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps([code, sorted(set(sys.modules) - bare)]))
 """
-NOT_FOR_SPACES = {f"finitetop.{m}" for m in (
-    "action", "lattice", "completion", "enumeration", "intmat", "ktheory",
-    "kjsonio")} | {"dataclasses"}
+SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]]}
+Z = {"generators": 1, "relations": []}
+DOUBLE = {"domain": Z, "codomain": Z, "matrix": [[2]]}
+INPUTS = {
+    "space": SIERPINSKI,
+    "preorder": {"size": 2, "leq": [[1, 0]]},
+    "action": {"base": SIERPINSKI, "prim": SIERPINSKI, "psi": [0, 1]},
+    "map": {"domain": SIERPINSKI, "codomain": SIERPINSKI, "values": [0, 1]},
+    "ideals": {"base": SIERPINSKI, "prim": SIERPINSKI,
+               "values": {"0": [0], "1": [0, 1]}},
+    "matrix": [[2, 0], [0, 3]],
+    "pair": {"f": DOUBLE, "g": {"domain": Z, "codomain": {"generators": 1,
+                                                          "relations": [[2]]},
+                                "matrix": [[1]]}},
+    "cycle": {"groups": [{"generators": 0}] * 6, "maps": [[]] * 6},
+    "datum": datum_to_json(constant_zero_datum(spaces.FiniteSpace.chain(2))),
+    "square": {side: DOUBLE for side in ("top", "right", "left", "bottom")},
+}
+ACTIONS = {"action", "ajsonio"}
+GROUPS = {"intmat", "kjsonio", "ktheory"}
+# every command and mode, with the package modules it loads besides the
+# package itself, cli, errors, spaces and jsonio; names in braces are inputs.
+# An action command loads no group module and a group command no action
+# module, and reconstruct reads psi off the ideals, so none loads lattice.
+COMMANDS = [
+    (["validate", "{space}"], set()),
+    (["info", "{space}"], set()),
+    (["soberify", "{space}"], set()),
+    (["hasse", "{space}"], set()),
+    (["hasse", "{space}", "--dot"], set()),
+    (["alexandrov", "--to-preorder", "{space}"], set()),
+    (["alexandrov", "--from-preorder", "{preorder}"], set()),
+    (["enumerate", "--points", "2"], {"enumeration"}),
+    (["complete", "{space}"], {"action", "completion"}),
+    (["action", "check", "{action}"], ACTIONS),
+    (["action", "restrict", "{action}", "--set", "0"], ACTIONS),
+    (["action", "pushforward", "{action}", "{map}"], ACTIONS),
+    (["action", "filtrate", "{action}"], ACTIONS),
+    (["action", "reconstruct", "{ideals}"], ACTIONS),
+    (["ktheory", "snf", "{matrix}"], {"intmat"}),
+    (["ktheory", "exact", "{pair}"], GROUPS),
+    (["ktheory", "six-term", "{cycle}"], GROUPS),
+    (["ktheory", "datum-verify", "{datum}"], GROUPS),
+    (["ktheory", "two-point", "{square}"], GROUPS),
+]
+EVERY_COMMAND = {"finitetop", "finitetop.cli", "finitetop.errors",
+                 "finitetop.jsonio", "finitetop.spaces"}
+
+
+def commands_and_modes():
+    """(command,) or (command, mode) for everything the parser offers."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    out = set()
+    for name, parser in sub.choices.items():
+        modes = [a.choices for a in parser._actions if a.dest == "mode"]
+        out |= {(name, mode) for mode in modes[0]} if modes else {(name,)}
+    return out
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    space = tmp_path / "s.json"
-    space.write_text('{"size": 2, "opens": [[], [0], [0, 1]]}')
-    loaded = {}
-    for argv in (["info"], ["validate"], ["hasse"], ["soberify"],
-                 ["alexandrov", "--to-preorder"]):
-        code, loaded[argv[0]] = fresh(LOADED, *argv, str(space))
-        assert code == 0
-        assert NOT_FOR_SPACES.isdisjoint(loaded[argv[0]]), argv
-    matrix = tmp_path / "m.json"
-    matrix.write_text("[[2, 0], [0, 3]]")
-    code, snf = fresh(LOADED, "ktheory", "snf", str(matrix))
-    assert code == 0
-    assert set(snf) - set(loaded["info"]) == {"finitetop.intmat"}
-    # reconstruct reads psi off the ideals, so no command loads the lattice
-    cycle = tmp_path / "c.json"
-    cycle.write_text(json.dumps({"groups": [{"generators": 0, "relations": []}] * 6,
-                                 "maps": [[]] * 6}))
-    sierpinski = json.loads(space.read_text())
-    action = tmp_path / "a.json"
-    action.write_text(json.dumps({"base": sierpinski, "prim": sierpinski,
-                                  "psi": [0, 1]}))
-    for argv in (["ktheory", "six-term", str(cycle)],
-                 ["action", "check", str(action)]):
+    paths = {}
+    for name, doc in INPUTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    # a second word that is no option and no input is a mode
+    assert {tuple(argv[:2]) if argv[1][0] not in "-{" else (argv[0],)
+            for argv, _ in COMMANDS} == commands_and_modes()
+    for argv, extra in COMMANDS:
+        argv = [arg.format(**paths) for arg in argv]
         code, modules = fresh(LOADED, *argv)
-        assert code == 0
-        assert "finitetop.lattice" not in modules, argv
+        assert code == 0, argv
+        package = {m for m in modules if m.split(".")[0] == "finitetop"}
+        assert package == EVERY_COMMAND | {f"finitetop.{m}" for m in extra}, argv
+        assert "dataclasses" not in modules, argv
 
 
 # functions that may import package modules: command entry points load what
@@ -166,21 +209,43 @@ def test_no_unused_imports(path):
     assert unused == []
 
 
-def test_private_helpers_have_callers():
-    """Each _name function or class in the package is used outside its body."""
+def definitions_and_uses():
+    """(module, name, first line, last line) of each def and class in the
+    package, and (module, name, line) of each name it reads."""
     defined, used = [], []
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and re.match(r"_[^_]", node.name)):
-                defined.append((path.name, node.name, node.lineno, node.end_lineno))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name, node.lineno, node.end_lineno))
             elif isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
-                used.append((path.name, name, node.lineno))
-    idle = [(module, name) for module, name, first, last in defined
+                used.append((path.stem, name, node.lineno))
+    return defined, used
+
+
+def idle(defined, used):
+    """The definitions whose name is read nowhere outside their own body."""
+    return [(module, name) for module, name, first, last in defined
             if not any(n == name and not (m == module and first <= line <= last)
                        for m, n, line in used)]
-    assert defined and idle == []
+
+
+def test_private_helpers_have_callers():
+    """Each _name function or class in the package is used outside its body."""
+    defined, used = definitions_and_uses()
+    private = [d for d in defined if re.match(r"_[^_]", d[1])]
+    assert private and idle(private, used) == []
+
+
+def test_public_names_have_callers_or_docs():
+    """Each name in __all__ is read in the package outside its own body, or
+    opens an inline code span of the README."""
+    defined, used = definitions_and_uses()
+    public = [d for d in defined if finitetop._HOME.get(d[1]) == d[0]]
+    assert sorted(name for _, name, _, _ in public) == finitetop.__all__
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"`([A-Za-z_]\w*)[^`\n]*`", readme))
+    assert [(m, n) for m, n in idle(public, used) if n not in documented] == []
 
 
 def test_public_callables_take_no_switches():

@@ -32,7 +32,6 @@ def test_matrix_construction():
     assert m.apply((1, 0)) == (1, 3)
     assert (m - m).is_zero()
     assert m.hstack(m).cols == 4
-    assert m.vstack(m).rows == 4
     assert IntMatrix.from_columns([(1, 2), (3, 4)], rows=2).entries == ((1, 3), (2, 4))
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finitetop import jsonio, kjsonio
+from finitetop import ajsonio, jsonio, kjsonio
 from finitetop.action import ActionOverX
 from finitetop.errors import (CapExceeded, InputFormatError, NotContinuous,
                               NotTransitive, ShapeMismatch)
@@ -12,7 +12,9 @@ from finitetop.ktheory import (FGAbelianGroup, GroupHom, is_exact_at,
                                verify_six_term)
 from finitetop.spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap,
                               FiniteSpace, Preorder, alexandrov_topology)
-from fixtures import constant_zero_datum, point_count_datum
+from fixtures import (assignment_to_json, constant_zero_datum, datum_to_json,
+                      group_to_json, hom_to_json, map_to_json,
+                      point_count_datum)
 from oracles import random_continuous, random_poset_space, random_space
 
 SIERPINSKI_JSON = {"size": 2, "opens": [[], [0], [0, 1]]}
@@ -124,7 +126,7 @@ def test_map_roundtrip_and_errors():
         dom = random_space(rng, rng.randint(1, 4))
         cod = random_space(rng, rng.randint(1, 4))
         f = random_continuous(rng, dom, cod)
-        assert jsonio.map_from_json(jsonio.map_to_json(f)) == f
+        assert jsonio.map_from_json(map_to_json(f)) == f
     base = {"domain": SIERPINSKI_JSON, "codomain": SIERPINSKI_JSON}
     with pytest.raises(InputFormatError):
         jsonio.map_from_json(dict(base, values=[0]))
@@ -136,16 +138,20 @@ def test_map_roundtrip_and_errors():
             "codomain": SIERPINSKI_JSON, "values": [0, 1]})
 
 
+# int() reads each of these as a number: 10, 1, 1, 1, 1 and 1
+NOT_DIGITS = ("1_0", "+1", " 1", "1 ", "\u0661", "\uff11")
+
+
 def test_action_roundtrip_and_errors():
     rng = random.Random(603)
     for _ in range(20):
         base = random_space(rng, rng.randint(1, 4))
         prim = random_space(rng, rng.randint(1, 4))
         act = ActionOverX(base, prim, random_continuous(rng, prim, base))
-        back = kjsonio.action_from_json(kjsonio.action_to_json(act))
+        back = ajsonio.action_from_json(ajsonio.action_to_json(act))
         assert back.base == act.base and back.psi == act.psi
     with pytest.raises(InputFormatError):
-        kjsonio.action_from_json({"base": SIERPINSKI_JSON,
+        ajsonio.action_from_json({"base": SIERPINSKI_JSON,
                                   "prim": SIERPINSKI_JSON, "psi": [0]})
 
 
@@ -153,23 +159,25 @@ def test_assignment_roundtrip_and_errors():
     space = FiniteSpace.sierpinski()
     obj = {"base": SIERPINSKI_JSON, "prim": SIERPINSKI_JSON,
            "values": {"0": [0], "1": [0, 1]}}
-    assign, prim = kjsonio.assignment_from_json(obj)
+    assign, prim = ajsonio.assignment_from_json(obj)
     assert assign.values == {0: 0b01, 1: 0b11}
-    assert kjsonio.assignment_to_json(assign, prim) == obj
+    assert assignment_to_json(assign, prim) == obj
     for values in ({"0": [0]},                       # missing point 1
                    {"0": [0], "1": [0, 1], "x": []},
-                   {"0": [0], "7": [0, 1]}):
+                   {"0": [0], "7": [0, 1]},
+                   {"0": [0], "1" * 5000: [0, 1]},
+                   *({"0": [0], bad: [0, 1]} for bad in NOT_DIGITS)):
         with pytest.raises(InputFormatError):
-            kjsonio.assignment_from_json(dict(obj, values=values))
+            ajsonio.assignment_from_json(dict(obj, values=values))
 
 
 def test_assignment_refuses_a_point_given_twice():
     obj = {"base": SIERPINSKI_JSON, "prim": SIERPINSKI_JSON,
            "values": {"0": [0], "1": [0, 1]}}
-    for again in ("00", "+0", " 0"):
+    for again in ("00", "000"):
         values = dict(obj["values"], **{again: [0, 1]})
         with pytest.raises(InputFormatError) as err:
-            kjsonio.assignment_from_json(dict(obj, values=values))
+            ajsonio.assignment_from_json(dict(obj, values=values))
         assert str(err.value) == f"assignment key {again!r} repeats base point 0"
 
 
@@ -185,7 +193,7 @@ def test_matrix_roundtrip_and_errors():
 
 def test_group_roundtrip_and_errors():
     group = FGAbelianGroup(2, IntMatrix([[2, 0], [0, 3]]))
-    assert kjsonio.group_from_json(kjsonio.group_to_json(group)) == group
+    assert kjsonio.group_from_json(group_to_json(group)) == group
     assert kjsonio.group_from_json({"generators": 1}) == FGAbelianGroup.free(1)
     assert kjsonio.invariants_to_json(group) == {"rank": 0, "torsion": [6]}
     with pytest.raises(InputFormatError):
@@ -208,7 +216,7 @@ def test_group_generator_cap():
 def test_hom_roundtrip():
     f = GroupHom(FGAbelianGroup.cyclic(2), FGAbelianGroup.cyclic(4),
                  IntMatrix([[2]]))
-    assert kjsonio.hom_from_json(kjsonio.hom_to_json(f)) == f
+    assert kjsonio.hom_from_json(hom_to_json(f)) == f
 
 
 def test_hom_zero_row_coercion():
@@ -253,6 +261,10 @@ def test_carrier_keys():
     for bad in ("0,x", "5", "0,0"):
         with pytest.raises(InputFormatError):
             jsonio.carrier_from_key(bad, 3)
+    for bad in (*NOT_DIGITS, "1" * 5000):
+        for key in (bad, f"0,{bad}"):
+            with pytest.raises(InputFormatError):
+                jsonio.carrier_from_key(key, 12)
     with pytest.raises(InputFormatError):
         jsonio.carrier_from_key(3, 3)
 
@@ -261,7 +273,7 @@ def test_datum_roundtrip():
     rng = random.Random(604)
     for space in (FiniteSpace.sierpinski(), random_poset_space(rng, 3)):
         datum = point_count_datum(space)
-        back = kjsonio.datum_from_json(kjsonio.datum_to_json(datum))
+        back = kjsonio.datum_from_json(datum_to_json(datum))
         assert back.space == datum.space
         assert back.assignment == datum.assignment
         assert back.cycles == datum.cycles
@@ -271,13 +283,13 @@ def test_datum_roundtrip():
 def test_datum_schema_errors():
     # {0, 2} is not locally closed in the three-point chain, so no group
     # was ever assigned to it
-    chained = kjsonio.datum_to_json(constant_zero_datum(FiniteSpace.chain(3)))
+    chained = datum_to_json(constant_zero_datum(FiniteSpace.chain(3)))
     orphan = dict(chained, cycles=chained["cycles"]
                   + [{"open": "", "set": "0,2", "maps": [[]] * 6}])
     with pytest.raises(InputFormatError):
         kjsonio.datum_from_json(orphan)
     # dropping a carrier's group leaves a locally closed set uncovered
-    datum = kjsonio.datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
+    datum = datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
     pruned = dict(datum, groups={k: v for k, v in datum["groups"].items()
                                  if k != "1"})
     keep = []
@@ -292,7 +304,7 @@ def test_datum_schema_errors():
 
 
 def test_datum_refuses_a_carrier_or_cycle_given_twice():
-    datum = kjsonio.datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
+    datum = datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
     groups = dict(datum["groups"], **{"1,0": datum["groups"]["0,1"]})
     with pytest.raises(InputFormatError) as err:
         kjsonio.datum_from_json(dict(datum, groups=groups))

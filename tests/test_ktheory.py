@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from finitetop.errors import (NotComposable, NotWellDefined, ShapeMismatch,
-                              SquareNotCommuting)
+from finitetop.errors import (NotComposable, NotLocallyClosed, NotWellDefined,
+                              ShapeMismatch, SquareNotCommuting)
 from finitetop.intmat import IntMatrix
-from finitetop.ktheory import (FGAbelianGroup, GradedGroup, GroupHom,
+from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
+                               GroupHom,
                                SixTermCycle, cokernel, compose, image,
                                is_exact_at, kernel, two_point_sequence,
                                vanishing_propagation, verify_datum,
@@ -19,6 +20,10 @@ from oracles import (brute_locally_closed, diagonal_group, element_exact,
 
 Z = FGAbelianGroup.free
 CYCLIC = FGAbelianGroup.cyclic
+
+
+def is_zero_hom(f):
+    return f == GroupHom.zero(f.domain, f.codomain)
 
 
 def exact_by_elements(f, g, a_divs, b_divs, c_divs):
@@ -50,7 +55,7 @@ def test_group_equality_is_structural():
     trivial = FGAbelianGroup(2, IntMatrix.identity(2))
     assert trivial.is_zero()
     assert trivial != FGAbelianGroup.zero()
-    assert trivial.is_isomorphic(FGAbelianGroup.zero())
+    assert trivial.invariants() == FGAbelianGroup.zero().invariants()
     with pytest.raises(ValueError):
         FGAbelianGroup(2, IntMatrix([[3]]))
 
@@ -69,7 +74,7 @@ def test_hom_well_definedness():
     with pytest.raises(NotWellDefined):
         GroupHom(CYCLIC(2), CYCLIC(4), IntMatrix([[1]]))
     doubling = GroupHom(CYCLIC(2), CYCLIC(4), IntMatrix([[2]]))
-    assert not doubling.is_zero_hom()
+    assert not is_zero_hom(doubling)
     with pytest.raises(ShapeMismatch):
         GroupHom(Z(2), Z(1), IntMatrix([[1]]))
 
@@ -79,7 +84,7 @@ def test_hom_equality_modulo_relations():
     b = GroupHom(Z(1), CYCLIC(3), IntMatrix([[4]]))
     assert a == b
     assert a != GroupHom(Z(1), CYCLIC(3), IntMatrix([[2]]))
-    assert GroupHom(Z(1), CYCLIC(2), IntMatrix([[2]])).is_zero_hom()
+    assert is_zero_hom(GroupHom(Z(1), CYCLIC(2), IntMatrix([[2]])))
 
 
 def test_compose():
@@ -102,7 +107,7 @@ def test_kernel_of_reduction():
     red = GroupHom(CYCLIC(4), CYCLIC(2), IntMatrix([[1]]))
     grp, incl = kernel(red)
     assert grp.invariants() == (0, [2])
-    assert compose(red, incl).is_zero_hom()
+    assert is_zero_hom(compose(red, incl))
     assert cokernel(red)[0].is_zero()
     assert image(red)[0].invariants() == (0, [2])
 
@@ -111,7 +116,7 @@ def test_kernel_of_sum_map():
     add = GroupHom(Z(2), Z(1), IntMatrix([[1, 1]]))
     grp, incl = kernel(add)
     assert grp.invariants() == (1, [])
-    assert compose(add, incl).is_zero_hom()
+    assert is_zero_hom(compose(add, incl))
     assert cokernel(add)[0].is_zero()
 
 
@@ -126,8 +131,8 @@ def test_subgroup_orders_match_element_counts():
         assert kernel(f)[0].order() == ker_n
         assert image(f)[0].order() == img_n
         assert cokernel(f)[0].order() * img_n == diagonal_group(b).order()
-        assert compose(f, kernel(f)[1]).is_zero_hom()
-        assert compose(cokernel(f)[1], f).is_zero_hom()
+        assert is_zero_hom(compose(f, kernel(f)[1]))
+        assert is_zero_hom(compose(cokernel(f)[1], f))
 
 
 # -- exactness against element enumeration ----------------------------------------
@@ -263,7 +268,33 @@ def test_point_count_datum_verifies():
                   random_poset_space(random.Random(905), 4)):
         report = verify_datum(point_count_datum(space))
         assert report.ok
-        assert report.failures() == []
+        assert all(rep.ok for _, rep in report.results)
+
+
+def test_datum_refuses_carriers_and_pairs_it_never_checks():
+    space = FiniteSpace.chain(3)
+    good = constant_zero_datum(space)
+    groups, cycles = good.assignment, good.cycles
+    # {0, 2} is not locally closed in the chain; ({1}, {0, 1}) has an open
+    # that is not open in its set, (0, {0, 2}) a set that is not locally
+    # closed, and ({2}, {0, 1}) an open outside its set
+    odd = {**groups, 0b101: groups[0]}
+    with pytest.raises(NotLocallyClosed) as err:
+        FiltratedKDatum(space, odd, cycles)
+    assert err.value.details == {"carrier": 0b101}
+    for pair in ((0b010, 0b011), (0, 0b101), (0b100, 0b011)):
+        with pytest.raises(ShapeMismatch) as err:
+            FiltratedKDatum(space, groups, {**cycles, pair: cycles[(0, 0)]})
+        assert err.value.details == {"pair": pair}
+    # faults come carriers first, then missing groups, then pairs
+    missing = {c: g for c, g in odd.items() if c != 0b001}
+    stray = {**cycles, (0b010, 0b011): cycles[(0, 0)]}
+    with pytest.raises(NotLocallyClosed):
+        FiltratedKDatum(space, missing, stray)
+    del missing[0b101]
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, missing, stray)
+    assert str(err.value) == "no group assigned to [0]"
 
 
 def test_zero_datum_verifies_and_propagates():
@@ -279,9 +310,9 @@ def test_seeded_flaw_is_caught():
     datum = constant_zero_datum(space, special=space.full, group=CYCLIC(2))
     report = verify_datum(datum)
     assert not report.ok
-    failing = [pair for pair, _ in report.failures()]
-    assert (1, 3) in failing
-    _, rep = report.failures()[0]
+    failures = [(pair, rep) for pair, rep in report.results if not rep.ok]
+    assert (1, 3) in [pair for pair, _ in failures]
+    _, rep = failures[0]
     assert rep.first_failure()[1].reason == "kernel element not in the image"
     prop = vanishing_propagation(datum)
     assert not prop.ok

@@ -141,7 +141,7 @@ def test_preorder_validation():
 
 def test_generated_by_closes():
     pre = Preorder.generated_by(3, [(0, 1), (1, 2)])
-    assert pre.up_set(0) == 0b111
+    assert pre.leq[0] == 0b111
 
 
 def test_preorder_space_roundtrip_exhaustive():
@@ -391,7 +391,7 @@ def test_locally_closed_matches_brute_force():
         carriers = [lc.carrier for lc in space.locally_closed_sets()]
         assert carriers == sorted(brute_locally_closed(space), key=family_key)
         for s in range(1 << space.size):
-            assert space.is_locally_closed(s) == (s in carriers)
+            assert (space.locally_closed_witness(s) is not None) == (s in carriers)
 
 
 def test_locally_closed_witness_laws():
@@ -481,7 +481,7 @@ def test_strata_partition_and_levels():
         assert filt.length == brute_chain_length(space)
         for j, stratum in enumerate(filt.strata):
             for x in bits(stratum):
-                assert filt.level_of(x) == j + 1
+                assert filt.level_of_set(1 << x) == j + 1
 
 
 def test_level_of_set():
