@@ -28,7 +28,7 @@ _EXPORTS = {
                 "preserves_joins"),
     "spaces": ("ContinuousMap", "Filtration", "FiniteSpace",
                "LocallyClosedSet", "Preorder", "alexandrov_topology",
-               "hasse_dot", "space_from_edges", "validate_topology"),
+               "hasse_dot", "space_from_edges"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = frozenset(_EXPORTS) | {"ajsonio", "cli", "jsonio", "kjsonio"}

@@ -119,9 +119,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vector)) for row in self.entries)
 
-    def is_zero(self):
-        return all(v == 0 for row in self.entries for v in row)
-
     def diagonal(self):
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -224,34 +221,25 @@ def _factor(matrix):
     return um, dm, vm
 
 
-def solve(matrix, rhs):
-    """One integer solution x of A·x = b, or None.
+def solve(matrix, b):
+    """One integer solution x of A·x = b as a tuple, or None.
 
-    rhs may be a vector (length = rows) or an IntMatrix of stacked columns;
-    the result matches the input shape, and a matrix rhs gives None as soon
-    as one of its columns has no solution.
+    b is one vector of length A.rows; a caller with several right-hand
+    sides solves them one by one.
     """
     u, d, v = smith_normal_form(matrix)
     diag = d.diagonal()
-    single = not isinstance(rhs, IntMatrix)
-    columns = (tuple(rhs),) if single else rhs.transpose().entries
-    solutions = []
-    for b in columns:
-        y = [0] * matrix.cols
-        for i, ub in enumerate(u.apply(b)):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                if ub != 0:
-                    return None
-            else:
-                if ub % di:
-                    return None
-                y[i] = ub // di
-        solutions.append(v.apply(y))
-    if single:
-        return solutions[0]
-    return IntMatrix._trusted(tuple(solutions), len(solutions),
-                              matrix.cols).transpose()
+    y = [0] * matrix.cols
+    for i, ub in enumerate(u.apply(b)):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if ub != 0:
+                return None
+        else:
+            if ub % di:
+                return None
+            y[i] = ub // di
+    return v.apply(y)
 
 
 def kernel_basis(matrix):

@@ -14,8 +14,8 @@ load none of them; their formats live in ``kjsonio`` and ``ajsonio``.
 """
 
 from .errors import InputCapExceeded, InputFormatError
-from .spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap, Preorder,
-                     alexandrov_topology, bits, validate_topology)
+from .spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
+                     Preorder, alexandrov_topology, bits)
 
 
 def _obj(value, what):
@@ -122,7 +122,7 @@ def space_from_json(obj):
         raise InputCapExceeded(
             f"open families are capped at {OPEN_FAMILY_CAP} sets, got {len(opens)}",
             opens=len(opens), cap=OPEN_FAMILY_CAP)
-    return validate_topology(n, (_mask(u, n, "open set") for u in opens), labels)
+    return FiniteSpace(n, (_mask(u, n, "open set") for u in opens), labels)
 
 
 def space_to_json(space):

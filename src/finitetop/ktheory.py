@@ -101,9 +101,12 @@ class GradedGroup(namedtuple("GradedGroup", "even odd")):
         return self.even.is_zero() and self.odd.is_zero()
 
 
-def _induced_zero(matrix, codomain):
-    """Does the matrix send everything into the codomain's relation span?"""
-    return solve(codomain.relations, matrix) is not None
+def _stray_column(matrix, group):
+    """Index of the first column outside group's relation span, or None."""
+    for j, column in enumerate(matrix.transpose().entries):
+        if solve(group.relations, column) is None:
+            return j
+    return None
 
 
 class GroupHom:
@@ -120,7 +123,7 @@ class GroupHom:
             raise ShapeMismatch(
                 f"matrix is {matrix.rows}x{matrix.cols}, expected "
                 f"{codomain.generators}x{domain.generators}")
-        if not _induced_zero(matrix @ domain.relations, codomain):
+        if _stray_column(matrix @ domain.relations, codomain) is not None:
             raise NotWellDefined("matrix does not respect the domain relations")
         self.domain = domain
         self.codomain = codomain
@@ -151,7 +154,7 @@ class GroupHom:
         """Same presentations and same induced map (matrices may differ)."""
         return (isinstance(other, GroupHom)
                 and self.domain == other.domain and self.codomain == other.codomain
-                and _induced_zero(self.matrix - other.matrix, self.codomain))
+                and _stray_column(self.matrix - other.matrix, self.codomain) is None)
 
     def __repr__(self):
         return f"GroupHom({self.domain!r} -> {self.codomain!r})"
@@ -223,11 +226,9 @@ def is_exact_at(f, g):
     """
     if f.codomain != g.domain:
         raise NotComposable("maps do not meet at a common middle group")
-    comp = g.matrix @ f.matrix
-    for j in range(comp.cols):
-        if solve(g.codomain.relations, comp.column(j)) is None:
-            return ExactnessReport(False, "composite is not zero",
-                                   ("generator", j))
+    j = _stray_column(g.matrix @ f.matrix, g.codomain)
+    if j is not None:
+        return ExactnessReport(False, "composite is not zero", ("generator", j))
     reach = f.reach()
     for k in _kernel_generators(g).transpose().entries:
         if solve(reach, k) is None:
@@ -286,32 +287,48 @@ class FiltratedKDatum:
     (u, y) with u relatively open in y to the six-term cycle on
     (even(u), even(y), even(y minus u), odd(u), odd(y), odd(y minus u)).
 
-    Faults are raised in this order, each kind first in the order given:
-    an assigned carrier that is not locally closed (NotLocallyClosed), a
-    locally closed set with no group (ShapeMismatch, in family_key order),
-    and a cycle key that is not such a pair (ShapeMismatch).
+    The constructor raises every shape fault, each kind first in the
+    order given: an assigned carrier that is not locally closed
+    (NotLocallyClosed), a locally closed set with no group (ShapeMismatch,
+    in family_key order), a cycle key that is not such a pair, and then,
+    walking pairs(), a pair with no cycle or with groups other than the
+    assignment's (ShapeMismatch, (u, y) as details.pair).  The datum keeps
+    assignment in family_key order and cycles in pairs() order.
     """
 
     __slots__ = ("space", "assignment", "cycles")
 
     def __init__(self, space, assignment, cycles):
         self.space = space
-        self.assignment = dict(assignment)
-        self.cycles = dict(cycles)
-        for carrier in self.assignment:
+        for carrier in assignment:
             space.locally_closed(carrier)
+        self.assignment = {}
         for lc in space.locally_closed_sets():
-            if lc.carrier not in self.assignment:
+            if lc.carrier not in assignment:
                 raise ShapeMismatch(
                     f"no group assigned to {sorted(bits(lc.carrier))}")
+            self.assignment[lc.carrier] = assignment[lc.carrier]
         # every locally closed set now has a group, and only those do
         rows = space.rows
-        for u, y in self.cycles:
+        for u, y in cycles:
             if (y not in self.assignment or u & ~y
                     or any(rows[x] & y & ~u for x in bits(u))):
                 raise ShapeMismatch(
                     f"cycle ({sorted(bits(u))}, {sorted(bits(y))}) is not a "
                     "relative-open pair", pair=(u, y))
+        self.cycles = {}
+        for u, y in self.pairs():
+            cycle = cycles.get((u, y))
+            if cycle is None:
+                raise ShapeMismatch(
+                    f"missing cycle for ({sorted(bits(u))}, {sorted(bits(y))})",
+                    pair=(u, y))
+            gu, gy, gr = (self.assignment[m] for m in (u, y, y & ~u))
+            if cycle.groups != (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd):
+                raise ShapeMismatch(
+                    f"cycle groups for ({sorted(bits(u))}, {sorted(bits(y))}) "
+                    "do not match the assignment", pair=(u, y))
+            self.cycles[(u, y)] = cycle
 
     def group(self, carrier):
         return self.assignment[carrier]
@@ -323,8 +340,7 @@ class FiltratedKDatum:
         y, then u, each in family_key order.
         """
         rows = self.space.rows
-        return [(u, lc.carrier) for lc in self.space.locally_closed_sets()
-                for u in _up_sets(rows, lc.carrier)]
+        return [(u, y) for y in self.assignment for u in _up_sets(rows, y)]
 
 
 class DatumReport(namedtuple("DatumReport", "results")):
@@ -338,22 +354,9 @@ class DatumReport(namedtuple("DatumReport", "results")):
 
 
 def verify_datum(datum):
-    """Check every relative-open pair: groups match the assignment, cycle exact."""
-    results = []
-    for u, y in datum.pairs():
-        cycle = datum.cycles.get((u, y))
-        if cycle is None:
-            raise ShapeMismatch(
-                f"missing cycle for ({sorted(bits(u))}, {sorted(bits(y))})")
-        rest = y & ~u
-        expected = (datum.group(u).even, datum.group(y).even, datum.group(rest).even,
-                    datum.group(u).odd, datum.group(y).odd, datum.group(rest).odd)
-        if tuple(cycle.groups) != expected:
-            raise ShapeMismatch(
-                f"cycle groups for ({sorted(bits(u))}, {sorted(bits(y))}) "
-                "do not match the assignment")
-        results.append(((u, y), verify_six_term(cycle)))
-    return DatumReport(tuple(results))
+    """Exactness of the cycle of every relative-open pair, in pairs() order."""
+    return DatumReport(tuple((pair, verify_six_term(cycle))
+                             for pair, cycle in datum.cycles.items()))
 
 
 class PropagationReport(namedtuple("PropagationReport", "ok deviation",
@@ -375,9 +378,8 @@ def vanishing_propagation(datum):
     layer when that is not empty, else y minus its smallest point, and
     (0, y) when y has at most one point.
     """
-    space = datum.space
-    filt = space.canonical_filtration()
-    order = sorted((lc.carrier for lc in space.locally_closed_sets()),
+    filt = datum.space.canonical_filtration()
+    order = sorted(datum.assignment,
                    key=lambda s: (filt.level_of_set(s), s.bit_count(), s))
     for y in order:
         if datum.group(y).is_zero():
@@ -418,10 +420,10 @@ def two_point_sequence(top, right, left, bottom):
     if bottom.codomain != right.codomain:
         raise ShapeMismatch("right and bottom maps must share their codomain")
     diff = right.matrix @ top.matrix - bottom.matrix @ left.matrix
-    for j in range(diff.cols):
-        if solve(right.codomain.relations, diff.column(j)) is None:
-            raise SquareNotCommuting("the two composites differ",
-                                     witness=("generator", j, diff.column(j)))
+    j = _stray_column(diff, right.codomain)
+    if j is not None:
+        raise SquareNotCommuting("the two composites differ",
+                                 witness=("generator", j, diff.column(j)))
     delta = compose(right, top)
     ker, _ = kernel(delta)
     coker, _ = cokernel(delta)

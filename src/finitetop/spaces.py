@@ -84,7 +84,7 @@ def _components(rows):
 def _minimal_opens(size, family):
     """Rows of a sorted family, each the AND of the members holding its point.
 
-    The family is validated on the way, as validate_topology describes.
+    The family is validated on the way, as FiniteSpace.__init__ describes.
     """
     full = (1 << size) - 1
     for m in family:
@@ -176,6 +176,15 @@ class FiniteSpace:
     __slots__ = ("size", "full", "rows", "labels", "_opens", "_count")
 
     def __init__(self, size, opens, labels=None):
+        """The space on the open family opens, checked, deduplicated and sorted.
+
+        After the empty and the full set, row U_x folds as the AND of the
+        members holding x, in family order; the first step that leaves the
+        family raises NotClosedUnderIntersection(row so far, member).  Then
+        a | U_x must be a member for all members a and points x, else
+        NotClosedUnderUnion(a, U_x).  That accepts exactly the topologies,
+        since a member is the union of the rows of its points.
+        """
         self._fill(size, labels)
         self._opens = tuple(sorted(set(opens), key=family_key))
         self._count = None
@@ -406,19 +415,6 @@ class FiniteSpace:
     @classmethod
     def sierpinski(cls):
         return cls.chain(2)
-
-
-def validate_topology(size, family, labels=None):
-    """Check the open-family axioms and return the space (deduplicated, sorted).
-
-    After the empty and the full set, row U_x folds as the AND of the
-    members holding x, in family order; the first step that leaves the
-    family raises NotClosedUnderIntersection(row so far, member).  Then
-    a | U_x must be a member for all members a and points x, else
-    NotClosedUnderUnion(a, U_x).  That accepts exactly the topologies, since
-    a member is the union of the rows of its points.
-    """
-    return FiniteSpace(size, family, labels=labels)
 
 
 class Preorder:

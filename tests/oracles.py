@@ -104,7 +104,7 @@ def brute_up_sets(size, rows):
 
 
 def brute_check_family(size, family):
-    """The open-family axioms by a pairwise scan, with validate_topology's errors.
+    """The open-family axioms by a pairwise scan, with FiniteSpace's errors.
 
     The first pair (a, b) in (popcount, value) order, a before b, whose
     union or else intersection is missing is the witness.

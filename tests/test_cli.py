@@ -561,6 +561,18 @@ def test_ktheory_datum_verify_refuses_what_it_would_not_check(tmp_path, capsys):
         assert json.loads(err) == error
 
 
+def test_ktheory_datum_verify_refuses_a_missing_cycle(tmp_path, capsys):
+    datum = datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
+    datum["cycles"] = [c for c in datum["cycles"]
+                       if (c["open"], c["set"]) != ("0", "0,1")]
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "d.json", datum))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ShapeMismatch",
+                               "message": "missing cycle for ([0], [0, 1])",
+                               "details": {"pair": [1, 3]}}
+
+
 def test_ktheory_two_point(tmp_path, capsys):
     z = {"generators": 1, "relations": []}
     ident = {"domain": z, "codomain": z, "matrix": [[1]]}

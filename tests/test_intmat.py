@@ -25,12 +25,12 @@ def assert_normal_form(m):
 def test_matrix_construction():
     m = IntMatrix([[1, 2], [3, 4]])
     assert m.rows == 2 and m.cols == 2
-    assert IntMatrix.zeros(2, 3).is_zero()
+    assert IntMatrix.zeros(2, 3).entries == ((0, 0, 0), (0, 0, 0))
     assert IntMatrix.identity(2) @ m == m
     assert m.transpose().transpose() == m
     assert m.column(1) == (2, 4)
     assert m.apply((1, 0)) == (1, 3)
-    assert (m - m).is_zero()
+    assert m - m == IntMatrix.zeros(2, 2)
     assert m.hstack(m).cols == 4
     assert IntMatrix.from_columns([(1, 2), (3, 4)], rows=2).entries == ((1, 3), (2, 4))
 
@@ -95,11 +95,14 @@ def test_solve_detects_unsolvable():
 
 
 def test_solve_matrix_rhs():
+    # stacked right-hand sides are solved one column at a time
     m = IntMatrix([[1, 0], [0, 2]])
     rhs = IntMatrix([[1, 0], [4, 2]])
-    x = solve(m, rhs)
-    assert m @ x == rhs
-    assert solve(m, IntMatrix([[1, 0], [1, 2]])) is None
+    xs = [solve(m, rhs.column(j)) for j in range(rhs.cols)]
+    assert xs == [(1, 2), (0, 1)]
+    assert m @ IntMatrix.from_columns(xs, rows=m.cols) == rhs
+    unsolvable = IntMatrix([[1, 0], [1, 2]])
+    assert [solve(m, unsolvable.column(j)) for j in range(2)] == [None, (0, 1)]
 
 
 def test_kernel_basis():
@@ -110,7 +113,7 @@ def test_kernel_basis():
         assert k.rows == m.cols
         assert k.cols == m.cols - rational_rank(m)
         if k.cols:
-            assert (m @ k).is_zero()
+            assert m @ k == IntMatrix.zeros(m.rows, k.cols)
         # the generated subgroup is saturated: solve succeeds on each member
         for j in range(k.cols):
             assert solve(m, m.apply(k.column(j))) is not None
@@ -128,13 +131,16 @@ def test_normal_form_is_computed_once_per_matrix():
 
 def test_solve_matrix_rhs_with_unsolvable_second_column():
     m = IntMatrix([[2, 0], [0, 3]])
-    assert solve(m, IntMatrix([[2], [3]])) == IntMatrix([[1], [1]])
-    assert solve(m, IntMatrix([[2, 1], [3, 0]])) is None
+    rhs = IntMatrix([[2, 1], [3, 0]])
+    assert solve(m, rhs.column(0)) == (1, 1)
+    assert solve(m, rhs.column(1)) is None
 
 
-def test_solve_matrix_rhs_without_columns():
-    x = solve(IntMatrix([[1, 2, 3]]), IntMatrix.zeros(1, 0))
-    assert (x.rows, x.cols) == (3, 0)
+def test_solve_without_unknowns():
+    # a matrix without columns, the relations of a free group: only zero solves
+    m = IntMatrix.zeros(2, 0)
+    assert solve(m, (0, 0)) == ()
+    assert solve(m, (0, 1)) is None
 
 
 def test_self_check_rejects_inconsistent_transforms(monkeypatch):

@@ -96,7 +96,7 @@ def test_space_size_cap(monkeypatch):
         raise AssertionError("built a space over the cap")
 
     monkeypatch.setattr(jsonio, "alexandrov_topology", refuse)
-    monkeypatch.setattr(jsonio, "validate_topology", refuse)
+    monkeypatch.setattr(jsonio, "FiniteSpace", refuse)
     for n in (cap + 1, 3000, 10 ** 12):
         for obj in ({"size": n, "opens": [[]]}, {"preorder": {"size": n}}):
             with pytest.raises(CapExceeded) as err:

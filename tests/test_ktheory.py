@@ -343,18 +343,41 @@ def test_propagation_flags_nonzero_point():
 def test_datum_shape_errors():
     space = FiniteSpace.sierpinski()
     good = constant_zero_datum(space)
-    with pytest.raises(ShapeMismatch):
-        type(good)(space, {k: v for k, v in good.assignment.items() if k != 2},
-                   good.cycles)
-    with pytest.raises(ShapeMismatch):
-        verify_datum(type(good)(
-            space, good.assignment,
-            {k: v for k, v in good.cycles.items() if k != (1, 3)}))
+    groups, cycles = good.assignment, good.cycles
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, {k: v for k, v in groups.items() if k != 2}, cycles)
+    assert str(err.value) == "no group assigned to [1]"
+    assert err.value.details == {}
+    missing = {k: v for k, v in cycles.items() if k != (1, 3)}
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, groups, missing)
+    assert str(err.value) == "missing cycle for ([0], [0, 1])"
+    assert err.value.details == {"pair": (1, 3)}
     rich = point_count_datum(space)
-    mixed = dict(good.cycles)
-    mixed[(1, 3)] = rich.cycles[(1, 3)]
-    with pytest.raises(ShapeMismatch):
-        verify_datum(type(good)(space, good.assignment, mixed))
+    mixed = {**cycles, (1, 3): rich.cycles[(1, 3)]}
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, groups, mixed)
+    assert str(err.value) == ("cycle groups for ([0], [0, 1]) do not match "
+                              "the assignment")
+    assert err.value.details == {"pair": (1, 3)}
+    # pairs are walked in order, after every cycle key is checked
+    both = {**missing, (0, 3): rich.cycles[(0, 3)]}
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, groups, both)
+    assert err.value.details == {"pair": (0, 3)}
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, groups, {**both, (2, 3): cycles[(0, 0)]})
+    assert str(err.value) == "cycle ([1], [0, 1]) is not a relative-open pair"
+
+
+def test_datum_keys_follow_the_listing_order():
+    space = random_poset_space(random.Random(908), 4)
+    good = point_count_datum(space)
+    datum = FiltratedKDatum(space, dict(reversed(good.assignment.items())),
+                            dict(reversed(good.cycles.items())))
+    assert list(datum.assignment) == [lc.carrier for lc in space.locally_closed_sets()]
+    assert list(datum.cycles) == datum.pairs()
+    assert [pair for pair, _ in verify_datum(datum).results] == datum.pairs()
 
 
 # -- two-point sequences -----------------------------------------------------------

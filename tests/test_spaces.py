@@ -14,8 +14,7 @@ from finitetop.cli import main
 from finitetop.jsonio import preorder_to_json
 from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
                               Preorder, alexandrov_topology, bits, family_key,
-                              hasse_dot, mask_of, space_from_edges,
-                              validate_topology)
+                              hasse_dot, mask_of, space_from_edges)
 from oracles import (brute_chain_length, brute_check_family, brute_closure,
                      brute_interior, brute_irreducible_closed_sets,
                      brute_is_sober, brute_locally_closed,
@@ -35,14 +34,14 @@ def spaces_up_to(n):
 
 def test_family_axioms_rejected_with_witnesses():
     with pytest.raises(MissingEmpty):
-        validate_topology(1, [1])
+        FiniteSpace(1, [1])
     with pytest.raises(MissingFull):
-        validate_topology(2, [0, 1])
+        FiniteSpace(2, [0, 1])
     with pytest.raises(NotClosedUnderUnion) as err:
-        validate_topology(3, [0, 1, 2, 7])
+        FiniteSpace(3, [0, 1, 2, 7])
     assert err.value.details["witness"] == (1, 2)
     with pytest.raises(NotClosedUnderIntersection) as err:
-        validate_topology(3, [0, 3, 5, 7])
+        FiniteSpace(3, [0, 3, 5, 7])
     assert err.value.details["witness"] == (3, 5)
 
 
@@ -56,7 +55,7 @@ def _refusal(check, size, family):
 
 
 def assert_validator_matches_scan(size, family):
-    got = _refusal(validate_topology, size, family)
+    got = _refusal(FiniteSpace, size, family)
     want = _refusal(brute_check_family, size, family)
     assert (got is None) == (want is None), (size, family)
     members = set(family)
@@ -90,19 +89,19 @@ def test_validator_matches_pairwise_scan_random():
 def test_validator_linear_on_discrete_family():
     # 65,536 opens: a pairwise scan would test over two billion pairs
     space = FiniteSpace.discrete(16)
-    assert validate_topology(16, space.opens) == space
+    assert FiniteSpace(16, space.opens) == space
 
 
 def test_family_deduplicated_and_sorted():
-    space = validate_topology(2, [3, 0, 1, 1, 3])
+    space = FiniteSpace(2, [3, 0, 1, 1, 3])
     assert space.opens == (0, 1, 3)
 
 
 def test_labels_checked():
     with pytest.raises(ValueError):
-        validate_topology(2, [0, 1, 3], labels=("a",))
+        FiniteSpace(2, [0, 1, 3], labels=("a",))
     with pytest.raises(ValueError):
-        validate_topology(2, [0, 1, 3], labels=("a", "a"))
+        FiniteSpace(2, [0, 1, 3], labels=("a", "a"))
     # labels print in DOT and JSON, so 1 and "1" are the same label
     with pytest.raises(ValueError):
         FiniteSpace.sierpinski().with_labels((1, "1"))
