@@ -26,9 +26,8 @@ _EXPORTS = {
     "lattice": ("LatticeMap", "continuous_to_lattice_map",
                 "lattice_map_to_continuous", "preserves_finite_meets",
                 "preserves_joins"),
-    "spaces": ("ContinuousMap", "Filtration", "FiniteSpace",
-               "LocallyClosedSet", "Preorder", "alexandrov_topology",
-               "hasse_dot", "space_from_edges"),
+    "spaces": ("ContinuousMap", "Filtration", "FiniteSpace", "Preorder",
+               "alexandrov_topology", "hasse_dot", "space_from_edges"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = frozenset(_EXPORTS) | {"ajsonio", "cli", "jsonio", "kjsonio"}

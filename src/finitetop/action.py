@@ -16,7 +16,7 @@ from .errors import (
     NotOpen,
     NotSober,
 )
-from .spaces import ContinuousMap, LocallyClosedSet, bits
+from .spaces import ContinuousMap, bits
 
 
 class ActionOverX:
@@ -42,12 +42,6 @@ class ActionOverX:
         return f"ActionOverX(base={self.base!r}, psi={self.psi.assignment})"
 
 
-def _as_locally_closed(space, c):
-    if isinstance(c, LocallyClosedSet):
-        return c
-    return space.locally_closed(c)
-
-
 def ideal(action, u):
     """The open subset of the primitive space over an open of the base."""
     if not action.base.is_open(u):
@@ -56,13 +50,14 @@ def ideal(action, u):
 
 
 def subquotient_support(action, c):
-    """Support over a locally closed set: its preimage, locally closed in P.
+    """Support over a locally closed mask c of the base: its preimage in P.
 
-    For a witness U minus V = C the support is preim(U) minus preim(V), and
-    preimages keep differences, so every witness gives preim(C).
+    For a witness U minus V = C the support is preim(U) minus preim(V),
+    locally closed in P, and preimages keep differences, so every witness
+    gives preim(C).  c is checked on the base.
     """
-    c = _as_locally_closed(action.base, c)
-    return action.prim.locally_closed(action.psi.preimage(c.carrier))
+    action.base.locally_closed(c)
+    return action.psi.preimage(c)
 
 
 def pushforward(f, action):
@@ -84,10 +79,10 @@ def restrict(action, y):
     subset C of y exactly when its original lies in psi^-1(C), so supports
     over locally closed subsets of y are unchanged.
     """
-    y = _as_locally_closed(action.base, y)
-    base_sub, base_pts = action.base.subspace(y.carrier)
+    action.base.locally_closed(y)
+    base_sub, base_pts = action.base.subspace(y)
     base_pos = {p: i for i, p in enumerate(base_pts)}
-    prim_sub, prim_pts = action.prim.subspace(action.psi.preimage(y.carrier))
+    prim_sub, prim_pts = action.prim.subspace(action.psi.preimage(y))
     assignment = [base_pos[action.psi(p)] for p in prim_pts]
     return ActionOverX(base_sub, prim_sub,
                        ContinuousMap(prim_sub, base_sub, assignment))
@@ -107,11 +102,9 @@ def p_functor(action, y):
 
     The result lives over the original base again; a point over Z in it
     lies over Z & y in the restriction, so its support over Z is the
-    original support over Z & y.
+    original support over Z & y.  restrict checks y.
     """
-    y = _as_locally_closed(action.base, y)
-    _, incl = action.base.inclusion(y.carrier)
-    return pushforward(incl, restrict(action, y))
+    return pushforward(action.base.inclusion(y)[1], restrict(action, y))
 
 
 class IdealAssignment:
@@ -181,12 +174,12 @@ def reconstruct(assign, prim):
 
 
 def filtration_of_action(action):
-    """Supports over the strata of the canonical filtration of the base.
+    """Supports over the strata of the canonical filtration, as masks of P.
 
-    A stratum's support is the union of the fibers over its points, which
-    are disjoint because psi is a function.  Each fiber is open in the part
-    of P over the rest of the base: a point x of the stratum is open in the
-    rest, so psi^-1(U_x) & psi^-1(rest) = psi^-1({x}), the fiber.
+    A stratum is open in the closed rest of the base, so its support is its
+    preimage: the disjoint union of the fibers over its points.  Each fiber
+    is open in the part of P over the rest: a point x of the stratum is open
+    in the rest, so psi^-1(U_x) & psi^-1(rest) = psi^-1({x}), the fiber.
     """
-    return [subquotient_support(action, stratum)
+    return [action.psi.preimage(stratum)
             for stratum in action.base.canonical_filtration().strata]

@@ -190,7 +190,7 @@ def _cmd_action(args):
         rows = []
         for stratum, sup in zip(filt.strata, supports):
             rows.append({"stratum": indices(stratum),
-                         "support": indices(sup.carrier),
+                         "support": indices(sup),
                          "fibers": [indices(fiber_support(action, x))
                                     for x in bits(stratum)]})
         _emit({"layers": [indices(m) for m in filt.layers],

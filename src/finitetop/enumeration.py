@@ -31,6 +31,7 @@ from .spaces import (
     FiniteSpace,
     Preorder,
     _components,
+    _covers,
     _down,
     _up_sets,
     alexandrov_topology,
@@ -140,15 +141,10 @@ def _canonical(rows, sizes):
     RELABELING_CAP of them.
     """
     n = len(rows)
-    strict = [row & ~(1 << x) for x, row in enumerate(rows)]
-    upper, below, down = [0] * n, [[] for _ in rows], [1] * n
-    for x in range(n):
-        above = 0  # points over a point strictly above x: not covers
-        for z in bits(strict[x]):
-            above |= strict[z]
-            down[z] += 1
-        upper[x] = strict[x] & ~above
-        for a in bits(upper[x]):
+    upper, down = _covers(rows)
+    below = [[] for _ in rows]
+    for x, up in enumerate(upper):
+        for a in bits(up):
             below[a].append(x)
     keys = [(rows[x].bit_count(), down[x], len(below[x]), upper[x].bit_count(),
              sizes[x]) for x in range(n)]

@@ -19,7 +19,7 @@ from .errors import (
     SquareNotCommuting,
 )
 from .intmat import IntMatrix, kernel_basis, smith_normal_form, solve
-from .spaces import _up_sets, bits
+from .spaces import _up_sets, bits, family_key, mask_of
 
 
 class FGAbelianGroup:
@@ -280,6 +280,21 @@ def verify_six_term(cycle):
     return CycleReport(nodes)
 
 
+def _first_without_group(space, assignment):
+    """The least locally closed mask by family_key with no group, or None.
+
+    Taking a maximal class of equal rows from a locally closed set leaves
+    an earlier one, so only 0 and each key k plus a class c with no point
+    of k in its row are tested.
+    """
+    rows = space.rows
+    classes = {row: mask_of(y for y in bits(row) if rows[y] == row) for row in rows}
+    grown = {k | c for k in assignment for row, c in classes.items() if not row & k}
+    grown.add(0)
+    bare = [s for s in grown - assignment.keys() if space.locally_closed_witness(s)]
+    return min(bare, key=family_key, default=None)
+
+
 class FiltratedKDatum:
     """Graded groups over every locally closed subset plus their cycles.
 
@@ -290,10 +305,10 @@ class FiltratedKDatum:
     The constructor raises every shape fault, each kind first in the
     order given: an assigned carrier that is not locally closed
     (NotLocallyClosed), a locally closed set with no group (ShapeMismatch,
-    in family_key order), a cycle key that is not such a pair, and then,
-    walking pairs(), a pair with no cycle or with groups other than the
-    assignment's (ShapeMismatch, (u, y) as details.pair).  The datum keeps
-    assignment in family_key order and cycles in pairs() order.
+    the least by family_key, found from the keys, as details.carrier), a
+    cycle key that is not such a pair, and then, walking pairs(), a pair
+    with no cycle or with groups other than the assignment's (details.pair).
+    The datum keeps assignment in family_key order, cycles in pairs() order.
     """
 
     __slots__ = ("space", "assignment", "cycles")
@@ -302,13 +317,12 @@ class FiltratedKDatum:
         self.space = space
         for carrier in assignment:
             space.locally_closed(carrier)
-        self.assignment = {}
-        for lc in space.locally_closed_sets():
-            if lc.carrier not in assignment:
-                raise ShapeMismatch(
-                    f"no group assigned to {sorted(bits(lc.carrier))}")
-            self.assignment[lc.carrier] = assignment[lc.carrier]
+        missing = _first_without_group(space, assignment)
+        if missing is not None:
+            raise ShapeMismatch(f"no group assigned to {sorted(bits(missing))}",
+                                carrier=missing)
         # every locally closed set now has a group, and only those do
+        self.assignment = {c: assignment[c] for c in sorted(assignment, key=family_key)}
         rows = space.rows
         for u, y in cycles:
             if (y not in self.assignment or u & ~y

@@ -81,6 +81,19 @@ def _components(rows):
     return tuple(out)
 
 
+def _covers(rows):
+    """Upper covers of each point x of a poset as masks, and |{y : y <= x}|."""
+    strict = [row & ~(1 << x) for x, row in enumerate(rows)]
+    covers, downs = [], [1] * len(rows)
+    for up in strict:
+        above = 0  # points over a point strictly above x: not covers
+        for z in bits(up):
+            above |= strict[z]
+            downs[z] += 1
+        covers.append(up & ~above)
+    return covers, downs
+
+
 def _minimal_opens(size, family):
     """Rows of a sorted family, each the AND of the members holding its point.
 
@@ -323,23 +336,23 @@ class FiniteSpace:
         """Canonical (U, V) with V in U and U minus V = s, or None."""
         cl = self.closure(s)
         u = self.full ^ (cl & ~s)
-        if not self.is_open(u):
+        if s & ~self.full or not self.is_open(u):
             return None
-        v = u & (self.full ^ cl)
-        return (u, v)
+        return (u, u & (self.full ^ cl))
 
     def locally_closed(self, s):
+        """The witness (U, V) of s, or NotLocallyClosed with s as details.carrier."""
         w = self.locally_closed_witness(s)
         if w is None:
             raise NotLocallyClosed(
                 f"{sorted(bits(s))} is not open in its closure", carrier=s)
-        return LocallyClosedSet(s, w[0], w[1])
+        return w
 
     def locally_closed_sets(self):
-        """Each locally closed S once, as U minus V with U = the up-closure of S.
+        """Each locally closed mask S once, by family_key, as U minus V.
 
-        V = U minus S is then an up-set of the points of U strictly above
-        another point of U, and each such V leaves a locally closed S.
+        With U the up-closure of S, V is an up-set of the points of U
+        strictly above another point of U, and each such V leaves an S.
         """
         strict = [mask_of(y for y in bits(row) if self.rows[y] != row)
                   for row in self.rows]
@@ -349,7 +362,7 @@ class FiniteSpace:
             for x in bits(u):
                 above |= strict[x]
             carriers += (u & ~v for v in _up_sets(self.rows, above))
-        return tuple(self.locally_closed(c) for c in sorted(carriers, key=family_key))
+        return tuple(sorted(carriers, key=family_key))
 
     # -- T0-only structure --------------------------------------------------
 
@@ -360,14 +373,8 @@ class FiniteSpace:
     def hasse_edges(self):
         """Cover edges in drawn direction: (a, b) states U_a in U_b, b < a."""
         self._require_t0("hasse diagram")
-        up = [row & ~(1 << x) for x, row in enumerate(self.rows)]
-        edges = []
-        for b in range(self.size):
-            above = 0  # not covers: the points over a point strictly above b
-            for z in bits(up[b]):
-                above |= up[z]
-            edges += ((a, b) for a in bits(up[b] & ~above))
-        return tuple(sorted(edges))
+        covers, _ = _covers(self.rows)
+        return tuple(sorted((a, b) for b, up in enumerate(covers) for a in bits(up)))
 
     def length(self):
         """Cardinality of the longest specialisation chain: the number of strata."""
@@ -550,16 +557,6 @@ class ContinuousMap:
     def is_homeomorphism(self):
         return (self.domain.size == self.codomain.size
                 and self.is_injective() and self.is_open_map())
-
-
-class LocallyClosedSet(namedtuple("LocallyClosedSet", "carrier u v")):
-    """A difference U minus V of opens; build via FiniteSpace.locally_closed."""
-
-    __slots__ = ()
-
-    @property
-    def witness(self):
-        return (self.u, self.v)
 
 
 class Filtration(namedtuple("Filtration", "layers strata")):

@@ -62,12 +62,10 @@ def point_count_datum(space):
     """
     zero = FGAbelianGroup.zero()
     assignment = {}
-    for lc in space.locally_closed_sets():
-        assignment[lc.carrier] = GradedGroup(
-            FGAbelianGroup.free(lc.carrier.bit_count()), zero)
+    for y in space.locally_closed_sets():
+        assignment[y] = GradedGroup(FGAbelianGroup.free(y.bit_count()), zero)
     cycles = {}
-    for lc in space.locally_closed_sets():
-        y = lc.carrier
+    for y in assignment:
         yb = sorted(bits(y))
         for w in space.opens:
             u = y & w
@@ -97,14 +95,10 @@ def constant_zero_datum(space, special=None, group=None):
     zero = FGAbelianGroup.zero()
     plain = GradedGroup(zero, zero)
     assignment = {}
-    for lc in space.locally_closed_sets():
-        if lc.carrier == special:
-            assignment[lc.carrier] = GradedGroup(group, zero)
-        else:
-            assignment[lc.carrier] = plain
+    for y in space.locally_closed_sets():
+        assignment[y] = GradedGroup(group, zero) if y == special else plain
     cycles = {}
-    for lc in space.locally_closed_sets():
-        y = lc.carrier
+    for y in assignment:
         for w in space.opens:
             u = y & w
             if (u, y) in cycles:

@@ -132,11 +132,11 @@ def test_c04_subquotient_supports_are_witness_independent():
         for _ in range(100):
             act = random_action(rng)
             psi = act.psi
-            for lc in act.base.locally_closed_sets():
-                witnesses = brute_locally_closed_witnesses(act.base, lc.carrier)
+            for y in act.base.locally_closed_sets():
+                witnesses = brute_locally_closed_witnesses(act.base, y)
                 supports = {psi.preimage(u) & ~psi.preimage(v)
                             for u, v in witnesses}
-                assert supports == {subquotient_support(act, lc).carrier}
+                assert supports == {subquotient_support(act, y)}
                 for u1, v1 in witnesses:
                     for u2, v2 in witnesses:
                         assert (psi.preimage(u2) | psi.preimage(v1)
@@ -210,7 +210,7 @@ def test_c07_canonical_filtration():
             for j, sup in enumerate(supports):
                 expected = (act.psi.preimage(filt.layers[j + 1])
                             & ~act.psi.preimage(filt.layers[j]))
-                assert sup.carrier == expected
+                assert sup == expected
                 union = 0
                 for x in bits(filt.strata[j]):
                     piece = fiber_support(act, x)
@@ -297,8 +297,8 @@ def test_c10_vanishing_propagation():
             datum = constant_zero_datum(space)
             assert verify_datum(datum).ok
             assert vanishing_propagation(datum).ok
-            assert all(datum.group(lc.carrier).is_zero()
-                       for lc in space.locally_closed_sets())
+            assert all(datum.group(y).is_zero()
+                       for y in space.locally_closed_sets())
         sier = FiniteSpace.sierpinski()
         flawed = constant_zero_datum(sier, special=sier.full,
                                      group=FGAbelianGroup.cyclic(2))

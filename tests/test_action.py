@@ -57,13 +57,13 @@ def test_subquotient_witnesses_agree():
     for _ in range(40):
         act = random_action(rng)
         psi = act.psi
-        for lc in act.base.locally_closed_sets():
+        for y in act.base.locally_closed_sets():
             carriers = set()
-            witnesses = brute_locally_closed_witnesses(act.base, lc.carrier)
+            witnesses = brute_locally_closed_witnesses(act.base, y)
             for u, v in witnesses:
                 carriers.add(psi.preimage(u) & ~psi.preimage(v))
             assert len(carriers) == 1
-            got = subquotient_support(act, lc).carrier
+            got = subquotient_support(act, y)
             assert carriers == {got}
             # exchange identity between any two witnesses
             for u1, v1 in witnesses:
@@ -76,9 +76,9 @@ def test_support_carrier_is_locally_closed_in_prim():
     rng = random.Random(103)
     for _ in range(20):
         act = random_action(rng)
-        for lc in act.base.locally_closed_sets():
-            sup = subquotient_support(act, lc)
-            assert act.prim.locally_closed_witness(sup.carrier) is not None
+        for y in act.base.locally_closed_sets():
+            sup = subquotient_support(act, y)
+            assert act.prim.locally_closed_witness(sup) is not None
 
 
 def test_pushforward_along_identity_and_collapse():
@@ -88,8 +88,7 @@ def test_pushforward_along_identity_and_collapse():
     point = FiniteSpace.point()
     collapsed = pushforward(ContinuousMap(act.base, point, [0, 0, 0, 0]), act)
     assert collapsed.base == point
-    assert subquotient_support(
-        collapsed, point.locally_closed(1)).carrier == act.prim.full
+    assert subquotient_support(collapsed, 1) == act.prim.full
 
 
 def test_pushforward_needs_matching_base():
@@ -113,17 +112,17 @@ def test_restrict_preserves_supports():
     rng = random.Random(107)
     for _ in range(25):
         act = random_action(rng, 4, 4)
-        for lc in act.base.locally_closed_sets():
-            if lc.carrier == 0:
+        for y in act.base.locally_closed_sets():
+            if y == 0:
                 continue
-            small = restrict(act, lc.carrier)
-            base_pts = tuple(bits(lc.carrier))
-            _, prim_pts = act.prim.subspace(act.psi.preimage(lc.carrier))
-            # supports over locally closed subsets of lc lift to the old ones
+            small = restrict(act, y)
+            base_pts = tuple(bits(y))
+            _, prim_pts = act.prim.subspace(act.psi.preimage(y))
+            # supports over locally closed subsets of y lift to the old ones
             for c in small.base.locally_closed_sets():
-                got = subquotient_support(small, c).carrier
+                got = subquotient_support(small, c)
                 lifted = mask_of(prim_pts[i] for i in bits(got))
-                big = mask_of(base_pts[i] for i in bits(c.carrier))
+                big = mask_of(base_pts[i] for i in bits(c))
                 assert lifted == act.psi.preimage(big)
 
 
@@ -133,9 +132,9 @@ def test_p_functor_supports():
     assert part.base == act.base
     pts = tuple(bits(act.psi.preimage(0b1010)))
     for z in act.base.locally_closed_sets():
-        got = subquotient_support(part, z).carrier
+        got = subquotient_support(part, z)
         lifted = mask_of(pts[i] for i in bits(got))
-        assert lifted == act.psi.preimage(z.carrier & 0b1010)
+        assert lifted == act.psi.preimage(z & 0b1010)
 
 
 def assert_support_is_witness_independent(act, c):
@@ -143,7 +142,7 @@ def assert_support_is_witness_independent(act, c):
     psi = act.psi
     pre = [(psi.preimage(u), psi.preimage(v))
            for u, v in brute_locally_closed_witnesses(act.base, c)]
-    assert {pu & ~pv for pu, pv in pre} == {subquotient_support(act, c).carrier}
+    assert {pu & ~pv for pu, pv in pre} == {subquotient_support(act, c)}
     for pu1, pv1 in pre:
         for pu2, pv2 in pre:
             assert pu2 | pv1 == pu1 | pv2
@@ -159,17 +158,16 @@ def test_pushforward_and_p_functor_supports_are_preimages():
         f = random_continuous(rng, act.base, random_space(rng, rng.randint(1, 4)))
         moved = pushforward(f, act)
         for c in f.codomain.locally_closed_sets():
-            assert_support_is_witness_independent(moved, c.carrier)
-            assert (subquotient_support(moved, c).carrier
-                    == psi.preimage(f.preimage(c.carrier)))
+            assert_support_is_witness_independent(moved, c)
+            assert subquotient_support(moved, c) == psi.preimage(f.preimage(c))
         # the support over Z is the old support over Z & y
-        y = rng.choice(act.base.locally_closed_sets()).carrier
+        y = rng.choice(act.base.locally_closed_sets())
         part = p_functor(act, y)
         pts = tuple(bits(psi.preimage(y)))
         for z in act.base.locally_closed_sets():
-            assert_support_is_witness_independent(part, z.carrier)
-            got = subquotient_support(part, z).carrier
-            assert mask_of(pts[i] for i in bits(got)) == psi.preimage(z.carrier & y)
+            assert_support_is_witness_independent(part, z)
+            got = subquotient_support(part, z)
+            assert mask_of(pts[i] for i in bits(got)) == psi.preimage(z & y)
 
 
 def test_tightness():
@@ -280,7 +278,7 @@ def test_assignment_totality():
 def test_filtration_of_ninth_case():
     act = ninth_action()
     supports = filtration_of_action(act)
-    assert [s.carrier for s in supports] == [0b0011, 0b1100]
+    assert supports == [0b0011, 0b1100]
 
 
 def test_filtration_partition_property():
@@ -296,7 +294,7 @@ def test_filtration_partition_property():
             # the j-th support is the ideal gap between consecutive layers
             expected = (act.psi.preimage(filt.layers[j + 1])
                         & ~act.psi.preimage(filt.layers[j]))
-            assert sup.carrier == expected
+            assert sup == expected
             # fibers are disjoint, each open over the part of P above the
             # unfiltered rest of the base, and together the support
             over_rest = act.psi.preimage(base.full ^ filt.layers[j])

@@ -573,6 +573,27 @@ def test_ktheory_datum_verify_refuses_a_missing_cycle(tmp_path, capsys):
                                "details": {"pair": [1, 3]}}
 
 
+def test_ktheory_datum_verify_names_a_carrier_with_no_group(tmp_path, capsys):
+    sierpinski = datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
+    # without "1", the cycles that reach {1} would not parse
+    no_one = dict(sierpinski,
+                  groups={k: g for k, g in sierpinski["groups"].items() if k != "1"},
+                  cycles=[c for c in sierpinski["cycles"]
+                          if "1" not in (c["open"], c["set"])
+                          and (c["open"], c["set"]) != ("0", "0,1")])
+    empty = {"space": {"preorder": {"size": 20}}, "groups": {}, "cycles": []}
+    for datum, error in ((no_one, {"error": "ShapeMismatch",
+                                   "message": "no group assigned to [1]",
+                                   "details": {"carrier": 2}}),
+                         (empty, {"error": "ShapeMismatch",
+                                  "message": "no group assigned to []",
+                                  "details": {"carrier": 0}})):
+        code, out, err = run(capsys, "ktheory", "datum-verify",
+                             jfile(tmp_path, "d.json", datum))
+        assert code == 1 and out == ""
+        assert json.loads(err) == error
+
+
 def test_ktheory_two_point(tmp_path, capsys):
     z = {"generators": 1, "relations": []}
     ident = {"domain": z, "codomain": z, "matrix": [[1]]}

@@ -107,12 +107,14 @@ MAPS = [{"domain": NINTH, "codomain": {"size": 1, "opens": [[], [0]]},
 HOM = {"domain": Z, "codomain": Z, "matrix": [[2]]}
 POINT_COUNT = datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
 # the chaotic two-point space has groups on "" and "0,1" only: its points
-# are not locally closed; the last datum spells the key "1" as "0_1"
+# are not locally closed; the fourth datum spells the key "1" as "0_1"; the
+# last has 3^20 locally closed sets and no group, refused from its keys
 DATA = [POINT_COUNT,
         datum_to_json(constant_zero_datum(FiniteSpace.sierpinski())),
         datum_to_json(constant_zero_datum(FiniteSpace.chaotic(2))),
         dict(POINT_COUNT, groups={"0_1" if key == "1" else key: group
-                                  for key, group in POINT_COUNT["groups"].items()})]
+                                  for key, group in POINT_COUNT["groups"].items()}),
+        {"space": {"preorder": {"size": 20}}, "groups": {}, "cycles": []}]
 DOCS = {
     "snf": [{"matrix": [[2, 0], [0, 3]]}, [[4, 6], [2, 2]]],
     "exact": [{"f": HOM, "g": {"domain": Z, "codomain": MOD2, "matrix": [[1]]}}],

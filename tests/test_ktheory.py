@@ -11,7 +11,7 @@ from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                is_exact_at, kernel, two_point_sequence,
                                vanishing_propagation, verify_datum,
                                verify_six_term)
-from finitetop.spaces import FiniteSpace, family_key
+from finitetop.spaces import FiniteSpace, Preorder, alexandrov_topology, family_key
 from fixtures import (constant_zero_datum, point_count_datum, random_divisors,
                       random_torsion_cycle, random_zero_composite)
 from oracles import (brute_locally_closed, diagonal_group, element_exact,
@@ -347,7 +347,7 @@ def test_datum_shape_errors():
     with pytest.raises(ShapeMismatch) as err:
         FiltratedKDatum(space, {k: v for k, v in groups.items() if k != 2}, cycles)
     assert str(err.value) == "no group assigned to [1]"
-    assert err.value.details == {}
+    assert err.value.details == {"carrier": 2}
     missing = {k: v for k, v in cycles.items() if k != (1, 3)}
     with pytest.raises(ShapeMismatch) as err:
         FiltratedKDatum(space, groups, missing)
@@ -370,12 +370,40 @@ def test_datum_shape_errors():
     assert str(err.value) == "cycle ([1], [0, 1]) is not a relative-open pair"
 
 
+def test_missing_group_is_decided_from_the_keys():
+    # the least locally closed set with no group, found from the keys alone,
+    # is the first of the listing that is not a key
+    rng = random.Random(909)
+    plain = GradedGroup(Z(0), Z(0))
+    for i in range(60):
+        space = (random_space if i % 2 else random_poset_space)(rng, rng.randint(1, 6))
+        carriers = space.locally_closed_sets()
+        for _ in range(5):
+            keys = rng.sample(carriers, rng.randint(0, len(carriers)))
+            missing = [c for c in carriers if c not in keys]
+            with pytest.raises(ShapeMismatch) as err:
+                FiltratedKDatum(space, dict.fromkeys(keys, plain), {})
+            if missing:
+                assert err.value.details == {"carrier": missing[0]}
+            else:
+                assert str(err.value).startswith("missing cycle")
+
+
+def test_missing_group_refused_without_listing():
+    # 20 unrelated points have 3^20 locally closed sets
+    space = alexandrov_topology(Preorder.discrete(20))
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, {}, {})
+    assert err.value.details == {"carrier": 0}
+    assert space._opens is None
+
+
 def test_datum_keys_follow_the_listing_order():
     space = random_poset_space(random.Random(908), 4)
     good = point_count_datum(space)
     datum = FiltratedKDatum(space, dict(reversed(good.assignment.items())),
                             dict(reversed(good.cycles.items())))
-    assert list(datum.assignment) == [lc.carrier for lc in space.locally_closed_sets()]
+    assert list(datum.assignment) == list(space.locally_closed_sets())
     assert list(datum.cycles) == datum.pairs()
     assert [pair for pair, _ in verify_datum(datum).results] == datum.pairs()
 

@@ -387,29 +387,33 @@ def test_locally_closed_matches_brute_force():
     randoms = [(random_space if i % 2 else random_poset_space)(rng, rng.randint(5, 7))
                for i in range(40)]
     for space in [*spaces_up_to(3), *randoms]:
-        carriers = [lc.carrier for lc in space.locally_closed_sets()]
+        carriers = list(space.locally_closed_sets())
         assert carriers == sorted(brute_locally_closed(space), key=family_key)
         for s in range(1 << space.size):
             assert (space.locally_closed_witness(s) is not None) == (s in carriers)
 
 
 def test_locally_closed_witness_laws():
-    space = FiniteSpace.chain(3)
-    lc = space.locally_closed(0b010)
-    u, v = lc.witness
-    assert space.is_open(u) and space.is_open(v)
-    assert v & ~u == 0 and u & ~v == lc.carrier
-    with pytest.raises(NotLocallyClosed):
-        space.locally_closed(0b101)
+    rng = random.Random(24)
+    for space in [FiniteSpace.chain(3), *(random_space(rng, 5) for _ in range(10))]:
+        for s in space.locally_closed_sets():
+            u, v = space.locally_closed(s)
+            assert space.is_open(u) and space.is_open(v)
+            assert v & ~u == 0 and u & ~v == s
+    # outside the ground set nothing is locally closed
+    for s in (0b101, 0b1000, 0b1001):
+        with pytest.raises(NotLocallyClosed) as err:
+            FiniteSpace.chain(3).locally_closed(s)
+        assert err.value.details == {"carrier": s}
 
 
 def test_all_witnesses_give_same_difference():
     rng = random.Random(23)
     for _ in range(20):
         space = random_poset_space(rng, 5)
-        for lc in space.locally_closed_sets():
-            for u, v in brute_locally_closed_witnesses(space, lc.carrier):
-                assert u & ~v == lc.carrier
+        for y in space.locally_closed_sets():
+            for u, v in brute_locally_closed_witnesses(space, y):
+                assert u & ~v == y
 
 
 # -- order diagrams --------------------------------------------------------------
