@@ -51,8 +51,8 @@ def invariants_to_json(group):
     return {"rank": rank, "torsion": list(torsion)}
 
 
-def _hom(domain, codomain, value, what="matrix"):
-    m = matrix_from_json(value, what)
+def _hom(domain, codomain, rows):
+    m = IntMatrix(rows)
     # a row-free JSON matrix cannot carry its column count
     if codomain.generators == 0 and m.rows == 0:
         m = IntMatrix.zeros(0, domain.generators)
@@ -64,7 +64,7 @@ def hom_from_json(obj):
     obj = _obj(obj, "hom")
     domain = group_from_json(_obj(obj.get("domain"), "hom domain"))
     codomain = group_from_json(_obj(obj.get("codomain"), "hom codomain"))
-    return _hom(domain, codomain, obj.get("matrix"))
+    return _hom(domain, codomain, matrix_rows(obj.get("matrix"), "matrix"))
 
 
 def graded_from_json(obj):
@@ -73,10 +73,23 @@ def graded_from_json(obj):
                        group_from_json(_obj(obj.get("odd"), "odd part")))
 
 
-def _cycle(groups, maps):
-    """Six groups and the six JSON matrices between consecutive ones."""
-    return SixTermCycle(groups, [_hom(groups[i], groups[(i + 1) % 6], maps[i],
-                                      f"cycle map {i}") for i in range(6)])
+def _cycle(groups, maps, homs):
+    """Six groups and the six JSON matrices between consecutive ones.
+
+    homs interns maps by (domain, codomain, rows): a map equal in value to
+    one already in it is that map, so it is built and checked once.  A map
+    that fails is never kept, so each occurrence raises where the map
+    stands.
+    """
+    out = []
+    for i in range(6):
+        key = (groups[i], groups[(i + 1) % 6],
+               tuple(matrix_rows(maps[i], f"cycle map {i}")))
+        hom = homs.get(key)
+        if hom is None:
+            hom = homs[key] = _hom(*key)
+        out.append(hom)
+    return SixTermCycle(groups, out)
 
 
 def cycle_from_json(obj):
@@ -88,7 +101,7 @@ def cycle_from_json(obj):
         raise InputFormatError("a cycle needs exactly six groups")
     if not isinstance(maps, list) or len(maps) != 6:
         raise InputFormatError("a cycle needs exactly six maps")
-    return _cycle([group_from_json(_obj(g, "cycle group")) for g in groups], maps)
+    return _cycle([group_from_json(_obj(g, "cycle group")) for g in groups], maps, {})
 
 
 def square_from_json(obj):
@@ -114,7 +127,14 @@ def datum_from_json(obj):
     the empty set.  No carrier and no (open, set) pair may be given twice.
     FiltratedKDatum then checks the carriers and pairs themselves.  Cycle
     groups are wired from the assignment in the order
-    (even u, even y, even rest, odd u, odd y, odd rest).
+    (even u, even y, even rest, odd u, odd y, odd rest).  Each distinct
+    map of the datum (domain, codomain, rows) is built and checked once,
+    and the cycles that hold it share it.
+
+    A cycle that reaches a carrier with no group cannot be wired; its
+    matrices are still read, and it is kept as None for FiltratedKDatum
+    to refuse: fault 2 when that carrier is locally closed, else fault 3,
+    which checks the cycle keys before any cycle is read.
     """
     obj = _obj(obj, "datum")
     space = space_from_json(_obj(obj.get("space"), "datum space"))
@@ -130,6 +150,7 @@ def datum_from_json(obj):
     if not isinstance(raw_cycles, list):
         raise InputFormatError("datum needs a cycles list")
     cycles = {}
+    homs = {}
     for entry in raw_cycles:
         entry = _obj(entry, "cycle entry")
         u = carrier_from_key(entry.get("open"), space.size)
@@ -138,18 +159,18 @@ def datum_from_json(obj):
             raise InputFormatError(
                 f"cycle ({entry.get('open')!r}, {entry.get('set')!r}) repeats "
                 f"the pair ({indices(u)}, {indices(y)})")
-        rest = y & ~u
-        for m in (u, y, rest):
-            if m not in assignment:
-                raise InputFormatError(
-                    f"cycle ({entry.get('open')!r}, {entry.get('set')!r}) "
-                    "references a carrier with no assigned group")
         maps = entry.get("maps")
         if not isinstance(maps, list) or len(maps) != 6:
             raise InputFormatError("each cycle entry needs six maps")
-        eu, ey, er = (assignment[m].even for m in (u, y, rest))
-        ou, oy, orr = (assignment[m].odd for m in (u, y, rest))
-        cycles[(u, y)] = _cycle((eu, ey, er, ou, oy, orr), maps)
+        carriers = (u, y, y & ~u)
+        if all(m in assignment for m in carriers):
+            graded = [assignment[m] for m in carriers]
+            cycles[(u, y)] = _cycle([g.even for g in graded] + [g.odd for g in graded],
+                                    maps, homs)
+        else:
+            for i, value in enumerate(maps):
+                matrix_rows(value, f"cycle map {i}")
+            cycles[(u, y)] = None
     return FiltratedKDatum(space, assignment, cycles)
 
 

@@ -273,11 +273,15 @@ class CycleReport(namedtuple("CycleReport", "nodes")):
         return None
 
 
+def _cycle_report(cycle, decide):
+    """decide(f, g) at each node of the cycle, node i between maps i - 1 and i."""
+    return CycleReport(tuple(decide(cycle.maps[(i - 1) % 6], cycle.maps[i])
+                             for i in range(6)))
+
+
 def verify_six_term(cycle):
     """Exactness verdict at each node of the cycle."""
-    nodes = tuple(is_exact_at(cycle.maps[(i - 1) % 6], cycle.maps[i])
-                  for i in range(6))
-    return CycleReport(nodes)
+    return _cycle_report(cycle, is_exact_at)
 
 
 def _first_without_group(space, assignment):
@@ -368,8 +372,24 @@ class DatumReport(namedtuple("DatumReport", "results")):
 
 
 def verify_datum(datum):
-    """Exactness of the cycle of every relative-open pair, in pairs() order."""
-    return DatumReport(tuple((pair, verify_six_term(cycle))
+    """Exactness of the cycle of every relative-open pair, in pairs() order.
+
+    Neighbouring pairs share groups and maps, so one node turns up in many
+    cycles.  Each distinct node is decided once: verdicts are kept for this
+    call only, keyed on the value (f.domain, f.codomain, f.matrix,
+    g.codomain, g.matrix), which fixes is_exact_at(f, g) since g.domain is
+    f.codomain in a cycle.
+    """
+    verdicts = {}
+
+    def decide(f, g):
+        key = (f.domain, f.codomain, f.matrix, g.codomain, g.matrix)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = is_exact_at(f, g)
+        return verdict
+
+    return DatumReport(tuple((pair, _cycle_report(cycle, decide))
                              for pair, cycle in datum.cycles.items()))
 
 

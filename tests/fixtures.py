@@ -113,6 +113,39 @@ def constant_zero_datum(space, special=None, group=None):
     return FiltratedKDatum(space, assignment, cycles)
 
 
+def random_torsion_datum(rng, space):
+    """Diagonal torsion groups and random well-defined maps on every pair.
+
+    Groups come from a small pool and each pair of groups has two candidate
+    matrices, so equal nodes recur across cycles, each map a new object.
+    """
+    pool = ((), (2,), (2,), (4,), (2, 2))
+    divs = {y: (rng.choice(pool), rng.choice(pool))
+            for y in space.locally_closed_sets()}
+    assignment = {y: GradedGroup(diagonal_group(e), diagonal_group(o))
+                  for y, (e, o) in divs.items()}
+    candidates = {}
+    cycles = {}
+    for y in assignment:
+        for w in space.opens:
+            u = y & w
+            carriers = (u, y, y & ~u)
+            d = [divs[m][0] for m in carriers] + [divs[m][1] for m in carriers]
+            groups = [assignment[m].even for m in carriers] + [
+                assignment[m].odd for m in carriers]
+            maps = []
+            for i in range(6):
+                a, b = d[i], d[(i + 1) % 6]
+                if (a, b) not in candidates:
+                    candidates[(a, b)] = [random_torsion_hom(rng, a, b).entries
+                                          for _ in range(2)]
+                rows = rng.choice(candidates[(a, b)])
+                maps.append(GroupHom(groups[i], groups[(i + 1) % 6],
+                                     IntMatrix(rows, len(b), len(a))))
+            cycles[(u, y)] = SixTermCycle(groups, maps)
+    return FiltratedKDatum(space, assignment, cycles)
+
+
 # -- JSON writers --------------------------------------------------------------
 
 

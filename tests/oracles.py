@@ -14,7 +14,7 @@ from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               NotClosedUnderIntersection, NotClosedUnderUnion,
                               NotContinuous)
 from finitetop.intmat import IntMatrix
-from finitetop.ktheory import FGAbelianGroup
+from finitetop.ktheory import DatumReport, FGAbelianGroup, verify_six_term
 from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
                               alexandrov_topology, bits, mask_of)
 
@@ -433,6 +433,12 @@ def random_torsion_hom(rng, dom_divs, cod_divs):
             row.append(step * rng.randrange(gcd(dj, ci)))
         rows.append(row)
     return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def brute_verify_datum(datum):
+    """verify_datum without sharing: every node of every cycle decided afresh."""
+    return DatumReport(tuple((pair, verify_six_term(cycle))
+                             for pair, cycle in datum.cycles.items()))
 
 
 # -- integer matrix references -------------------------------------------------

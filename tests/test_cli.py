@@ -549,11 +549,17 @@ def test_ktheory_datum_verify_refuses_what_it_would_not_check(tmp_path, capsys):
     pair = {"error": "ShapeMismatch",
             "message": "cycle ([1], [0, 1]) is not a relative-open pair",
             "details": {"pair": [2, 3]}}
+    # {0, 2} has no group here: the cycle cannot be wired, and is refused
+    # as a pair (exit 1), not as unreadable input
+    no_group = {"error": "ShapeMismatch",
+                "message": "cycle ([2], [0, 2]) is not a relative-open pair",
+                "details": {"pair": [4, 5]}}
     # a carrier that is not locally closed comes before a pair that is not
     # relative-open
     for groups, extra, error in ((groups, [stray], carrier),
                                  (groups, [not_open], carrier),
-                                 (chain["groups"], [not_open], pair)):
+                                 (chain["groups"], [not_open], pair),
+                                 (chain["groups"], [stray], no_group)):
         datum = dict(chain, groups=groups, cycles=chain["cycles"] + extra)
         code, out, err = run(capsys, "ktheory", "datum-verify",
                              jfile(tmp_path, "d.json", datum))
@@ -575,16 +581,16 @@ def test_ktheory_datum_verify_refuses_a_missing_cycle(tmp_path, capsys):
 
 def test_ktheory_datum_verify_names_a_carrier_with_no_group(tmp_path, capsys):
     sierpinski = datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
-    # without "1", the cycles that reach {1} would not parse
+    # without "1", with the cycles that reach {1} dropped or kept
     no_one = dict(sierpinski,
-                  groups={k: g for k, g in sierpinski["groups"].items() if k != "1"},
-                  cycles=[c for c in sierpinski["cycles"]
-                          if "1" not in (c["open"], c["set"])
-                          and (c["open"], c["set"]) != ("0", "0,1")])
+                  groups={k: g for k, g in sierpinski["groups"].items() if k != "1"})
+    pruned = dict(no_one, cycles=[c for c in sierpinski["cycles"]
+                                  if "1" not in (c["open"], c["set"])
+                                  and (c["open"], c["set"]) != ("0", "0,1")])
     empty = {"space": {"preorder": {"size": 20}}, "groups": {}, "cycles": []}
-    for datum, error in ((no_one, {"error": "ShapeMismatch",
-                                   "message": "no group assigned to [1]",
-                                   "details": {"carrier": 2}}),
+    one = {"error": "ShapeMismatch", "message": "no group assigned to [1]",
+           "details": {"carrier": 2}}
+    for datum, error in ((pruned, one), (no_one, one),
                          (empty, {"error": "ShapeMismatch",
                                   "message": "no group assigned to []",
                                   "details": {"carrier": 0}})):

@@ -5,10 +5,10 @@ import pytest
 from finitetop import ajsonio, jsonio, kjsonio
 from finitetop.action import ActionOverX
 from finitetop.errors import (CapExceeded, InputFormatError, NotContinuous,
-                              NotTransitive, ShapeMismatch)
+                              NotTransitive, NotWellDefined, ShapeMismatch)
 from finitetop.intmat import IntMatrix
-from finitetop.ktheory import (FGAbelianGroup, GroupHom, is_exact_at,
-                               two_point_sequence, verify_datum,
+from finitetop.ktheory import (FGAbelianGroup, GroupHom, SixTermCycle,
+                               is_exact_at, two_point_sequence, verify_datum,
                                verify_six_term)
 from finitetop.spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap,
                               FiniteSpace, Preorder, alexandrov_topology)
@@ -282,13 +282,22 @@ def test_datum_roundtrip():
 
 def test_datum_schema_errors():
     # {0, 2} is not locally closed in the three-point chain, so no group
-    # was ever assigned to it
+    # was ever assigned to it: the cycle is not a relative-open pair
     chained = datum_to_json(constant_zero_datum(FiniteSpace.chain(3)))
     orphan = dict(chained, cycles=chained["cycles"]
                   + [{"open": "", "set": "0,2", "maps": [[]] * 6}])
-    with pytest.raises(InputFormatError):
+    with pytest.raises(ShapeMismatch) as err:
         kjsonio.datum_from_json(orphan)
-    # dropping a carrier's group leaves a locally closed set uncovered
+    assert str(err.value) == "cycle ([], [0, 2]) is not a relative-open pair"
+    assert err.value.details == {"pair": (0, 5)}
+    # the matrices of a cycle that cannot be wired are still read
+    torn = dict(orphan, cycles=chained["cycles"]
+                + [{"open": "", "set": "0,2", "maps": [[]] * 5 + [[1]]}])
+    with pytest.raises(InputFormatError) as err:
+        kjsonio.datum_from_json(torn)
+    assert str(err.value) == "cycle map 5 rows must be lists"
+    # dropping a carrier's group leaves a locally closed set uncovered,
+    # whether or not the cycles that reach it are dropped too
     datum = datum_to_json(constant_zero_datum(FiniteSpace.sierpinski()))
     pruned = dict(datum, groups={k: v for k, v in datum["groups"].items()
                                  if k != "1"})
@@ -298,9 +307,90 @@ def test_datum_schema_errors():
         y = jsonio.carrier_from_key(c["set"], 2)
         if 2 not in (u, y, y & ~u):
             keep.append(c)
-    pruned["cycles"] = keep
-    with pytest.raises(ShapeMismatch):
-        kjsonio.datum_from_json(pruned)
+    assert len(keep) < len(datum["cycles"])
+    for cycles in (keep, datum["cycles"]):
+        with pytest.raises(ShapeMismatch) as err:
+            kjsonio.datum_from_json(dict(pruned, cycles=cycles))
+        assert str(err.value) == "no group assigned to [1]"
+        assert err.value.details == {"carrier": 2}
+
+
+def _sierpinski_torsion_json():
+    """Sierpinski data with even group Z/2 on {1} and odd group Z on the
+    empty set and on {0}: map 2 of the cycles (0, {1}) and ({0}, {0, 1})
+    is Z/2 -> Z, which is not well defined for the matrix [[1]]."""
+    z = {"generators": 1}
+    zero = {"generators": 0}
+    groups = {"": {"even": zero, "odd": z}, "0": {"even": zero, "odd": z},
+              "1": {"even": {"generators": 1, "relations": [[2]]}, "odd": zero},
+              "0,1": {"even": zero, "odd": zero}}
+
+    def cycle(u, y, bad=None):
+        rest = jsonio.carrier_from_key(y, 2) & ~jsonio.carrier_from_key(u, 2)
+        du, dy, dr = groups[u], groups[y], groups[jsonio.carrier_key(rest)]
+        sizes = [g["generators"] for g in (du["even"], dy["even"], dr["even"],
+                                           du["odd"], dy["odd"], dr["odd"])]
+        maps = [[[0] * sizes[i]] * sizes[(i + 1) % 6] for i in range(6)]
+        if bad is not None:
+            maps[2] = bad
+        return {"open": u, "set": y, "maps": maps}
+
+    return {"space": SIERPINSKI_JSON, "groups": groups}, cycle
+
+
+def test_datum_interned_map_raises_where_it_stands():
+    frame, cycle = _sierpinski_torsion_json()
+    first = cycle("", "1", bad=[[1]])
+    again = cycle("0", "0,1", bad=[[1]])
+    torn = cycle("", "0")
+    torn["maps"][4] = [1]
+    for cycles, kind, message in (
+            ([first, torn, again], NotWellDefined,
+             "matrix does not respect the domain relations"),
+            ([torn, first, again], InputFormatError,
+             "cycle map 4 rows must be lists"),
+            ([cycle("", "1"), torn, again], InputFormatError,
+             "cycle map 4 rows must be lists"),
+            ([cycle("", "1"), again, first], NotWellDefined,
+             "matrix does not respect the domain relations")):
+        with pytest.raises(kind) as err:
+            kjsonio.datum_from_json(dict(frame, cycles=cycles))
+        assert type(err.value) is kind and str(err.value) == message
+    # twice the matrix [[0]] on Z/2 -> Z is one map, built once
+    datum = kjsonio.datum_from_json(dict(frame, cycles=[cycle("", "1"),
+                                                        cycle("0", "0,1")]
+                                         + [cycle(u, y) for u, y in (
+                                             ("", ""), ("", "0"), ("0", "0"),
+                                             ("1", "1"), ("", "0,1"),
+                                             ("0,1", "0,1"))]))
+    assert datum.cycles[(0, 2)].maps[2] is datum.cycles[(1, 3)].maps[2]
+
+
+def test_datum_interning_matches_maps_built_one_by_one():
+    rng = random.Random(611)
+    data = [point_count_datum(FiniteSpace.sierpinski()),
+            constant_zero_datum(FiniteSpace.chain(3), special=0b010,
+                                group=FGAbelianGroup.cyclic(2))]
+    data += [point_count_datum(random_poset_space(rng, rng.randint(2, 4)))
+             for _ in range(4)]
+    for datum in data:
+        raw = datum_to_json(datum)
+        parsed = kjsonio.datum_from_json(raw)
+        built = {}
+        for entry in raw["cycles"]:
+            u = jsonio.carrier_from_key(entry["open"], datum.space.size)
+            y = jsonio.carrier_from_key(entry["set"], datum.space.size)
+            groups = datum.cycles[(u, y)].groups
+            built[(u, y)] = SixTermCycle(groups, [kjsonio.hom_from_json({
+                "domain": group_to_json(groups[i]),
+                "codomain": group_to_json(groups[(i + 1) % 6]),
+                "matrix": entry["maps"][i]}) for i in range(6)])
+        assert list(parsed.cycles) == list(built)
+        for pair, cycle in parsed.cycles.items():
+            assert cycle == built[pair]
+        maps = [h for c in parsed.cycles.values() for h in c.maps]
+        distinct = {(h.domain, h.codomain, h.matrix) for h in maps}
+        assert len({id(h) for h in maps}) == len(distinct) < len(maps)
 
 
 def test_datum_refuses_a_carrier_or_cycle_given_twice():

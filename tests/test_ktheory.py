@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from finitetop import ktheory
 from finitetop.errors import (NotComposable, NotLocallyClosed, NotWellDefined,
                               ShapeMismatch, SquareNotCommuting)
 from finitetop.intmat import IntMatrix
@@ -13,10 +14,11 @@ from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                verify_six_term)
 from finitetop.spaces import FiniteSpace, Preorder, alexandrov_topology, family_key
 from fixtures import (constant_zero_datum, point_count_datum, random_divisors,
-                      random_torsion_cycle, random_zero_composite)
-from oracles import (brute_locally_closed, diagonal_group, element_exact,
-                     element_image, element_kernel, random_poset_space,
-                     random_space, random_torsion_hom)
+                      random_torsion_cycle, random_torsion_datum,
+                      random_zero_composite)
+from oracles import (brute_locally_closed, brute_verify_datum, diagonal_group,
+                     element_exact, element_image, element_kernel,
+                     random_poset_space, random_space, random_torsion_hom)
 
 Z = FGAbelianGroup.free
 CYCLIC = FGAbelianGroup.cyclic
@@ -396,6 +398,94 @@ def test_missing_group_refused_without_listing():
         FiltratedKDatum(space, {}, {})
     assert err.value.details == {"carrier": 0}
     assert space._opens is None
+
+
+def _nodes(datum):
+    """(f, g) at every node of every cycle, in report order."""
+    return [(cycle.maps[(i - 1) % 6], cycle.maps[i])
+            for cycle in datum.cycles.values() for i in range(6)]
+
+
+def _node_value(f, g):
+    return (f.domain, f.codomain, f.matrix, g.codomain, g.matrix)
+
+
+def _counting_is_exact_at(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append(_node_value(f, g))
+        return is_exact_at(f, g)
+
+    monkeypatch.setattr(ktheory, "is_exact_at", counted)
+    return calls
+
+
+def test_verify_datum_matches_the_unshared_oracle(monkeypatch):
+    rng = random.Random(909)
+    data = [random_torsion_datum(rng, random_poset_space(rng, rng.randint(2, 4)))
+            for _ in range(6)]
+    data += [random_torsion_datum(rng, random_space(rng, 4)) for _ in range(2)]
+    # one seeded defect in an otherwise exact datum
+    flawed = random_poset_space(rng, 4)
+    data.append(constant_zero_datum(flawed, special=flawed.full, group=CYCLIC(2)))
+    verdicts = set()
+    for datum in data:
+        calls = _counting_is_exact_at(monkeypatch)
+        report = verify_datum(datum)
+        monkeypatch.undo()
+        assert report == brute_verify_datum(datum)
+        values = [_node_value(f, g) for f, g in _nodes(datum)]
+        assert len(calls) == len(set(calls)) < len(values)
+        assert set(calls) == set(values)
+        verdicts.update(n.ok for _, rep in report.results for n in rep.nodes)
+    assert verdicts == {True, False}
+    assert not verify_datum(data[-1]).ok
+
+
+def test_verify_datum_decides_equal_nodes_of_distinct_objects_once(monkeypatch):
+    datum = point_count_datum(FiniteSpace.sierpinski())
+    nodes = _nodes(datum)
+    seen = {}
+    twins = 0
+    for f, g in nodes:
+        first = seen.setdefault(_node_value(f, g), (f, g))
+        twins += first[0] is not f and first[1] is not g
+    assert twins
+    calls = _counting_is_exact_at(monkeypatch)
+    report = verify_datum(datum)
+    assert len(calls) == len(set(calls)) == len(seen) < len(nodes)
+    assert report == brute_verify_datum(datum)
+
+
+def test_verify_datum_keeps_nodes_apart_by_codomain():
+    # Sierpinski data, Z on {0, 1} and Z/2 on {1}: node 1 of (0, {0, 1})
+    # is 0 -> Z -[1]-> Z, node 1 of ({0}, {0, 1}) is 0 -> Z -[1]-> Z/2;
+    # the matrices agree, the codomain relations do not
+    space = FiniteSpace.sierpinski()
+    zero = GradedGroup(Z(0), Z(0))
+    assignment = {0: zero, 1: zero, 2: GradedGroup(CYCLIC(2), Z(0)),
+                  3: GradedGroup(Z(1), Z(0))}
+    cycles = {}
+    for u, y in constant_zero_datum(space).pairs():
+        carriers = (u, y, y & ~u)
+        groups = [assignment[m].even for m in carriers] + [
+            assignment[m].odd for m in carriers]
+        maps = [GroupHom.zero(groups[i], groups[(i + 1) % 6]) for i in range(6)]
+        if (u, y) in ((0, 3), (1, 3)):
+            maps[1] = GroupHom(groups[1], groups[2], IntMatrix([[1]]))
+        cycles[(u, y)] = SixTermCycle(groups, maps)
+    datum = FiltratedKDatum(space, assignment, cycles)
+    report = dict(verify_datum(datum).results)
+    f, g = cycles[(0, 3)].maps[:2]
+    f2, g2 = cycles[(1, 3)].maps[:2]
+    assert ((f.domain, f.codomain, f.matrix, g.matrix)
+            == (f2.domain, f2.codomain, f2.matrix, g2.matrix))
+    assert g.codomain != g2.codomain
+    assert report[(0, 3)].nodes[1].ok
+    node = report[(1, 3)].nodes[1]
+    assert (node.ok, node.reason) == (False, "kernel element not in the image")
+    assert verify_datum(datum) == brute_verify_datum(datum)
 
 
 def test_datum_keys_follow_the_listing_order():
