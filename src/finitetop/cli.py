@@ -238,7 +238,7 @@ def _cmd_ktheory(args):
         out = {"cycles": kjsonio.datum_report_to_json(cycles),
                "propagation": None}
         # the vanishing bootstrap needs a zero group on every point (so T0)
-        if datum.space.is_t0() and all(datum.group(1 << x).is_zero()
+        if datum.space.is_t0() and all(datum.assignment[1 << x].is_zero()
                                        for x in range(datum.space.size)):
             prop = vanishing_propagation(datum)
             out["propagation"] = kjsonio.propagation_to_json(prop)

@@ -1,21 +1,22 @@
 """JSON wire formats for groups and filtrated K-theory data.
 
 Groups are presentations whose relations travel as a list of relator
-vectors (one per relation, each of length ``generators``); homomorphisms,
-six-term cycles and filtrated data are built on them, and the reports of
-the exactness checks are written back.  Spaces, point sets and matrix rows
-use the formats of ``jsonio``, with its split between InputFormatError
-and the mathematical FinitetopError subclasses.  A group with more than
-GENERATORS_CAP generators is refused with InputCapExceeded before anything
-is built for it.
+vectors (one per relation, each of length ``generators``); homomorphisms
+and six-term cycles are built on them, a filtrated datum is parsed into
+groups and checked matrix rows for FiltratedKDatum to build, and the
+reports of the exactness checks are written back.  Spaces, point sets
+and matrix rows use the formats of ``jsonio``, with its split between
+InputFormatError and the mathematical FinitetopError subclasses.  A group
+with more than GENERATORS_CAP generators is refused with InputCapExceeded
+before anything is built for it.
 """
 
 from .errors import InputCapExceeded, InputFormatError
 from .intmat import IntMatrix
 from .jsonio import (_int, _obj, _plain, carrier_from_key, carrier_key, indices,
                      matrix_rows, matrix_to_json, space_from_json)
-from .ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup, GroupHom,
-                      SixTermCycle)
+from .ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup, SixTermCycle,
+                      _hom_from_rows)
 
 # Most generators a group may have on input.  Each group and map costs a
 # Smith normal form of a matrix with about this many rows; the point-count
@@ -51,45 +52,18 @@ def invariants_to_json(group):
     return {"rank": rank, "torsion": list(torsion)}
 
 
-def _hom(domain, codomain, rows):
-    m = IntMatrix(rows)
-    # a row-free JSON matrix cannot carry its column count
-    if codomain.generators == 0 and m.rows == 0:
-        m = IntMatrix.zeros(0, domain.generators)
-    return GroupHom(domain, codomain, m)
-
-
 def hom_from_json(obj):
     """{"domain": group, "codomain": group, "matrix": [[...], ...]}"""
     obj = _obj(obj, "hom")
     domain = group_from_json(_obj(obj.get("domain"), "hom domain"))
     codomain = group_from_json(_obj(obj.get("codomain"), "hom codomain"))
-    return _hom(domain, codomain, matrix_rows(obj.get("matrix"), "matrix"))
+    return _hom_from_rows(domain, codomain, matrix_rows(obj.get("matrix"), "matrix"))
 
 
 def graded_from_json(obj):
     obj = _obj(obj, "graded group")
     return GradedGroup(group_from_json(_obj(obj.get("even"), "even part")),
                        group_from_json(_obj(obj.get("odd"), "odd part")))
-
-
-def _cycle(groups, maps, homs):
-    """Six groups and the six JSON matrices between consecutive ones.
-
-    homs interns maps by (domain, codomain, rows): a map equal in value to
-    one already in it is that map, so it is built and checked once.  A map
-    that fails is never kept, so each occurrence raises where the map
-    stands.
-    """
-    out = []
-    for i in range(6):
-        key = (groups[i], groups[(i + 1) % 6],
-               tuple(matrix_rows(maps[i], f"cycle map {i}")))
-        hom = homs.get(key)
-        if hom is None:
-            hom = homs[key] = _hom(*key)
-        out.append(hom)
-    return SixTermCycle(groups, out)
 
 
 def cycle_from_json(obj):
@@ -101,7 +75,11 @@ def cycle_from_json(obj):
         raise InputFormatError("a cycle needs exactly six groups")
     if not isinstance(maps, list) or len(maps) != 6:
         raise InputFormatError("a cycle needs exactly six maps")
-    return _cycle([group_from_json(_obj(g, "cycle group")) for g in groups], maps, {})
+    groups = [group_from_json(_obj(g, "cycle group")) for g in groups]
+    return SixTermCycle(groups, [
+        _hom_from_rows(groups[i], groups[(i + 1) % 6],
+                       matrix_rows(maps[i], f"cycle map {i}"))
+        for i in range(6)])
 
 
 def square_from_json(obj):
@@ -125,16 +103,10 @@ def datum_from_json(obj):
 
     Carrier keys are comma-joined point indices in ASCII digits, "" for
     the empty set.  No carrier and no (open, set) pair may be given twice.
-    FiltratedKDatum then checks the carriers and pairs themselves.  Cycle
-    groups are wired from the assignment in the order
-    (even u, even y, even rest, odd u, odd y, odd rest).  Each distinct
-    map of the datum (domain, codomain, rows) is built and checked once,
-    and the cycles that hold it share it.
-
-    A cycle that reaches a carrier with no group cannot be wired; its
-    matrices are still read, and it is kept as None for FiltratedKDatum
-    to refuse: fault 2 when that carrier is locally closed, else fault 3,
-    which checks the cycle keys before any cycle is read.
+    Every group is read and every matrix checked before the datum is
+    built, so malformed input is refused before any fault of the datum;
+    FiltratedKDatum then checks the carriers and pairs, wires the cycles
+    and builds their maps.
     """
     obj = _obj(obj, "datum")
     space = space_from_json(_obj(obj.get("space"), "datum space"))
@@ -150,7 +122,6 @@ def datum_from_json(obj):
     if not isinstance(raw_cycles, list):
         raise InputFormatError("datum needs a cycles list")
     cycles = {}
-    homs = {}
     for entry in raw_cycles:
         entry = _obj(entry, "cycle entry")
         u = carrier_from_key(entry.get("open"), space.size)
@@ -162,15 +133,11 @@ def datum_from_json(obj):
         maps = entry.get("maps")
         if not isinstance(maps, list) or len(maps) != 6:
             raise InputFormatError("each cycle entry needs six maps")
-        carriers = (u, y, y & ~u)
-        if all(m in assignment for m in carriers):
-            graded = [assignment[m] for m in carriers]
-            cycles[(u, y)] = _cycle([g.even for g in graded] + [g.odd for g in graded],
-                                    maps, homs)
-        else:
-            for i, value in enumerate(maps):
-                matrix_rows(value, f"cycle map {i}")
-            cycles[(u, y)] = None
+        # the checked lists go on as they are: copies of every matrix would
+        # all stay alive until the datum is built, costing collector passes
+        for i, m in enumerate(maps):
+            matrix_rows(m, f"cycle map {i}")
+        cycles[(u, y)] = maps
     return FiltratedKDatum(space, assignment, cycles)
 
 

@@ -163,6 +163,17 @@ class GroupHom:
         return self.matrix.apply(coords)
 
 
+def _hom_from_rows(domain, codomain, rows):
+    """The map given by the integer rows of its matrix.
+
+    Rows cannot carry a column count: no rows and a codomain with no
+    generators mean the 0 x domain.generators matrix.
+    """
+    if not rows and codomain.generators == 0:
+        return GroupHom.zero(domain, codomain)
+    return GroupHom(domain, codomain, IntMatrix(rows))
+
+
 def compose(outer, inner):
     if inner.codomain != outer.domain:
         raise NotComposable("codomain of the inner map must equal the outer domain")
@@ -302,22 +313,27 @@ def _first_without_group(space, assignment):
 class FiltratedKDatum:
     """Graded groups over every locally closed subset plus their cycles.
 
-    assignment maps carrier masks to GradedGroups; cycles maps pairs
-    (u, y) with u relatively open in y to the six-term cycle on
-    (even(u), even(y), even(y minus u), odd(u), odd(y), odd(y minus u)).
+    assignment maps carrier masks to GradedGroups; maps gives each pair
+    (u, y), u relatively open in y, its six matrices as integer rows in
+    cycle order.  The datum wires them into the six-term cycle on
+    (even(u), even(y), even(y minus u), odd(u), odd(y), odd(y minus u)),
+    building each distinct map (domain, codomain, rows) once, so the
+    cycles that hold it share one GroupHom.
 
-    The constructor raises every shape fault, each kind first in the
-    order given: an assigned carrier that is not locally closed
-    (NotLocallyClosed), a locally closed set with no group (ShapeMismatch,
-    the least by family_key, found from the keys, as details.carrier), a
-    cycle key that is not such a pair, and then, walking pairs(), a pair
-    with no cycle or with groups other than the assignment's (details.pair).
-    The datum keeps assignment in family_key order, cycles in pairs() order.
+    The constructor raises each kind of fault before the next: an assigned
+    carrier that is not locally closed (NotLocallyClosed), a locally
+    closed set with no group (ShapeMismatch, the least by family_key,
+    found from the keys, as details.carrier), a maps key that is not a
+    relative-open pair, the first pair in pairs() order with no maps
+    (both with details.pair), and last the first matrix, walking pairs()
+    and each cycle in order, that is not a map between its groups
+    (ShapeMismatch or NotWellDefined).  The datum keeps assignment in
+    family_key order, cycles in pairs() order.
     """
 
     __slots__ = ("space", "assignment", "cycles")
 
-    def __init__(self, space, assignment, cycles):
+    def __init__(self, space, assignment, maps):
         self.space = space
         for carrier in assignment:
             space.locally_closed(carrier)
@@ -328,28 +344,35 @@ class FiltratedKDatum:
         # every locally closed set now has a group, and only those do
         self.assignment = {c: assignment[c] for c in sorted(assignment, key=family_key)}
         rows = space.rows
-        for u, y in cycles:
+        for u, y in maps:
             if (y not in self.assignment or u & ~y
                     or any(rows[x] & y & ~u for x in bits(u))):
                 raise ShapeMismatch(
                     f"cycle ({sorted(bits(u))}, {sorted(bits(y))}) is not a "
                     "relative-open pair", pair=(u, y))
+        # every key is now a pair, so some pair has no maps when keys are fewer
+        pairs = self.pairs()
+        if len(maps) < len(pairs):
+            u, y = next(p for p in pairs if p not in maps)
+            raise ShapeMismatch(
+                f"missing cycle for ({sorted(bits(u))}, {sorted(bits(y))})",
+                pair=(u, y))
+        built = {}
         self.cycles = {}
-        for u, y in self.pairs():
-            cycle = cycles.get((u, y))
-            if cycle is None:
-                raise ShapeMismatch(
-                    f"missing cycle for ({sorted(bits(u))}, {sorted(bits(y))})",
-                    pair=(u, y))
+        for u, y in pairs:
             gu, gy, gr = (self.assignment[m] for m in (u, y, y & ~u))
-            if cycle.groups != (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd):
-                raise ShapeMismatch(
-                    f"cycle groups for ({sorted(bits(u))}, {sorted(bits(y))}) "
-                    "do not match the assignment", pair=(u, y))
-            self.cycles[(u, y)] = cycle
-
-    def group(self, carrier):
-        return self.assignment[carrier]
+            groups = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
+            cycle = maps[(u, y)]
+            if len(cycle) != 6:
+                raise ShapeMismatch("a cycle needs six groups and six maps")
+            homs = []
+            for i, m in enumerate(cycle):
+                key = (groups[i], groups[(i + 1) % 6], tuple(map(tuple, m)))
+                hom = built.get(key)
+                if hom is None:
+                    hom = built[key] = _hom_from_rows(*key)
+                homs.append(hom)
+            self.cycles[(u, y)] = SixTermCycle(groups, homs)
 
     def pairs(self):
         """All (u, y): y locally closed, u = y & w for an open w.
@@ -375,15 +398,14 @@ def verify_datum(datum):
     """Exactness of the cycle of every relative-open pair, in pairs() order.
 
     Neighbouring pairs share groups and maps, so one node turns up in many
-    cycles.  Each distinct node is decided once: verdicts are kept for this
-    call only, keyed on the value (f.domain, f.codomain, f.matrix,
-    g.codomain, g.matrix), which fixes is_exact_at(f, g) since g.domain is
-    f.codomain in a cycle.
+    cycles.  The datum holds one GroupHom per distinct map and keeps each
+    alive for the call, so each distinct node is decided once, its verdict
+    kept for this call only under the identities of its two maps.
     """
     verdicts = {}
 
     def decide(f, g):
-        key = (f.domain, f.codomain, f.matrix, g.codomain, g.matrix)
+        key = (id(f), id(g))
         verdict = verdicts.get(key)
         if verdict is None:
             verdict = verdicts[key] = is_exact_at(f, g)
@@ -416,7 +438,7 @@ def vanishing_propagation(datum):
     order = sorted(datum.assignment,
                    key=lambda s: (filt.level_of_set(s), s.bit_count(), s))
     for y in order:
-        if datum.group(y).is_zero():
+        if datum.assignment[y].is_zero():
             continue
         below = y & filt.layers[filt.level_of_set(y) - 1]
         if below:

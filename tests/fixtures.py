@@ -8,7 +8,8 @@ tests/test_jsonio.py reads each one back through the library's reader.
 """
 
 from finitetop.intmat import IntMatrix
-from finitetop.jsonio import carrier_key, indices, matrix_to_json, space_to_json
+from finitetop.jsonio import (carrier_from_key, carrier_key, indices, matrix_to_json,
+                              space_to_json)
 from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                GroupHom, SixTermCycle)
 from finitetop.spaces import bits, family_key
@@ -53,37 +54,37 @@ def random_zero_composite(rng, a_divs, b_divs, g_rows, c_divs):
     return IntMatrix.from_columns(cols, rows=len(b_divs))
 
 
+def zero_rows(gens):
+    """Rows of the six zero matrices around groups with these generator counts."""
+    return [[[0] * gens[i]] * gens[(i + 1) % 6] for i in range(6)]
+
+
+def datum_rows(datum):
+    """The six matrices of every cycle as rows, as FiltratedKDatum takes them."""
+    return {pair: [list(h.matrix.entries) for h in cycle.maps]
+            for pair, cycle in datum.cycles.items()}
+
+
 def point_count_datum(space):
     """Evenly graded datum: functions from the carrier to the integers.
 
     even(A) is free on the points of A, restriction and extension by zero
     give short exact sequences, the odd part vanishes.  Passes verification
-    over any space.
+    over any space.  Each pair's matrices are new lists.
     """
     zero = FGAbelianGroup.zero()
-    assignment = {}
-    for y in space.locally_closed_sets():
-        assignment[y] = GradedGroup(FGAbelianGroup.free(y.bit_count()), zero)
-    cycles = {}
+    assignment = {y: GradedGroup(FGAbelianGroup.free(y.bit_count()), zero)
+                  for y in space.locally_closed_sets()}
+    maps = {}
     for y in assignment:
         yb = sorted(bits(y))
         for w in space.opens:
-            u = y & w
-            if (u, y) in cycles:
-                continue
-            rest = y & ~u
-            ub, rb = sorted(bits(u)), sorted(bits(rest))
-            incl = IntMatrix([[int(p == q) for q in ub] for p in yb],
-                             len(yb), len(ub))
-            proj = IntMatrix([[int(p == q) for q in yb] for p in rb],
-                             len(rb), len(yb))
-            eu, ey, er = (assignment[m].even for m in (u, y, rest))
-            cycles[(u, y)] = SixTermCycle(
-                (eu, ey, er, zero, zero, zero),
-                (GroupHom(eu, ey, incl), GroupHom(ey, er, proj),
-                 GroupHom.zero(er, zero), GroupHom.zero(zero, zero),
-                 GroupHom.zero(zero, zero), GroupHom.zero(zero, eu)))
-    return FiltratedKDatum(space, assignment, cycles)
+            ub, rb = sorted(bits(y & w)), sorted(bits(y & ~w))
+            maps[(y & w, y)] = (
+                [[int(p == q) for q in ub] for p in yb],
+                [[int(p == q) for q in yb] for p in rb],
+                [], [], [], [[]] * len(ub))
+    return FiltratedKDatum(space, assignment, maps)
 
 
 def constant_zero_datum(space, special=None, group=None):
@@ -94,30 +95,22 @@ def constant_zero_datum(space, special=None, group=None):
     """
     zero = FGAbelianGroup.zero()
     plain = GradedGroup(zero, zero)
-    assignment = {}
-    for y in space.locally_closed_sets():
-        assignment[y] = GradedGroup(group, zero) if y == special else plain
-    cycles = {}
+    assignment = {y: GradedGroup(group, zero) if y == special else plain
+                  for y in space.locally_closed_sets()}
+    maps = {}
     for y in assignment:
         for w in space.opens:
-            u = y & w
-            if (u, y) in cycles:
-                continue
-            rest = y & ~u
-            groups = (assignment[u].even, assignment[y].even,
-                      assignment[rest].even, assignment[u].odd,
-                      assignment[y].odd, assignment[rest].odd)
-            maps = tuple(GroupHom.zero(groups[i], groups[(i + 1) % 6])
-                         for i in range(6))
-            cycles[(u, y)] = SixTermCycle(groups, maps)
-    return FiltratedKDatum(space, assignment, cycles)
+            carriers = (y & w, y, y & ~w)
+            maps[(y & w, y)] = zero_rows(
+                [assignment[m].even.generators for m in carriers] + [0, 0, 0])
+    return FiltratedKDatum(space, assignment, maps)
 
 
 def random_torsion_datum(rng, space):
     """Diagonal torsion groups and random well-defined maps on every pair.
 
     Groups come from a small pool and each pair of groups has two candidate
-    matrices, so equal nodes recur across cycles, each map a new object.
+    matrices, so equal maps recur across cycles.
     """
     pool = ((), (2,), (2,), (4,), (2, 2))
     divs = {y: (rng.choice(pool), rng.choice(pool))
@@ -125,25 +118,21 @@ def random_torsion_datum(rng, space):
     assignment = {y: GradedGroup(diagonal_group(e), diagonal_group(o))
                   for y, (e, o) in divs.items()}
     candidates = {}
-    cycles = {}
+    maps = {}
     for y in assignment:
         for w in space.opens:
             u = y & w
             carriers = (u, y, y & ~u)
             d = [divs[m][0] for m in carriers] + [divs[m][1] for m in carriers]
-            groups = [assignment[m].even for m in carriers] + [
-                assignment[m].odd for m in carriers]
-            maps = []
+            rows = []
             for i in range(6):
                 a, b = d[i], d[(i + 1) % 6]
                 if (a, b) not in candidates:
                     candidates[(a, b)] = [random_torsion_hom(rng, a, b).entries
                                           for _ in range(2)]
-                rows = rng.choice(candidates[(a, b)])
-                maps.append(GroupHom(groups[i], groups[(i + 1) % 6],
-                                     IntMatrix(rows, len(b), len(a))))
-            cycles[(u, y)] = SixTermCycle(groups, maps)
-    return FiltratedKDatum(space, assignment, cycles)
+                rows.append(rng.choice(candidates[(a, b)]))
+            maps[(u, y)] = rows
+    return FiltratedKDatum(space, assignment, maps)
 
 
 # -- JSON writers --------------------------------------------------------------
@@ -188,3 +177,29 @@ def datum_to_json(datum):
                        "maps": [matrix_to_json(h.matrix) for h in cycle.maps]})
     return {"space": space_to_json(datum.space),
             "groups": groups, "cycles": cycles}
+
+
+def sierpinski_torsion_json():
+    """Sierpinski data with even group Z/2 on {1} and odd group Z on the
+    empty set and on {0}: map 2 of the cycles (0, {1}) and ({0}, {0, 1})
+    is Z/2 -> Z, which is not well defined for the matrix [[1]].
+
+    Returns the datum without cycles and cycle(open, set, bad=None), the
+    cycle entry of zero matrices with map 2 replaced by bad."""
+    z = {"generators": 1}
+    zero = {"generators": 0}
+    groups = {"": {"even": zero, "odd": z}, "0": {"even": zero, "odd": z},
+              "1": {"even": {"generators": 1, "relations": [[2]]}, "odd": zero},
+              "0,1": {"even": zero, "odd": zero}}
+
+    def cycle(u, y, bad=None):
+        rest = carrier_key(carrier_from_key(y, 2) & ~carrier_from_key(u, 2))
+        du, dy, dr = groups[u], groups[y], groups[rest]
+        sizes = [g["generators"] for g in (du["even"], dy["even"], dr["even"],
+                                           du["odd"], dy["odd"], dr["odd"])]
+        maps = zero_rows(sizes)
+        if bad is not None:
+            maps[2] = bad
+        return {"open": u, "set": y, "maps": maps}
+
+    return {"space": {"size": 2, "opens": [[], [0], [0, 1]]}, "groups": groups}, cycle

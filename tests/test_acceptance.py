@@ -297,7 +297,7 @@ def test_c10_vanishing_propagation():
             datum = constant_zero_datum(space)
             assert verify_datum(datum).ok
             assert vanishing_propagation(datum).ok
-            assert all(datum.group(y).is_zero()
+            assert all(datum.assignment[y].is_zero()
                        for y in space.locally_closed_sets())
         sier = FiniteSpace.sierpinski()
         flawed = constant_zero_datum(sier, special=sier.full,

@@ -14,10 +14,10 @@ from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
 from finitetop.jsonio import space_from_json
 from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
-from fixtures import (assignment_to_json, constant_zero_datum, datum_to_json,
-                      point_count_datum)
+from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
+                      datum_to_json, point_count_datum, sierpinski_torsion_json)
 from oracles import homeomorphism_oracle
-from finitetop.ktheory import FGAbelianGroup, GroupHom, SixTermCycle
+from finitetop.ktheory import FGAbelianGroup, FiltratedKDatum
 
 SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]], "points": [1, 2]}
 DISCRETE2 = {"size": 2, "opens": [[], [0], [1], [0, 1]]}
@@ -549,8 +549,8 @@ def test_ktheory_datum_verify_refuses_what_it_would_not_check(tmp_path, capsys):
     pair = {"error": "ShapeMismatch",
             "message": "cycle ([1], [0, 1]) is not a relative-open pair",
             "details": {"pair": [2, 3]}}
-    # {0, 2} has no group here: the cycle cannot be wired, and is refused
-    # as a pair (exit 1), not as unreadable input
+    # {0, 2} has no group here: the cycle is refused as a pair (exit 1),
+    # not as unreadable input
     no_group = {"error": "ShapeMismatch",
                 "message": "cycle ([2], [0, 2]) is not a relative-open pair",
                 "details": {"pair": [4, 5]}}
@@ -598,6 +598,27 @@ def test_ktheory_datum_verify_names_a_carrier_with_no_group(tmp_path, capsys):
                              jfile(tmp_path, "d.json", datum))
         assert code == 1 and out == ""
         assert json.loads(err) == error
+
+
+def test_ktheory_datum_verify_reads_input_before_faults(tmp_path, capsys):
+    # a map that is not well defined, on ({}, {1}), and a malformed map 4
+    frame, cycle = sierpinski_torsion_json()
+    bad = cycle("", "1", bad=[[1]])
+    torn = cycle("", "0")
+    torn["maps"][4] = [1]
+    # the malformed matrix is input (exit 2), though the file gives it later
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "a.json", dict(frame, cycles=[bad, torn])))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "message": "cycle map 4 rows must be lists"}
+    # a missing cycle (fault 4) comes before the map that is not well defined
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "b.json", dict(frame, cycles=[bad])))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ShapeMismatch",
+                               "message": "missing cycle for ([], [])",
+                               "details": {"pair": [0, 0]}}
 
 
 def test_ktheory_two_point(tmp_path, capsys):
@@ -652,11 +673,10 @@ def test_ktheory_datum_verify_defect_bytes(tmp_path, capsys):
     # point-count datum over the Sierpinski space with the inclusion of
     # the cycle ({0}, {0, 1}) replaced by zero
     space = FiniteSpace.sierpinski()
-    datum = point_count_datum(space)
-    cycle = datum.cycles[(0b01, 0b11)]
-    maps = list(cycle.maps)
-    maps[0] = GroupHom.zero(maps[0].domain, maps[0].codomain)
-    datum.cycles[(0b01, 0b11)] = SixTermCycle(cycle.groups, maps)
+    good = point_count_datum(space)
+    maps = datum_rows(good)
+    maps[(0b01, 0b11)][0] = [[0], [0]]
+    datum = FiltratedKDatum(space, good.assignment, maps)
     path = jfile(tmp_path, "defect.json", datum_to_json(datum))
     code, out, err = run(capsys, "ktheory", "datum-verify", path)
     assert code == 1 and out == ""

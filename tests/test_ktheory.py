@@ -13,9 +13,9 @@ from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                vanishing_propagation, verify_datum,
                                verify_six_term)
 from finitetop.spaces import FiniteSpace, Preorder, alexandrov_topology, family_key
-from fixtures import (constant_zero_datum, point_count_datum, random_divisors,
-                      random_torsion_cycle, random_torsion_datum,
-                      random_zero_composite)
+from fixtures import (constant_zero_datum, datum_rows, point_count_datum,
+                      random_divisors, random_torsion_cycle, random_torsion_datum,
+                      random_zero_composite, zero_rows)
 from oracles import (brute_locally_closed, brute_verify_datum, diagonal_group,
                      element_exact, element_image, element_kernel,
                      random_poset_space, random_space, random_torsion_hom)
@@ -276,7 +276,7 @@ def test_point_count_datum_verifies():
 def test_datum_refuses_carriers_and_pairs_it_never_checks():
     space = FiniteSpace.chain(3)
     good = constant_zero_datum(space)
-    groups, cycles = good.assignment, good.cycles
+    groups, cycles = good.assignment, dict.fromkeys(good.pairs(), [[]] * 6)
     # {0, 2} is not locally closed in the chain; ({1}, {0, 1}) has an open
     # that is not open in its set, (0, {0, 2}) a set that is not locally
     # closed, and ({2}, {0, 1}) an open outside its set
@@ -345,7 +345,7 @@ def test_propagation_flags_nonzero_point():
 def test_datum_shape_errors():
     space = FiniteSpace.sierpinski()
     good = constant_zero_datum(space)
-    groups, cycles = good.assignment, good.cycles
+    groups, cycles = good.assignment, dict.fromkeys(good.pairs(), [[]] * 6)
     with pytest.raises(ShapeMismatch) as err:
         FiltratedKDatum(space, {k: v for k, v in groups.items() if k != 2}, cycles)
     assert str(err.value) == "no group assigned to [1]"
@@ -355,18 +355,25 @@ def test_datum_shape_errors():
         FiltratedKDatum(space, groups, missing)
     assert str(err.value) == "missing cycle for ([0], [0, 1])"
     assert err.value.details == {"pair": (1, 3)}
-    rich = point_count_datum(space)
-    mixed = {**cycles, (1, 3): rich.cycles[(1, 3)]}
+    # the point-count matrices do not fit zero groups; the first map of the
+    # first pair that does not fit is the fault
+    rich = datum_rows(point_count_datum(space))
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, groups, {**cycles, (1, 3): rich[(1, 3)]})
+    assert str(err.value) == "matrix is 2x1, expected 0x0"
+    mixed = {**cycles, (3, 3): rich[(3, 3)],
+             (1, 3): [[]] * 3 + [[[1]], [[2, 2]], []]}
     with pytest.raises(ShapeMismatch) as err:
         FiltratedKDatum(space, groups, mixed)
-    assert str(err.value) == ("cycle groups for ([0], [0, 1]) do not match "
-                              "the assignment")
-    assert err.value.details == {"pair": (1, 3)}
-    # pairs are walked in order, after every cycle key is checked
-    both = {**missing, (0, 3): rich.cycles[(0, 3)]}
+    assert str(err.value) == "matrix is 1x1, expected 0x0"
+    with pytest.raises(ShapeMismatch) as err:
+        FiltratedKDatum(space, groups, {**cycles, (0, 0): [[]] * 5})
+    assert str(err.value) == "a cycle needs six groups and six maps"
+    # every key is checked, then every pair has maps, before any map is built
+    both = {**missing, (0, 3): rich[(0, 3)]}
     with pytest.raises(ShapeMismatch) as err:
         FiltratedKDatum(space, groups, both)
-    assert err.value.details == {"pair": (0, 3)}
+    assert err.value.details == {"pair": (1, 3)}
     with pytest.raises(ShapeMismatch) as err:
         FiltratedKDatum(space, groups, {**both, (2, 3): cycles[(0, 0)]})
     assert str(err.value) == "cycle ([1], [0, 1]) is not a relative-open pair"
@@ -443,19 +450,45 @@ def test_verify_datum_matches_the_unshared_oracle(monkeypatch):
     assert not verify_datum(data[-1]).ok
 
 
-def test_verify_datum_decides_equal_nodes_of_distinct_objects_once(monkeypatch):
-    datum = point_count_datum(FiniteSpace.sierpinski())
-    nodes = _nodes(datum)
-    seen = {}
-    twins = 0
-    for f, g in nodes:
-        first = seen.setdefault(_node_value(f, g), (f, g))
-        twins += first[0] is not f and first[1] is not g
-    assert twins
-    calls = _counting_is_exact_at(monkeypatch)
-    report = verify_datum(datum)
-    assert len(calls) == len(set(calls)) == len(seen) < len(nodes)
-    assert report == brute_verify_datum(datum)
+def test_datum_builds_each_distinct_map_once(monkeypatch):
+    # the point-count matrices are new lists on every pair, yet equal rows
+    # between equal groups are one GroupHom, and each node is decided once
+    rng = random.Random(910)
+    spaces = [FiniteSpace.sierpinski(), FiniteSpace.chain(3)]
+    spaces += [random_poset_space(rng, rng.randint(2, 4)) for _ in range(3)]
+    for space in spaces:
+        datum = point_count_datum(space)
+        maps = [h for c in datum.cycles.values() for h in c.maps]
+        distinct = {(h.domain, h.codomain, h.matrix) for h in maps}
+        assert len({id(h) for h in maps}) == len(distinct) < len(maps)
+        nodes = _nodes(datum)
+        calls = _counting_is_exact_at(monkeypatch)
+        report = verify_datum(datum)
+        monkeypatch.undo()
+        values = {_node_value(f, g) for f, g in nodes}
+        assert len(calls) == len(set(calls)) == len(values) < len(nodes)
+        assert report == brute_verify_datum(datum)
+
+
+def test_verify_datum_on_a_cycle_replaced_by_equal_new_maps():
+    # maps equal in value to the datum's but new objects are decided on
+    # their own, with the same verdicts
+    rng = random.Random(911)
+    flawed = FiniteSpace.sierpinski()
+    data = [random_torsion_datum(rng, random_poset_space(rng, 3)) for _ in range(3)]
+    data.append(constant_zero_datum(flawed, special=flawed.full, group=CYCLIC(2)))
+    for datum in data:
+        want = verify_datum(datum)
+        for pair in datum.pairs()[::2]:
+            cycle = datum.cycles[pair]
+            copies = [GroupHom(h.domain, h.codomain, IntMatrix(h.matrix.entries,
+                                                               h.matrix.rows,
+                                                               h.matrix.cols))
+                      for h in cycle.maps]
+            datum.cycles[pair] = SixTermCycle(cycle.groups, copies)
+            assert not set(map(id, copies)) & set(map(id, cycle.maps))
+        assert verify_datum(datum) == brute_verify_datum(datum) == want
+    assert not want.ok
 
 
 def test_verify_datum_keeps_nodes_apart_by_codomain():
@@ -466,21 +499,17 @@ def test_verify_datum_keeps_nodes_apart_by_codomain():
     zero = GradedGroup(Z(0), Z(0))
     assignment = {0: zero, 1: zero, 2: GradedGroup(CYCLIC(2), Z(0)),
                   3: GradedGroup(Z(1), Z(0))}
-    cycles = {}
+    maps = {}
     for u, y in constant_zero_datum(space).pairs():
-        carriers = (u, y, y & ~u)
-        groups = [assignment[m].even for m in carriers] + [
-            assignment[m].odd for m in carriers]
-        maps = [GroupHom.zero(groups[i], groups[(i + 1) % 6]) for i in range(6)]
+        maps[(u, y)] = zero_rows([assignment[m].even.generators
+                                  for m in (u, y, y & ~u)] + [0, 0, 0])
         if (u, y) in ((0, 3), (1, 3)):
-            maps[1] = GroupHom(groups[1], groups[2], IntMatrix([[1]]))
-        cycles[(u, y)] = SixTermCycle(groups, maps)
-    datum = FiltratedKDatum(space, assignment, cycles)
+            maps[(u, y)][1] = [[1]]
+    datum = FiltratedKDatum(space, assignment, maps)
     report = dict(verify_datum(datum).results)
-    f, g = cycles[(0, 3)].maps[:2]
-    f2, g2 = cycles[(1, 3)].maps[:2]
-    assert ((f.domain, f.codomain, f.matrix, g.matrix)
-            == (f2.domain, f2.codomain, f2.matrix, g2.matrix))
+    f, g = datum.cycles[(0, 3)].maps[:2]
+    f2, g2 = datum.cycles[(1, 3)].maps[:2]
+    assert f is f2 and g.matrix == g2.matrix
     assert g.codomain != g2.codomain
     assert report[(0, 3)].nodes[1].ok
     node = report[(1, 3)].nodes[1]
@@ -492,7 +521,7 @@ def test_datum_keys_follow_the_listing_order():
     space = random_poset_space(random.Random(908), 4)
     good = point_count_datum(space)
     datum = FiltratedKDatum(space, dict(reversed(good.assignment.items())),
-                            dict(reversed(good.cycles.items())))
+                            dict(reversed(datum_rows(good).items())))
     assert list(datum.assignment) == list(space.locally_closed_sets())
     assert list(datum.cycles) == datum.pairs()
     assert [pair for pair, _ in verify_datum(datum).results] == datum.pairs()
