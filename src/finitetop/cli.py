@@ -71,13 +71,14 @@ def _cmd_info(args):
     space = jsonio.space_from_json(_read_json(args.space))
     t0 = space.is_t0()
     filt = space.canonical_filtration() if t0 else None
+    components = space.connected_components()
     out = {
         "size": space.size,
         "opens": space.open_count(),
         "t0": t0,
         "sober": space.is_sober(),
-        "connected": space.is_connected(),
-        "components": [_names(space, c) for c in space.connected_components()],
+        "connected": len(components) == 1,
+        "components": [_names(space, c) for c in components],
         "length": filt.length if t0 else None,
         "strata": [_names(space, s) for s in filt.strata] if t0 else None,
     }

@@ -24,7 +24,11 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries", "_snf")
 
     def __init__(self, entries, rows=None, cols=None):
-        entries = tuple(tuple(int(v) for v in row) for row in entries)
+        entries = tuple(map(tuple, entries))
+        for row in entries:
+            for v in row:
+                if type(v) is not int:
+                    raise ValueError(f"matrix entry {v!r} is not an integer")
         if rows is None:
             rows = len(entries)
         if cols is None:
@@ -41,7 +45,7 @@ class IntMatrix:
         """Wrap a tuple of int row tuples of the given shape, unchecked.
 
         For results built in this module from entries it already holds;
-        outside data goes through the coercing, shape-checking constructor.
+        outside data goes through the type- and shape-checking constructor.
         """
         m = object.__new__(cls)
         m.rows = rows

@@ -156,17 +156,18 @@ def map_from_json(obj):
 
 
 def matrix_rows(value, what="matrix"):
-    """A row-major integer matrix as its rows: int tuples of one length."""
+    """value, once checked to be rows of integers, all lists of one length."""
     if not isinstance(value, list):
         raise InputFormatError(f"{what} must be a list of rows")
-    rows = []
     for row in value:
         if not isinstance(row, list):
             raise InputFormatError(f"{what} rows must be lists")
-        rows.append(tuple(_int(v, f"{what} entry") for v in row))
-    if len({len(r) for r in rows}) > 1:
+        for v in row:
+            if type(v) is not int:
+                raise InputFormatError(f"{what} entry must be an integer")
+    if len({len(r) for r in value}) > 1:
         raise InputFormatError(f"{what} rows have differing lengths")
-    return rows
+    return value
 
 
 def matrix_to_json(m):
@@ -194,15 +195,6 @@ def carrier_from_key(key, size):
 # -- errors --------------------------------------------------------------------
 
 
-def _plain(value):
-    """Tuples as lists and keys as strings, all the way down."""
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
-
-
 def error_to_json(exc):
     return {"error": exc.name, "message": str(exc.args[0]) if exc.args else "",
-            "details": _plain(exc.details)}
+            "details": exc.details}

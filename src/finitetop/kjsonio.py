@@ -13,7 +13,7 @@ before anything is built for it.
 
 from .errors import InputCapExceeded, InputFormatError
 from .intmat import IntMatrix
-from .jsonio import (_int, _obj, _plain, carrier_from_key, carrier_key, indices,
+from .jsonio import (_int, _obj, carrier_from_key, carrier_key, indices,
                      matrix_rows, matrix_to_json, space_from_json)
 from .ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup, SixTermCycle,
                       _hom_from_rows)
@@ -27,10 +27,6 @@ GENERATORS_CAP = 64
 # -- matrices and groups -------------------------------------------------------
 
 
-def matrix_from_json(value, what="matrix"):
-    return IntMatrix(matrix_rows(value, what))
-
-
 def group_from_json(obj):
     """{"generators": n, "relations": [[c1, ..., cn], ...]}  (relations optional)"""
     obj = _obj(obj, "group")
@@ -41,10 +37,10 @@ def group_from_json(obj):
         raise InputCapExceeded(
             f"groups are capped at {GENERATORS_CAP} generators, got {n}",
             generators=n, cap=GENERATORS_CAP)
-    relators = matrix_from_json(obj.get("relations", []), "relations")
-    if relators.rows and relators.cols != n:
+    relators = matrix_rows(obj.get("relations", []), "relations")
+    if relators and len(relators[0]) != n:
         raise InputFormatError("each relation needs one coordinate per generator")
-    return FGAbelianGroup(n, IntMatrix.from_columns(relators.entries, rows=n))
+    return FGAbelianGroup(n, IntMatrix.from_columns(relators, rows=n))
 
 
 def invariants_to_json(group):
@@ -76,7 +72,7 @@ def cycle_from_json(obj):
     if not isinstance(maps, list) or len(maps) != 6:
         raise InputFormatError("a cycle needs exactly six maps")
     groups = [group_from_json(_obj(g, "cycle group")) for g in groups]
-    return SixTermCycle(groups, [
+    return SixTermCycle([
         _hom_from_rows(groups[i], groups[(i + 1) % 6],
                        matrix_rows(maps[i], f"cycle map {i}"))
         for i in range(6)])
@@ -133,11 +129,7 @@ def datum_from_json(obj):
         maps = entry.get("maps")
         if not isinstance(maps, list) or len(maps) != 6:
             raise InputFormatError("each cycle entry needs six maps")
-        # the checked lists go on as they are: copies of every matrix would
-        # all stay alive until the datum is built, costing collector passes
-        for i, m in enumerate(maps):
-            matrix_rows(m, f"cycle map {i}")
-        cycles[(u, y)] = maps
+        cycles[(u, y)] = [matrix_rows(m, f"cycle map {i}") for i, m in enumerate(maps)]
     return FiltratedKDatum(space, assignment, cycles)
 
 
@@ -145,8 +137,7 @@ def datum_from_json(obj):
 
 
 def exactness_to_json(report):
-    return {"ok": report.ok, "reason": report.reason,
-            "witness": _plain(report.witness)}
+    return {"ok": report.ok, "reason": report.reason, "witness": report.witness}
 
 
 def cycle_report_to_json(report):

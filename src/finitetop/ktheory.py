@@ -249,25 +249,29 @@ def is_exact_at(f, g):
 
 
 class SixTermCycle:
-    """Six groups in cyclic order and the maps between consecutive ones."""
+    """Six maps in cyclic order, map i ending where map i + 1 starts.
 
-    __slots__ = ("groups", "maps")
+    The groups of the cycle are the domains of its maps.
+    """
 
-    def __init__(self, groups, maps):
-        groups = tuple(groups)
+    __slots__ = ("maps",)
+
+    def __init__(self, maps):
         maps = tuple(maps)
-        if len(groups) != 6 or len(maps) != 6:
-            raise ShapeMismatch("a cycle needs six groups and six maps")
+        if len(maps) != 6:
+            raise ShapeMismatch("a cycle needs six maps")
         for i in range(6):
-            if maps[i].domain != groups[i] or maps[i].codomain != groups[(i + 1) % 6]:
-                raise ShapeMismatch(f"map {i} does not go from group {i} to group "
-                                    f"{(i + 1) % 6}")
-        self.groups = groups
+            if maps[i].codomain != maps[(i + 1) % 6].domain:
+                raise ShapeMismatch(f"map {i} does not end where map "
+                                    f"{(i + 1) % 6} starts")
         self.maps = maps
 
+    @property
+    def groups(self):
+        return tuple(m.domain for m in self.maps)
+
     def __eq__(self, other):
-        return (isinstance(other, SixTermCycle)
-                and self.groups == other.groups and self.maps == other.maps)
+        return isinstance(other, SixTermCycle) and self.maps == other.maps
 
 
 class CycleReport(namedtuple("CycleReport", "nodes")):
@@ -372,7 +376,7 @@ class FiltratedKDatum:
                 if hom is None:
                     hom = built[key] = _hom_from_rows(*key)
                 homs.append(hom)
-            self.cycles[(u, y)] = SixTermCycle(groups, homs)
+            self.cycles[(u, y)] = SixTermCycle(homs)
 
     def pairs(self):
         """All (u, y): y locally closed, u = y & w for an open w.

@@ -36,7 +36,7 @@ def random_torsion_cycle(rng):
     maps = [GroupHom(groups[i], groups[(i + 1) % 6],
                      random_torsion_hom(rng, divs[i], divs[(i + 1) % 6]))
             for i in range(6)]
-    return divs, SixTermCycle(groups, maps)
+    return divs, SixTermCycle(maps)
 
 
 def random_zero_composite(rng, a_divs, b_divs, g_rows, c_divs):

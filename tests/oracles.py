@@ -12,9 +12,10 @@ from finitetop.completion import _assemble
 from finitetop.enumeration import CensusRow, _labeled_spaces
 from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               NotClosedUnderIntersection, NotClosedUnderUnion,
-                              NotContinuous)
+                              NotContinuous, NotLocallyClosed, NotWellDefined,
+                              ShapeMismatch)
 from finitetop.intmat import IntMatrix
-from finitetop.ktheory import DatumReport, FGAbelianGroup, verify_six_term
+from finitetop.ktheory import DatumReport, FGAbelianGroup, GroupHom, verify_six_term
 from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
                               alexandrov_topology, bits, mask_of)
 
@@ -439,6 +440,98 @@ def brute_verify_datum(datum):
     """verify_datum without sharing: every node of every cycle decided afresh."""
     return DatumReport(tuple((pair, verify_six_term(cycle))
                              for pair, cycle in datum.cycles.items()))
+
+
+def _diagonal_divisors(group):
+    """(d1, ..., dk) when group is presented as Z/d1 + ... + Z/dk, else None."""
+    n, rel = group.generators, group.relations
+    if rel.cols != n:
+        return None
+    divs = tuple(rel.entries[i][i] for i in range(n))
+    if any(d < 1 for d in divs) or any(rel.entries[i][j] for i in range(n)
+                                       for j in range(n) if i != j):
+        return None
+    return divs
+
+
+def _map_fault(domain, codomain, rows):
+    """Why rows are not a map from domain to codomain, as (class, message, details).
+
+    No rows into a group with no generators are the 0 x n matrix.  Between
+    diagonal torsion groups, the map is well defined when each element and
+    that element plus a relator go to the same element; when the codomain
+    has no relators, when each relator goes to zero; otherwise GroupHom
+    decides.
+    """
+    r = len(rows)
+    c = len(rows[0]) if rows else (0 if codomain.generators else domain.generators)
+    if (r, c) != (codomain.generators, domain.generators):
+        return (ShapeMismatch, f"matrix is {r}x{c}, expected "
+                f"{codomain.generators}x{domain.generators}", {})
+    relators = domain.relations.transpose().entries
+    dom_divs, cod_divs = _diagonal_divisors(domain), _diagonal_divisors(codomain)
+    if dom_divs is not None and cod_divs is not None:
+        respected = all(
+            reduce_mod(apply_matrix(rows, x), cod_divs)
+            == reduce_mod(apply_matrix(rows, [a + b for a, b in zip(x, rel)]), cod_divs)
+            for x in elements(dom_divs) for rel in relators)
+    elif not codomain.relations.cols:
+        respected = all(not any(apply_matrix(rows, rel)) for rel in relators)
+    else:
+        try:
+            GroupHom(domain, codomain, IntMatrix(rows, r, c))
+            respected = True
+        except NotWellDefined:
+            respected = False
+    if not respected:
+        return (NotWellDefined, "matrix does not respect the domain relations", {})
+    return None
+
+
+def brute_datum_fault(space, assignment, maps):
+    """The first of the five datum faults the README lists, read literally.
+
+    assignment maps carrier masks to GradedGroups and maps gives each
+    (open, set) pair of masks its six matrices as integer rows, both in
+    file order.  Returns (error class, message, details), or None for a
+    datum with no fault.  Locally closed sets are differences of two
+    opens, and the opens of a set y are its intersections with the opens
+    of the space, all found by scanning the open family.
+    """
+    def show(m):
+        return sorted(bits(m))
+
+    def by_size(m):
+        return (m.bit_count(), m)
+
+    closed_locally = brute_locally_closed(space)
+    for c in assignment:
+        if c not in closed_locally:
+            return (NotLocallyClosed, f"{show(c)} is not open in its closure",
+                    {"carrier": c})
+    for s in sorted(closed_locally, key=by_size):
+        if s not in assignment:
+            return ShapeMismatch, f"no group assigned to {show(s)}", {"carrier": s}
+    opens_in = {y: {y & w for w in space.opens} for y in closed_locally}
+    for u, y in maps:
+        if y not in closed_locally or u not in opens_in[y]:
+            return (ShapeMismatch,
+                    f"cycle ({show(u)}, {show(y)}) is not a relative-open pair",
+                    {"pair": (u, y)})
+    pairs = [(u, y) for y in sorted(closed_locally, key=by_size)
+             for u in sorted(opens_in[y], key=by_size)]
+    for u, y in pairs:
+        if (u, y) not in maps:
+            return (ShapeMismatch, f"missing cycle for ({show(u)}, {show(y)})",
+                    {"pair": (u, y)})
+    for u, y in pairs:
+        gu, gy, gr = assignment[u], assignment[y], assignment[y & ~u]
+        groups = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
+        for i, rows in enumerate(maps[(u, y)]):
+            fault = _map_fault(groups[i], groups[(i + 1) % 6], rows)
+            if fault is not None:
+                return fault
+    return None
 
 
 # -- integer matrix references -------------------------------------------------

@@ -154,11 +154,17 @@ def test_self_check_rejects_inconsistent_transforms(monkeypatch):
     assert_normal_form(m)
 
 
-def test_constructor_coerces_and_checks_outside_data():
-    m = IntMatrix([[True, 2.0], ["3", -4]])
+def test_constructor_checks_outside_data():
+    m = IntMatrix([[1, 2], [3, -4]])
     assert m.entries == ((1, 2), (3, -4))
-    assert all(type(v) is int for row in m.entries for v in row)
-    assert IntMatrix.from_columns([(True,), (2.0,)], rows=1).entries == ((1, 2),)
+    assert IntMatrix.from_columns([(1,), (2,)], rows=1).entries == ((1, 2),)
+    # an entry that is not an integer is refused, not truncated or parsed
+    for bad in (1.9, 2.0, "7", True, None):
+        with pytest.raises(ValueError) as err:
+            IntMatrix([[1, bad]])
+        assert str(err.value) == f"matrix entry {bad!r} is not an integer"
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1,), (bad,)], rows=1)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2]], rows=2)
     with pytest.raises(ValueError):

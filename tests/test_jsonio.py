@@ -1,21 +1,27 @@
+import io
+import json
 import random
+from collections import Counter
 
 import pytest
 
 from finitetop import ajsonio, jsonio, kjsonio
 from finitetop.action import ActionOverX
+from finitetop.cli import main
 from finitetop.errors import (CapExceeded, InputFormatError, NotContinuous,
                               NotTransitive, NotWellDefined, ShapeMismatch)
 from finitetop.intmat import IntMatrix
-from finitetop.ktheory import (FGAbelianGroup, GroupHom, SixTermCycle,
+from finitetop.ktheory import (FGAbelianGroup, GradedGroup, GroupHom, SixTermCycle,
                                is_exact_at, two_point_sequence, verify_datum,
                                verify_six_term)
 from finitetop.spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap,
                               FiniteSpace, Preorder, alexandrov_topology)
-from fixtures import (assignment_to_json, constant_zero_datum, datum_to_json,
-                      group_to_json, hom_to_json, map_to_json,
-                      point_count_datum, sierpinski_torsion_json)
-from oracles import random_continuous, random_poset_space, random_space
+from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
+                      datum_to_json, graded_to_json, group_to_json, hom_to_json,
+                      map_to_json, point_count_datum, random_torsion_datum,
+                      sierpinski_torsion_json)
+from oracles import (brute_datum_fault, brute_locally_closed, random_continuous,
+                     random_poset_space, random_space)
 
 SIERPINSKI_JSON = {"size": 2, "opens": [[], [0], [0, 1]]}
 
@@ -183,12 +189,21 @@ def test_assignment_refuses_a_point_given_twice():
 
 def test_matrix_roundtrip_and_errors():
     m = IntMatrix([[1, -2], [3, 4]])
-    assert kjsonio.matrix_from_json(jsonio.matrix_to_json(m)) == m
-    assert kjsonio.matrix_from_json([]).rows == 0
-    assert kjsonio.matrix_from_json([[], []]).cols == 0
-    for bad in ("x", [[1], [1, 2]], [[1], "x"], [[1.5]]):
-        with pytest.raises(InputFormatError):
-            kjsonio.matrix_from_json(bad)
+    rows = jsonio.matrix_to_json(m)
+    assert jsonio.matrix_rows(rows) is rows
+    assert IntMatrix(rows) == m
+    assert jsonio.matrix_rows([]) == [] and jsonio.matrix_rows([[], []]) == [[], []]
+    for bad, message in (("x", "matrix must be a list of rows"),
+                         ([[1], [1, 2]], "matrix rows have differing lengths"),
+                         ([[1], "x"], "matrix rows must be lists"),
+                         ([[1.5]], "matrix entry must be an integer"),
+                         ([[True]], "matrix entry must be an integer"),
+                         # entries are checked row by row before the lengths
+                         ([[1, 2], [None]], "matrix entry must be an integer"),
+                         ([[1, 2], [3]], "matrix rows have differing lengths")):
+        with pytest.raises(InputFormatError) as err:
+            jsonio.matrix_rows(bad)
+        assert str(err.value) == message
 
 
 def test_group_roundtrip_and_errors():
@@ -368,6 +383,156 @@ def test_datum_faults_come_input_then_keys_then_maps():
     assert datum.cycles[(0, 2)].maps[2] is datum.cycles[(1, 3)].maps[2]
 
 
+def _insert(rng, table, key, value):
+    """Give key its value in table at a random place of the table's order."""
+    items = list(table.items())
+    items.insert(rng.randint(0, len(items)), (key, value))
+    table.clear()
+    table.update(items)
+
+
+def _mutate(rng, space, assignment, maps):
+    """One of seven mutations of a datum's groups and cycles, in place.
+
+    They delete a group, add a group on a set that is not locally closed,
+    delete a cycle, add a cycle on a pair that is not relative-open, give
+    a matrix one more row, make a map unlikely to be well defined, or ask
+    for a malformed value in the file, by returning True.
+    """
+    kind = rng.randrange(7)
+    closed_locally = brute_locally_closed(space)
+    everything = range(1 << space.size)
+    if kind == 0 and assignment:
+        del assignment[rng.choice(list(assignment))]
+    elif kind == 1:
+        stray = [s for s in everything if s not in closed_locally]
+        if stray:
+            zero = FGAbelianGroup.zero()
+            _insert(rng, assignment, rng.choice(stray), GradedGroup(zero, zero))
+    elif kind == 2 and maps:
+        del maps[rng.choice(list(maps))]
+    elif kind == 3:
+        stray = [(u, y) for y in everything for u in everything
+                 if (u, y) not in maps and (y not in closed_locally
+                                            or all(u != y & w for w in space.opens))]
+        if stray:
+            _insert(rng, maps, rng.choice(stray), [[] for _ in range(6)])
+    elif kind == 4 and maps:
+        rows = rng.choice(list(maps.values()))
+        i = rng.randrange(6)
+        rows[i] = rows[i] + [[0] * (len(rows[i][0]) if rows[i] else rng.randint(0, 2))]
+    elif kind == 5:
+        # a matrix of ones out of a group with relators is seldom well
+        # defined; with no such group, a relator is added to one
+        fits = []
+        for (u, y), rows in maps.items():
+            carriers = (u, y, y & ~u)
+            if all(c in assignment for c in carriers):
+                groups = [assignment[c].even for c in carriers]
+                groups += [assignment[c].odd for c in carriers]
+                fits += [(rows, i, groups[(i + 1) % 6].generators, groups[i].generators)
+                         for i in range(6) if groups[i].relations.cols]
+        if fits:
+            rows, i, r, c = rng.choice(fits)
+            rows[i] = [[1] * c for _ in range(r)]
+        else:
+            free = [c for c, g in assignment.items() if g.even.generators]
+            if free:
+                c = rng.choice(free)
+                n = assignment[c].even.generators
+                twice = IntMatrix.from_columns([[2] + [0] * (n - 1)], rows=n)
+                assignment[c] = assignment[c]._replace(even=FGAbelianGroup(n, twice))
+    return kind == 6
+
+
+def _spoil(rng, doc):
+    """Put a value into doc that is not an integer, or rows of two lengths."""
+    spots = [(g, part) for g in doc["groups"].values() for part in ("even", "odd")]
+    cells = [(entry["maps"], i) for entry in doc["cycles"] for i in range(6)]
+    if cells and (not spots or rng.random() < 0.7):
+        matrices, i = rng.choice(cells)
+        rows = [list(r) for r in matrices[i]]
+        if rows and rows[0] and rng.random() < 0.5:
+            rows[rng.randrange(len(rows))][0] = 1.5
+        else:
+            width = len(rows[0]) if rows else 0
+            rows += [[0] * (width + 1), [0] * width]
+        matrices[i] = rows
+    elif spots:
+        g, part = rng.choice(spots)
+        g[part] = dict(g[part], generators=str(g[part]["generators"]))
+
+
+def _first_format_fault(doc):
+    """The message of the first malformed value _spoil can leave, in reading order."""
+    for g in doc["groups"].values():
+        if any(type(g[part]["generators"]) is not int for part in ("even", "odd")):
+            return "generators must be an integer"
+    for entry in doc["cycles"]:
+        for i, m in enumerate(entry["maps"]):
+            if any(type(v) is not int for row in m for v in row):
+                return f"cycle map {i} entry must be an integer"
+            if len({len(r) for r in m}) > 1:
+                return f"cycle map {i} rows have differing lengths"
+    return None
+
+
+def test_datum_faults_match_the_oracle(monkeypatch, capsys):
+    # mutated point-count, zero and torsion data on spaces of at most five
+    # points, T0 and not: datum_from_json refuses the first fault the
+    # README lists, or malformed input before all of them, and the command
+    # exits with 1 or 2 and the same error
+    rng = random.Random(620)
+    seen = Counter()
+    for k in range(30):
+        space = (random_space if k % 2 else random_poset_space)(rng, rng.randint(1, 5))
+        seeds = [point_count_datum(space), constant_zero_datum(space),
+                 random_torsion_datum(rng, space)]
+        for seed in seeds:
+            for _ in range(3):
+                assignment = dict(seed.assignment)
+                maps = {pair: [[list(row) for row in m] for m in rows]
+                        for pair, rows in datum_rows(seed).items()}
+                spoil = False
+                for _ in range(rng.randint(1, 3)):
+                    spoil = _mutate(rng, space, assignment, maps) or spoil
+                doc = {"space": jsonio.space_to_json(space),
+                       "groups": {jsonio.carrier_key(c): graded_to_json(g)
+                                  for c, g in assignment.items()},
+                       "cycles": [{"open": jsonio.carrier_key(u),
+                                   "set": jsonio.carrier_key(y), "maps": rows}
+                                  for (u, y), rows in maps.items()]}
+                if spoil:
+                    _spoil(rng, doc)
+                message = _first_format_fault(doc)
+                if message is not None:
+                    want = InputFormatError, message, None
+                    error = {"error": "input", "message": message}
+                else:
+                    want = brute_datum_fault(space, assignment, maps)
+                    if want is None:
+                        kjsonio.datum_from_json(doc)
+                        seen["none"] += 1
+                        continue
+                    error = {"error": want[0].__name__, "message": want[1],
+                             "details": json.loads(json.dumps(want[2]))}
+                with pytest.raises(want[0]) as err:
+                    kjsonio.datum_from_json(doc)
+                assert type(err.value) is want[0] and str(err.value) == want[1]
+                if want[2] is not None:
+                    assert err.value.details == want[2]
+                monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+                assert main(["ktheory", "datum-verify", "-"]) == (
+                    1 if message is None else 2)
+                assert json.loads(capsys.readouterr().err) == error
+                # ShapeMismatch faults are told apart by their first word
+                seen[want[1].split()[0] if want[0] is ShapeMismatch
+                     else want[0].__name__] += 1
+    # every fault comes up, and so do data with no fault
+    assert set(seen) >= {"none", "InputFormatError", "NotLocallyClosed",
+                         "NotWellDefined", "no", "cycle", "missing", "matrix"}, seen
+
+
 def test_datum_interning_matches_maps_built_one_by_one():
     rng = random.Random(611)
     data = [point_count_datum(FiniteSpace.sierpinski()),
@@ -383,7 +548,7 @@ def test_datum_interning_matches_maps_built_one_by_one():
             u = jsonio.carrier_from_key(entry["open"], datum.space.size)
             y = jsonio.carrier_from_key(entry["set"], datum.space.size)
             groups = datum.cycles[(u, y)].groups
-            built[(u, y)] = SixTermCycle(groups, [kjsonio.hom_from_json({
+            built[(u, y)] = SixTermCycle([kjsonio.hom_from_json({
                 "domain": group_to_json(groups[i]),
                 "codomain": group_to_json(groups[(i + 1) % 6]),
                 "matrix": entry["maps"][i]}) for i in range(6)])
@@ -409,9 +574,9 @@ def test_datum_refuses_a_carrier_or_cycle_given_twice():
 def test_report_serializers():
     f = GroupHom.identity(FGAbelianGroup.free(1))
     report = is_exact_at(f, f)
-    assert kjsonio.exactness_to_json(report) == {
-        "ok": False, "reason": "composite is not zero",
-        "witness": ["generator", 0]}
+    assert json.dumps(kjsonio.exactness_to_json(report), sort_keys=True) == (
+        '{"ok": false, "reason": "composite is not zero", '
+        '"witness": ["generator", 0]}')
     datum = constant_zero_datum(FiniteSpace.sierpinski(), special=3,
                                 group=FGAbelianGroup.cyclic(2))
     rep = kjsonio.datum_report_to_json(verify_datum(datum))

@@ -62,6 +62,21 @@ def test_group_equality_is_structural():
         FGAbelianGroup(2, IntMatrix([[3]]))
 
 
+def test_groups_and_data_refuse_entries_that_are_not_integers():
+    # Z/2.5 is not Z/2, and a datum given float or text rows is refused,
+    # not truncated
+    for bad in (2.5, "2", True):
+        with pytest.raises(ValueError):
+            CYCLIC(bad)
+    space = FiniteSpace.sierpinski()
+    good = point_count_datum(space)
+    rows = datum_rows(good)
+    for bad in (1.0, "1"):
+        maps = {**rows, (1, 3): [[[bad], [0]]] + rows[(1, 3)][1:]}
+        with pytest.raises(ValueError):
+            FiltratedKDatum(space, good.assignment, maps)
+
+
 def test_graded_group():
     assert GradedGroup(FGAbelianGroup.zero(), CYCLIC(1)).is_zero()
     assert not GradedGroup(Z(1), FGAbelianGroup.zero()).is_zero()
@@ -204,10 +219,15 @@ def test_composite_not_zero_witness():
 def test_cycle_wiring():
     zero = FGAbelianGroup.zero()
     z = GroupHom.zero(zero, zero)
-    with pytest.raises(ShapeMismatch):
-        SixTermCycle((zero,) * 5, (z,) * 6)
-    with pytest.raises(ShapeMismatch):
-        SixTermCycle((zero,) * 5 + (Z(1),), (z,) * 6)
+    with pytest.raises(ShapeMismatch) as err:
+        SixTermCycle((z,) * 5)
+    assert str(err.value) == "a cycle needs six maps"
+    # map 3 ends in Z, where map 4 does not start
+    with pytest.raises(ShapeMismatch) as err:
+        SixTermCycle((z,) * 3 + (GroupHom.zero(zero, Z(1)),) + (z,) * 2)
+    assert str(err.value) == "map 3 does not end where map 4 starts"
+    cycle = SixTermCycle([z] * 6)
+    assert cycle.maps == (z,) * 6 and cycle.groups == (zero,) * 6
 
 
 def test_six_term_matches_elements():
@@ -241,10 +261,9 @@ def test_canonical_kernel_cokernel_cycle_is_exact():
             f = GroupHom(Z(cols), Z(rows), m)
         ker, incl = kernel(f)
         cok, proj = cokernel(f)
-        cycle = SixTermCycle(
-            (ker, f.domain, f.codomain, cok, zero, zero),
-            (incl, f, proj, GroupHom.zero(cok, zero),
-             GroupHom.zero(zero, zero), GroupHom.zero(zero, ker)))
+        cycle = SixTermCycle((incl, f, proj, GroupHom.zero(cok, zero),
+                              GroupHom.zero(zero, zero), GroupHom.zero(zero, ker)))
+        assert cycle.groups == (ker, f.domain, f.codomain, cok, zero, zero)
         assert verify_six_term(cycle).ok
 
 
@@ -485,7 +504,7 @@ def test_verify_datum_on_a_cycle_replaced_by_equal_new_maps():
                                                                h.matrix.rows,
                                                                h.matrix.cols))
                       for h in cycle.maps]
-            datum.cycles[pair] = SixTermCycle(cycle.groups, copies)
+            datum.cycles[pair] = SixTermCycle(copies)
             assert not set(map(id, copies)) & set(map(id, cycle.maps))
         assert verify_datum(datum) == brute_verify_datum(datum) == want
     assert not want.ok
