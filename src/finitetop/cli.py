@@ -6,6 +6,11 @@ arguments accept "-" for standard input.  All JSON output has sorted
 keys, so identical inputs give identical bytes.  A JSON object that gives
 one key twice is malformed input.
 
+A command returns its result, a JSON document or text, and ``main``
+alone writes it: text and documents go to standard output with exit 0,
+except a document whose top-level "ok" is false, which goes to standard
+error with exit 1.
+
 Each command imports the modules it runs when it starts, so a command on
 spaces loads no enumeration, completion, action or group code, an action
 command no group code, and a group command no action code.
@@ -17,8 +22,8 @@ import sys
 from functools import cache
 
 from . import jsonio
-from .errors import FinitetopError, InputFormatError
-from .jsonio import indices
+from .errors import FinitetopError, InputCapExceeded, InputFormatError
+from .jsonio import _obj, indices
 from .spaces import bits, family_key, hasse_dot
 
 
@@ -49,7 +54,16 @@ def _read_json(path):
 
 
 def _emit(obj, stream=None):
-    print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
+    # computed integers, such as Smith normal form transforms, may pass the
+    # interpreter's int-to-str limit, which guards parsing input alone
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _names(space, mask):
@@ -63,8 +77,7 @@ def _names(space, mask):
 
 def _cmd_validate(args):
     space = jsonio.space_from_json(_read_json(args.space))
-    _emit({"ok": True, "size": space.size, "opens": space.open_count()})
-    return 0
+    return {"ok": True, "size": space.size, "opens": space.open_count()}
 
 
 def _cmd_info(args):
@@ -72,7 +85,7 @@ def _cmd_info(args):
     t0 = space.is_t0()
     filt = space.canonical_filtration() if t0 else None
     components = space.connected_components()
-    out = {
+    return {
         "size": space.size,
         "opens": space.open_count(),
         "t0": t0,
@@ -82,18 +95,15 @@ def _cmd_info(args):
         "length": filt.length if t0 else None,
         "strata": [_names(space, s) for s in filt.strata] if t0 else None,
     }
-    _emit(out)
-    return 0
 
 
 def _cmd_soberify(args):
     space = jsonio.space_from_json(_read_json(args.space))
     hat, iota = space.sobrification()
-    _emit({"space": jsonio.space_to_json(hat),
-           "map": list(iota.assignment),
-           "closed_sets": [_names(space, c)
-                           for c in space.irreducible_closed_sets()]})
-    return 0
+    return {"space": jsonio.space_to_json(hat),
+            "map": list(iota.assignment),
+            "closed_sets": [_names(space, c)
+                            for c in space.irreducible_closed_sets()]}
 
 
 def _cmd_alexandrov(args):
@@ -101,12 +111,8 @@ def _cmd_alexandrov(args):
     if args.from_preorder:
         if isinstance(obj, dict) and "preorder" not in obj:
             obj = {"preorder": obj}
-        space = jsonio.space_from_json(obj)
-        _emit(jsonio.space_to_json(space))
-    else:
-        space = jsonio.space_from_json(obj)
-        _emit(jsonio.preorder_to_json(space.specialization()))
-    return 0
+        return jsonio.space_to_json(jsonio.space_from_json(obj))
+    return jsonio.preorder_to_json(jsonio.space_from_json(obj).specialization())
 
 
 def _cmd_enumerate(args):
@@ -125,24 +131,21 @@ def _cmd_enumerate(args):
             spaces = [s for s in spaces if s.is_connected()]
         count = labeled = len(spaces)
     if args.table:
-        print(f"{'idx':>5}  {'points':>6}  {'opens':>5}  {'t0':>5}  connected")
-        for i, s in enumerate(spaces):
-            print(f"{i:>5}  {s.size:>6}  {s.open_count():>5}  "
-                  f"{str(s.is_t0()).lower():>5}  {str(s.is_connected()).lower()}")
-        print(f"count: {count}  labeled: {labeled}")
-    else:
-        _emit({"count": count, "labeled": labeled,
-               "spaces": [jsonio.space_to_json(s) for s in spaces]})
-    return 0
+        lines = [f"{'idx':>5}  {'points':>6}  {'opens':>5}  {'t0':>5}  connected"]
+        lines += [f"{i:>5}  {s.size:>6}  {s.open_count():>5}  "
+                  f"{str(s.is_t0()).lower():>5}  {str(s.is_connected()).lower()}"
+                  for i, s in enumerate(spaces)]
+        lines.append(f"count: {count}  labeled: {labeled}")
+        return "".join(line + "\n" for line in lines)
+    return {"count": count, "labeled": labeled,
+            "spaces": [jsonio.space_to_json(s) for s in spaces]}
 
 
 def _cmd_hasse(args):
     space = jsonio.space_from_json(_read_json(args.space))
     if args.dot:
-        sys.stdout.write(hasse_dot(space))
-    else:
-        _emit({"edges": [list(e) for e in space.hasse_edges()]})
-    return 0
+        return hasse_dot(space)
+    return {"edges": [list(e) for e in space.hasse_edges()]}
 
 
 def _cmd_complete(args):
@@ -152,10 +155,9 @@ def _cmd_complete(args):
     emb = neighborhood_filter_embedding(completion)
     filters = [[indices(u) for u in sorted(p, key=family_key)]
                for p in completion.points]
-    _emit({"space": jsonio.space_to_json(completion.space),
-           "embedding": list(emb.assignment),
-           "filters": filters})
-    return 0
+    return {"space": jsonio.space_to_json(completion.space),
+            "embedding": list(emb.assignment),
+            "filters": filters}
 
 
 # -- action commands -----------------------------------------------------------
@@ -170,21 +172,18 @@ def _cmd_action(args):
         action = ajsonio.action_from_json(_read_json(args.file))
     if args.mode == "check":
         assign = minimal_ideals(action)
-        _emit({"ok": True, "tight": is_tight(action),
-               "ideals": {str(x): indices(m)
-                          for x, m in sorted(assign.values.items())}})
-        return 0
+        return {"ok": True, "tight": is_tight(action),
+                "ideals": {str(x): indices(m)
+                           for x, m in sorted(assign.values.items())}}
     if args.mode == "restrict":
         carrier = jsonio.carrier_from_key(args.set, action.base.size)
         small = restrict(action, carrier)
-        _emit({"action": ajsonio.action_to_json(small),
-               "base_points": indices(carrier),
-               "prim_points": indices(action.psi.preimage(carrier))})
-        return 0
+        return {"action": ajsonio.action_to_json(small),
+                "base_points": indices(carrier),
+                "prim_points": indices(action.psi.preimage(carrier))}
     if args.mode == "pushforward":
         f = jsonio.map_from_json(_read_json(args.extra))
-        _emit(ajsonio.action_to_json(pushforward(f, action)))
-        return 0
+        return ajsonio.action_to_json(pushforward(f, action))
     if args.mode == "filtrate":
         filt = action.base.canonical_filtration()
         supports = filtration_of_action(action)
@@ -194,12 +193,9 @@ def _cmd_action(args):
                          "support": indices(sup),
                          "fibers": [indices(fiber_support(action, x))
                                     for x in bits(stratum)]})
-        _emit({"layers": [indices(m) for m in filt.layers],
-               "strata": rows})
-        return 0
+        return {"layers": [indices(m) for m in filt.layers], "strata": rows}
     assign, prim = ajsonio.assignment_from_json(_read_json(args.file))
-    _emit(ajsonio.action_to_json(reconstruct(assign, prim)))
-    return 0
+    return ajsonio.action_to_json(reconstruct(assign, prim))
 
 
 # -- group commands ------------------------------------------------------------
@@ -208,49 +204,44 @@ def _cmd_action(args):
 def _cmd_ktheory(args):
     obj = _read_json(args.file)
     if args.mode == "snf":
-        from .intmat import IntMatrix, smith_normal_form
+        from .intmat import GENERATORS_CAP, IntMatrix, smith_normal_form
         if isinstance(obj, dict):
             obj = obj.get("matrix")
-        u, d, v = smith_normal_form(IntMatrix(jsonio.matrix_rows(obj)))
-        _emit({"U": jsonio.matrix_to_json(u), "D": jsonio.matrix_to_json(d),
-               "V": jsonio.matrix_to_json(v)})
-        return 0
+        rows = jsonio.matrix_rows(obj)
+        cols = len(rows[0]) if rows else 0
+        if max(len(rows), cols) > GENERATORS_CAP:
+            raise InputCapExceeded(
+                f"snf matrices are capped at {GENERATORS_CAP} rows and "
+                f"columns, got {len(rows)} x {cols}",
+                rows=len(rows), columns=cols, cap=GENERATORS_CAP)
+        u, d, v = smith_normal_form(IntMatrix(rows))
+        return {"U": jsonio.matrix_to_json(u), "D": jsonio.matrix_to_json(d),
+                "V": jsonio.matrix_to_json(v)}
     from . import kjsonio
     from .ktheory import (is_exact_at, two_point_sequence,
                           vanishing_propagation, verify_datum, verify_six_term)
     if args.mode == "exact":
         if not isinstance(obj, dict):
             raise InputFormatError("expected an object with f and g")
-        f = kjsonio.hom_from_json(obj.get("f"))
-        g = kjsonio.hom_from_json(obj.get("g"))
-        report = is_exact_at(f, g)
-        _emit(kjsonio.exactness_to_json(report),
-              stream=None if report.ok else sys.stderr)
-        return 0 if report.ok else 1
+        f, g = (kjsonio.hom_from_json(_obj(obj.get(k), f"{k} map")) for k in "fg")
+        return kjsonio.exactness_to_json(is_exact_at(f, g))
     if args.mode == "six-term":
-        report = verify_six_term(kjsonio.cycle_from_json(obj))
-        _emit(kjsonio.cycle_report_to_json(report),
-              stream=None if report.ok else sys.stderr)
-        return 0 if report.ok else 1
+        return kjsonio.cycle_report_to_json(
+            verify_six_term(kjsonio.cycle_from_json(obj)))
     if args.mode == "datum-verify":
         datum = kjsonio.datum_from_json(obj)
         cycles = verify_datum(datum)
-        ok = cycles.ok
         out = {"cycles": kjsonio.datum_report_to_json(cycles),
-               "propagation": None}
+               "propagation": None, "ok": cycles.ok}
         # the vanishing bootstrap needs a zero group on every point (so T0)
         if datum.space.is_t0() and all(datum.assignment[1 << x].is_zero()
                                        for x in range(datum.space.size)):
             prop = vanishing_propagation(datum)
             out["propagation"] = kjsonio.propagation_to_json(prop)
-            ok = ok and prop.ok
-        out["ok"] = ok
-        _emit(out, stream=None if ok else sys.stderr)
-        return 0 if ok else 1
+            out["ok"] = cycles.ok and prop.ok
+        return out
     top, right, left, bottom = kjsonio.square_from_json(obj)
-    _emit(kjsonio.two_point_to_json(
-        two_point_sequence(top, right, left, bottom)))
-    return 0
+    return kjsonio.two_point_to_json(two_point_sequence(top, right, left, bottom))
 
 
 # -- wiring --------------------------------------------------------------------
@@ -334,7 +325,13 @@ def main(argv=None):
     if getattr(args, "points", 0) < 0:
         parser.error(f"--points must be nonnegative, got {args.points}")
     try:
-        return args.func(args)
+        out = args.func(args)
+        if isinstance(out, str):
+            sys.stdout.write(out)
+            return 0
+        ok = out.get("ok", True)
+        _emit(out, stream=None if ok else sys.stderr)
+        return 0 if ok else 1
     except InputFormatError as exc:
         out = {"error": "input", "message": str(exc)}
         if isinstance(exc, FinitetopError):  # an input cap names its limit

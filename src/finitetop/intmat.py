@@ -13,6 +13,12 @@ from __future__ import annotations
 
 from operator import mul
 
+# Most generators a group, and most rows or columns a matrix given to
+# ``ktheory snf``, may have on input.  Each group and map costs a Smith
+# normal form of a matrix with about this many rows; the point-count data
+# the tools build stay under ten.
+GENERATORS_CAP = 64
+
 
 class IntMatrix:
     """Immutable dense integer matrix.

@@ -12,16 +12,11 @@ before anything is built for it.
 """
 
 from .errors import InputCapExceeded, InputFormatError
-from .intmat import IntMatrix
+from .intmat import GENERATORS_CAP, IntMatrix
 from .jsonio import (_int, _obj, carrier_from_key, carrier_key, indices,
                      matrix_rows, matrix_to_json, space_from_json)
 from .ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup, SixTermCycle,
                       _hom_from_rows)
-
-# Most generators a group may have on input.  Each group and map costs a
-# Smith normal form of a matrix with about this many rows; the point-count
-# data the tools build stay under ten.
-GENERATORS_CAP = 64
 
 
 # -- matrices and groups -------------------------------------------------------

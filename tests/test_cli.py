@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
+from finitetop.intmat import GENERATORS_CAP, IntMatrix
 from finitetop.jsonio import space_from_json
 from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
 from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
@@ -443,6 +445,54 @@ def test_ktheory_snf(tmp_path, capsys):
     assert code == 0 and json.loads(out)["D"] == [[4]]
 
 
+def loads_past_the_digit_limit(text):
+    """json.loads with the interpreter's int-to-str limit lifted."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_ktheory_snf_writes_integers_past_the_digit_limit(tmp_path, capsys):
+    # the transforms of 121-digit entries pass 4,300 digits, the default
+    # int-to-str limit, which guards reading input and not writing results
+    rng = random.Random(2)
+    a = [[rng.randrange(10**120, 10**121) for _ in range(2)] for _ in range(2)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "ktheory", "snf", jfile(tmp_path, "m.json", a))
+    assert code == 0 and err == ""
+    assert max(map(len, re.findall(r"\d+", out))) > 4300
+    doc = loads_past_the_digit_limit(out)
+    u, d, v = (IntMatrix(doc[k]) for k in "UDV")
+    assert u @ IntMatrix(a) @ v == d
+    # writing lifts the limit for itself alone: input is still refused
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    long = tmp_path / "long.json"
+    long.write_text("[[" + "1" * 5000 + "]]")
+    code, out, err = run(capsys, "ktheory", "snf", str(long))
+    assert (code, out) == (2, "") and "invalid JSON" in err
+
+
+@pytest.mark.parametrize("rows,cols", [(GENERATORS_CAP + 1, 1), (1, GENERATORS_CAP + 1)])
+def test_ktheory_snf_refuses_a_matrix_past_the_cap(tmp_path, capsys, rows, cols):
+    path = jfile(tmp_path, "m.json", [[1] * cols for _ in range(rows)])
+    code, out, err = run(capsys, "ktheory", "snf", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input",
+        "message": ("snf matrices are capped at 64 rows and columns, "
+                    f"got {rows} x {cols}"),
+        "details": {"rows": rows, "columns": cols, "cap": GENERATORS_CAP}}
+    # a matrix at the cap is factored
+    at_cap = [[1] * min(cols, 64) for _ in range(min(rows, 64))]
+    code, out, err = run(capsys, "ktheory", "snf", jfile(tmp_path, "m.json", at_cap))
+    assert code == 0 and err == ""
+
+
 def test_ktheory_exact(tmp_path, capsys):
     z = {"generators": 1, "relations": []}
     mod2 = {"generators": 1, "relations": [[2]]}
@@ -459,19 +509,32 @@ def test_ktheory_exact(tmp_path, capsys):
     assert json.loads(err)["ok"] is False
 
 
+@pytest.mark.parametrize("pair,name", [
+    ({"f": 3, "g": {}}, "f"),
+    ({"f": {"domain": {"generators": 1}, "codomain": {"generators": 1},
+            "matrix": [[1]]}, "g": [1]}, "g"),
+    ({}, "f"),
+])
+def test_ktheory_exact_names_the_map_it_refuses(tmp_path, capsys, pair, name):
+    code, out, err = run(capsys, "ktheory", "exact", jfile(tmp_path, "e.json", pair))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input",
+                               "message": f"{name} map must be a JSON object"}
+
+
 def test_ktheory_six_term(tmp_path, capsys):
     zero = {"generators": 0, "relations": []}
     mod2 = {"generators": 1, "relations": [[2]]}
     cycle = {"groups": [mod2, mod2, zero, zero, zero, zero],
              "maps": [[[1]], [], [], [], [], [[]]]}
-    code, out, _ = run(capsys, "ktheory", "six-term",
-                       jfile(tmp_path, "c.json", cycle))
-    assert code == 0
+    code, out, err = run(capsys, "ktheory", "six-term",
+                         jfile(tmp_path, "c.json", cycle))
+    assert code == 0 and err == ""
     assert json.loads(out)["first_failure"] is None
     broken = dict(cycle, maps=[[[0]], [], [], [], [], [[]]])
-    code, _, err = run(capsys, "ktheory", "six-term",
-                       jfile(tmp_path, "c2.json", broken))
-    assert code == 1
+    code, out, err = run(capsys, "ktheory", "six-term",
+                         jfile(tmp_path, "c2.json", broken))
+    assert code == 1 and out == ""
     assert json.loads(err)["first_failure"] == 0
 
 

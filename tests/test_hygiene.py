@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import finitetop
-from finitetop import completion, enumeration, kjsonio, spaces
+from finitetop import completion, enumeration, intmat, spaces
 from finitetop.cli import build_parser, main
 from fixtures import constant_zero_datum, datum_to_json
 
@@ -277,6 +277,33 @@ def test_library_scans_no_power_set():
     assert scans == []
 
 
+def exit_code(value):
+    """Whether a returned expression is a bare exit code."""
+    if isinstance(value, ast.IfExp):
+        return exit_code(value.body) or exit_code(value.orelse)
+    return value is None or (isinstance(value, ast.Constant)
+                             and type(value.value) is int)
+
+
+def test_commands_return_what_main_writes():
+    # a command returns its document or text; main alone writes it and
+    # reads the exit code off the document's "ok"
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    writes = []
+    for func in commands:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id in ("_emit", "print"):
+                writes.append((func.name, node.lineno, node.id))
+            elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                writes.append((func.name, node.lineno, f"sys.{node.attr}"))
+            elif isinstance(node, ast.Return) and exit_code(node.value):
+                writes.append((func.name, node.lineno, "exit code"))
+    assert commands and writes == []
+
+
 # CI installs only pytest and hypothesis beside the package itself
 ALLOWED_IMPORTS = ({"finitetop", "pytest", "hypothesis"}
                    | {path.stem for path in TESTS.glob("*.py")})
@@ -313,7 +340,8 @@ README_CAPS = {
     "filter completion filters": (spaces.MAX_POINTS, "filters"),
     "spaces read from JSON": (spaces.MAX_POINTS, "points"),
     "open lists read from JSON": (spaces.OPEN_FAMILY_CAP, "sets"),
-    "groups read from JSON": (kjsonio.GENERATORS_CAP, "generators"),
+    "groups read from JSON": (intmat.GENERATORS_CAP, "generators"),
+    "matrices given to snf": (intmat.GENERATORS_CAP, "rows or columns"),
 }
 
 
