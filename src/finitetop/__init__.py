@@ -9,9 +9,9 @@ from importlib import import_module
 
 # the home module of each public name
 _EXPORTS = {
-    "action": ("ActionOverX", "IdealAssignment", "filtration_of_action",
-               "is_tight", "minimal_ideals", "pushforward", "reconstruct",
-               "restrict", "subquotient_support"),
+    "action": ("ActionOverX", "filtration_of_action", "is_tight",
+               "minimal_ideals", "pushforward", "reconstruct", "restrict",
+               "subquotient_support"),
     "completion": ("CompletionSpace", "build_yprime", "from_discontinuous",
                    "neighborhood_filter_embedding", "to_discontinuous"),
     "enumeration": ("are_homeomorphic", "canonical_form", "census",
@@ -26,7 +26,7 @@ _EXPORTS = {
     "lattice": ("LatticeMap", "continuous_to_lattice_map",
                 "lattice_map_to_continuous", "preserves_finite_meets",
                 "preserves_joins"),
-    "spaces": ("ContinuousMap", "Filtration", "FiniteSpace", "Preorder",
+    "spaces": ("ContinuousMap", "Filtration", "FiniteSpace",
                "alexandrov_topology", "hasse_dot", "space_from_edges"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -107,56 +107,41 @@ def p_functor(action, y):
     return pushforward(action.base.inclusion(y)[1], restrict(action, y))
 
 
-class IdealAssignment:
-    """Candidate minimal-open ideals: one subset of P per point of the base."""
-
-    __slots__ = ("base", "values")
-
-    def __init__(self, base, values):
-        self.base = base
-        self.values = dict(values)
-        missing = [x for x in range(base.size) if x not in self.values]
-        if missing:
-            raise ValueError(f"no ideal assigned to points {missing[:3]}")
-
-    def __eq__(self, other):
-        return (isinstance(other, IdealAssignment)
-                and self.base == other.base and self.values == other.values)
-
-
 def minimal_ideals(action):
-    """The assignment x -> ideal over the minimal open of x."""
-    values = {x: action.psi.preimage(action.base.minimal_open(x))
-              for x in range(action.base.size)}
-    return IdealAssignment(action.base, values)
+    """{x: the ideal over the minimal open of x} for each point x of the base."""
+    return {x: action.psi.preimage(action.base.minimal_open(x))
+            for x in range(action.base.size)}
 
 
-def reconstruct(assign, prim):
-    """Rebuild the action whose minimal-open ideals are the given values.
+def reconstruct(base, values, prim):
+    """The action of prim over base whose minimal-open ideals are values.
 
-    Checks, in order: the base is sober, every value is open, the values
-    cover P, and the pairwise compatibility a_x & a_y = union of a_z over z
-    in U_x & U_y.  By compatibility, a_x lies within a_y for y <= x, and a
-    point p of a_x & a_y lies in some a_z with z above x and y.  So the
-    points x with p in a_x, nonempty by the cover, are the closure of one
-    point, psi(p), and p lies in a_x exactly when x <= psi(p).  Only the
-    minimal opens are read, never the open family.
+    values maps each point x of base to a mask of prim, a_x.  A point
+    with no value raises ValueError.  Then checks, in order: the base is
+    sober, every value is open, the values cover P, and the pairwise
+    compatibility a_x & a_y = union of a_z over z in U_x & U_y.  By
+    compatibility, a_x lies within a_y for y <= x, and a point p of
+    a_x & a_y lies in some a_z with z above x and y.  So the points x with
+    p in a_x, nonempty by the cover, are the closure of one point, psi(p),
+    and p lies in a_x exactly when x <= psi(p).  Only the minimal opens are
+    read, never the open family.
     """
-    space = assign.base
-    if not space.is_sober():
+    missing = [x for x in range(base.size) if x not in values]
+    if missing:
+        raise ValueError(f"no ideal assigned to points {missing[:3]}")
+    if not base.is_sober():
         raise NotSober("reconstruction needs a sober base")
-    values = assign.values
-    for x in range(space.size):
+    for x in range(base.size):
         if not prim.is_open(values[x]):
             raise NotOpen(f"value at point {x} is not open in P", point=x)
     cover = 0
-    for x in range(space.size):
+    for x in range(base.size):
         cover |= values[x]
     if cover != prim.full:
         raise CoverFailure("assigned ideals do not cover P", union=cover)
-    ups = space.rows
-    for x in range(space.size):
-        for y in range(x, space.size):
+    ups = base.rows
+    for x in range(base.size):
+        for y in range(x, base.size):
             expected = 0
             for z in bits(ups[x] & ups[y]):
                 expected |= values[z]
@@ -165,12 +150,12 @@ def reconstruct(assign, prim):
                     f"ideals at {x} and {y} do not meet along the shared opens",
                     x=x, y=y)
     below = [0] * prim.size  # below[p] = {x : p in a_x}
-    for x in range(space.size):
+    for x in range(base.size):
         for p in bits(values[x]):
             below[p] |= 1 << x
-    generic = {space.closure(1 << x): x for x in range(space.size)}
-    psi = ContinuousMap(prim, space, [generic[space.closure(b)] for b in below])
-    return ActionOverX(space, prim, psi)
+    generic = {base.closure(1 << x): x for x in range(base.size)}
+    psi = ContinuousMap(prim, base, [generic[base.closure(b)] for b in below])
+    return ActionOverX(base, prim, psi)
 
 
 def filtration_of_action(action):

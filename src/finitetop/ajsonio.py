@@ -4,7 +4,7 @@ Both are spaces plus point data, in the formats of ``jsonio``; nothing
 here needs group code, so the action commands load none of it.
 """
 
-from .action import ActionOverX, IdealAssignment
+from .action import ActionOverX
 from .errors import InputFormatError
 from .jsonio import _index, _int, _mask, _obj, space_from_json, space_to_json
 from .spaces import ContinuousMap
@@ -34,8 +34,9 @@ def action_to_json(action):
 def assignment_from_json(obj):
     """{"base": space, "prim": space, "values": {"x": [prim indices], ...}}
 
-    Returns (IdealAssignment, prim).  Keys are base point indices written
-    in ASCII digits; every base point must appear, and only once.
+    Returns (base, values, prim), values mapping each base point to a mask
+    of prim.  Keys are base point indices written in ASCII digits; every
+    base point must appear, and only once.
     """
     obj = _obj(obj, "assignment")
     base = space_from_json(_obj(obj.get("base"), "assignment base"))
@@ -54,4 +55,4 @@ def assignment_from_json(obj):
     missing = [x for x in range(base.size) if x not in values]
     if missing:
         raise InputFormatError(f"assignment misses base points {missing}")
-    return IdealAssignment(base, values), prim
+    return base, values, prim

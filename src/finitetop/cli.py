@@ -112,7 +112,7 @@ def _cmd_alexandrov(args):
         if isinstance(obj, dict) and "preorder" not in obj:
             obj = {"preorder": obj}
         return jsonio.space_to_json(jsonio.space_from_json(obj))
-    return jsonio.preorder_to_json(jsonio.space_from_json(obj).specialization())
+    return jsonio.preorder_to_json(jsonio.space_from_json(obj))
 
 
 def _cmd_enumerate(args):
@@ -171,10 +171,9 @@ def _cmd_action(args):
     if args.mode in ("check", "restrict", "pushforward", "filtrate"):
         action = ajsonio.action_from_json(_read_json(args.file))
     if args.mode == "check":
-        assign = minimal_ideals(action)
         return {"ok": True, "tight": is_tight(action),
                 "ideals": {str(x): indices(m)
-                           for x, m in sorted(assign.values.items())}}
+                           for x, m in sorted(minimal_ideals(action).items())}}
     if args.mode == "restrict":
         carrier = jsonio.carrier_from_key(args.set, action.base.size)
         small = restrict(action, carrier)
@@ -194,8 +193,8 @@ def _cmd_action(args):
                          "fibers": [indices(fiber_support(action, x))
                                     for x in bits(stratum)]})
         return {"layers": [indices(m) for m in filt.layers], "strata": rows}
-    assign, prim = ajsonio.assignment_from_json(_read_json(args.file))
-    return ajsonio.action_to_json(reconstruct(assign, prim))
+    base, values, prim = ajsonio.assignment_from_json(_read_json(args.file))
+    return ajsonio.action_to_json(reconstruct(base, values, prim))
 
 
 # -- group commands ------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import factorial, prod
 from .errors import CapExceeded
 from .spaces import (
     FiniteSpace,
-    Preorder,
+    _closure,
     _components,
     _covers,
     _down,
@@ -216,7 +216,7 @@ def space_from_canonical(form):
     cls = [i for i, size in enumerate(sizes) for _ in range(size)]
     pairs = [(x, y) for x, i in enumerate(cls) for y, j in enumerate(cls)
              if i == j or adj[j] >> i & 1]
-    return alexandrov_topology(Preorder.generated_by(len(cls), pairs))
+    return alexandrov_topology(_closure(len(cls), pairs))
 
 
 def are_homeomorphic(x1, x2):

@@ -15,7 +15,7 @@ load none of them; their formats live in ``kjsonio`` and ``ajsonio``.
 
 from .errors import InputCapExceeded, InputFormatError
 from .spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
-                     Preorder, alexandrov_topology, bits)
+                     alexandrov_topology, bits)
 
 
 def _obj(value, what):
@@ -111,7 +111,7 @@ def space_from_json(obj):
             if not (0 <= x < n and 0 <= y < n):
                 raise InputFormatError(f"leq pair [{x}, {y}] out of range")
             rows[x] |= 1 << y
-        space = alexandrov_topology(Preorder(n, rows))
+        space = alexandrov_topology(rows)
         return space if labels is None else space.with_labels(labels)
     n = _size(obj, "space")
     labels = _labels(obj.get("points"), n)
@@ -132,9 +132,11 @@ def space_to_json(space):
     return out
 
 
-def preorder_to_json(pre):
-    return {"size": pre.size,
-            "leq": [[x, y] for x, y in pre.pairs() if x != y]}
+def preorder_to_json(space):
+    """The specialisation preorder of space: x <= y for each y in U_x, y != x."""
+    return {"size": space.size,
+            "leq": [[x, y] for x, row in enumerate(space.rows)
+                    for y in bits(row) if x != y]}
 
 
 def map_from_json(obj):

@@ -12,7 +12,7 @@ values at the minimal opens.
 
 from __future__ import annotations
 
-from .action import IdealAssignment, reconstruct
+from .action import reconstruct
 from .errors import NotSober, PreservationFailure
 from .spaces import bits
 
@@ -103,4 +103,4 @@ def lattice_map_to_continuous(m):
         raise PreservationFailure(
             f"table fails {witness[0]} preservation", witness=witness)
     values = {x: m.table[space_x.minimal_open(x)] for x in range(space_x.size)}
-    return reconstruct(IdealAssignment(space_x, values), space_p).psi
+    return reconstruct(space_x, values, space_p).psi

@@ -280,10 +280,6 @@ class FiniteSpace:
 
     # -- order structure --------------------------------------------------
 
-    def specialization(self):
-        """Specialisation preorder; row x is {y : x <= y} = U_x."""
-        return Preorder(self.size, self.rows)
-
     def is_t0(self):
         return len(set(self.rows)) == self.size
 
@@ -407,7 +403,7 @@ class FiniteSpace:
 
     @classmethod
     def discrete(cls, n):
-        return alexandrov_topology(Preorder.discrete(n))
+        return alexandrov_topology([1 << x for x in range(n)])
 
     @classmethod
     def chaotic(cls, n):
@@ -424,76 +420,53 @@ class FiniteSpace:
         return cls.chain(2)
 
 
-class Preorder:
-    """Reflexive transitive relation; row x is the up-set mask {y : x <= y}."""
-
-    __slots__ = ("size", "leq")
-
-    def __init__(self, size, rows):
-        self.size = size
-        self.leq = tuple(rows)
-        if len(self.leq) != size:
-            raise ValueError("need one relation row per point")
-        full = (1 << size) - 1
-        for x, row in enumerate(self.leq):
-            if row & ~full:
-                raise ValueError(f"row {x} mentions points outside 0..{size - 1}")
-            if not row >> x & 1:
-                raise NotReflexive(f"{x} is not related to itself", point=x)
-        for x, row in enumerate(self.leq):
-            for y in bits(row):
-                if self.leq[y] & ~row:
-                    z = next(bits(self.leq[y] & ~row))
-                    raise NotTransitive(
-                        f"{x}<={y} and {y}<={z} but not {x}<={z}", witness=(x, y, z))
-
-    def __eq__(self, other):
-        return (isinstance(other, Preorder)
-                and self.size == other.size and self.leq == other.leq)
-
-    def __hash__(self):
-        return hash((self.size, self.leq))
-
-    def __repr__(self):
-        return f"Preorder(size={self.size}, pairs={self.pairs()})"
-
-    def pairs(self):
-        return [(x, y) for x in range(self.size) for y in bits(self.leq[x])]
-
-    @classmethod
-    def generated_by(cls, size, pairs):
-        """Reflexive-transitive closure of the given pairs."""
-        rows = [1 << x for x in range(size)]
-        for x, y in pairs:
-            rows[x] |= 1 << y
-        # Warshall: after step y, paths through the points 0..y are closed
-        for y in range(size):
-            for x in range(size):
-                if rows[x] >> y & 1:
-                    rows[x] |= rows[y]
-        return cls(size, rows)
-
-    @classmethod
-    def discrete(cls, n):
-        return cls(n, [1 << x for x in range(n)])
+def _closure(size, pairs):
+    """Rows of the reflexive-transitive closure of the pairs (x, y), x <= y."""
+    rows = [1 << x for x in range(size)]
+    for x, y in pairs:
+        rows[x] |= 1 << y
+    # Warshall: after step y, paths through the points 0..y are closed
+    for y in range(size):
+        for x in range(size):
+            if rows[x] >> y & 1:
+                rows[x] |= rows[y]
+    return rows
 
 
-def alexandrov_topology(pre):
-    """The space whose opens are all up-closed subsets of the preorder.
+def alexandrov_topology(rows):
+    """The space whose opens are the up-sets of the preorder with these rows.
 
-    Its rows are the preorder's rows, and its opens are listed on first
-    use.  k classes of equivalent points allow at most 2 ** k opens; past
-    OPEN_FAMILY_CAP, the up-sets are counted up to one more, and CapExceeded
-    refuses a count past the cap before any open is built.  A count within
-    the cap is exact, and the space keeps it.
+    Row x is the mask {y : x <= y}, which becomes U_x; there are len(rows)
+    points.  A row outside the points raises ValueError, a point missing
+    from its own row NotReflexive, and x <= y <= z without x <= z
+    NotTransitive(x, y, z), all rows checked for the first two before any
+    for the third.  Opens are listed on first use.  k classes of
+    equivalent points allow at most 2 ** k opens; past OPEN_FAMILY_CAP, the
+    up-sets are counted up to one more, and CapExceeded refuses a count
+    past the cap before any open is built.  A count within the cap is
+    exact, and the space keeps it.  MAX_POINTS is checked last.
     """
+    rows = tuple(rows)
+    size = len(rows)
+    full = (1 << size) - 1
+    for x, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {x} mentions points outside 0..{size - 1}")
+        if not row >> x & 1:
+            raise NotReflexive(f"{x} is not related to itself", point=x)
+    for x, row in enumerate(rows):
+        for y in bits(row):
+            if rows[y] & ~row:
+                z = next(bits(rows[y] & ~row))
+                raise NotTransitive(
+                    f"{x}<={y} and {y}<={z} but not {x}<={z}", witness=(x, y, z))
     count = None
-    if 1 << len(set(pre.leq)) > OPEN_FAMILY_CAP:
-        count = _up_set_count(pre.leq, OPEN_FAMILY_CAP)
+    if 1 << len(set(rows)) > OPEN_FAMILY_CAP:
+        count = _up_set_count(rows, OPEN_FAMILY_CAP)
         if count > OPEN_FAMILY_CAP:
             raise CapExceeded(f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens",
                               cap=OPEN_FAMILY_CAP)
-    return FiniteSpace._from_rows(pre.size, pre.leq, count=count)
+    return FiniteSpace._from_rows(size, rows, count=count)
 
 
 class ContinuousMap:
@@ -583,8 +556,7 @@ def space_from_edges(size, edges, labels=None):
     preorder (so the input need not be a transitive reduction), and the
     topology is its Alexandrov family of up-sets.
     """
-    pre = Preorder.generated_by(size, ((b, a) for a, b in edges))
-    space = alexandrov_topology(pre)
+    space = alexandrov_topology(_closure(size, ((b, a) for a, b in edges)))
     return space if labels is None else space.with_labels(labels)
 
 

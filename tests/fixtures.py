@@ -144,10 +144,10 @@ def map_to_json(f):
             "values": list(f.assignment)}
 
 
-def assignment_to_json(assign, prim):
-    return {"base": space_to_json(assign.base),
+def assignment_to_json(base, values, prim):
+    return {"base": space_to_json(base),
             "prim": space_to_json(prim),
-            "values": {str(x): indices(m) for x, m in assign.values.items()}}
+            "values": {str(x): indices(m) for x, m in values.items()}}
 
 
 def group_to_json(group):

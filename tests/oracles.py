@@ -16,7 +16,7 @@ from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               ShapeMismatch)
 from finitetop.intmat import IntMatrix
 from finitetop.ktheory import DatumReport, FGAbelianGroup, GroupHom, verify_six_term
-from finitetop.spaces import (ContinuousMap, FiniteSpace, Preorder,
+from finitetop.spaces import (ContinuousMap, FiniteSpace, _closure,
                               alexandrov_topology, bits, mask_of)
 
 
@@ -27,13 +27,13 @@ def random_poset_space(rng, n):
     pairs = [(perm[i], perm[j])
              for i in range(n) for j in range(i + 1, n)
              if rng.random() < 0.4]
-    return alexandrov_topology(Preorder.generated_by(n, pairs))
+    return alexandrov_topology(_closure(n, pairs))
 
 
 def random_space(rng, n):
     """Random finite space, T0 not guaranteed."""
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
-    return alexandrov_topology(Preorder.generated_by(n, pairs))
+    return alexandrov_topology(_closure(n, pairs))
 
 
 def random_continuous(rng, dom, cod, tries=60):

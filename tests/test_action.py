@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from finitetop.action import (ActionOverX, IdealAssignment, fiber_support,
-                              filtration_of_action, ideal, is_tight,
-                              minimal_ideals, p_functor, pushforward,
-                              reconstruct, restrict, subquotient_support)
+from finitetop.action import (ActionOverX, fiber_support, filtration_of_action,
+                              ideal, is_tight, minimal_ideals, p_functor,
+                              pushforward, reconstruct, restrict,
+                              subquotient_support)
 from finitetop.errors import (CompatibilityFailure, CoverFailure, DomainMismatch,
                               NotOpen, NotSober)
 from finitetop import spaces
@@ -188,7 +188,7 @@ def test_fiber_support():
 
 def test_reconstruct_recovers_ninth_case():
     act = ninth_action()
-    rebuilt = reconstruct(minimal_ideals(act), act.prim)
+    rebuilt = reconstruct(act.base, minimal_ideals(act), act.prim)
     assert rebuilt == act
 
 
@@ -198,7 +198,7 @@ def test_reconstruct_roundtrip_random():
         base = random_poset_space(rng, rng.randint(1, 5))
         prim = random_space(rng, rng.randint(1, 5))
         act = ActionOverX(base, prim, random_continuous(rng, prim, base))
-        rebuilt = reconstruct(minimal_ideals(act), prim)
+        rebuilt = reconstruct(base, minimal_ideals(act), prim)
         assert rebuilt.psi == act.psi
 
 
@@ -211,7 +211,7 @@ def test_reconstruct_builds_no_open_family(monkeypatch):
     base = FiniteSpace.discrete(20)
     act = ActionOverX(base, base, ContinuousMap.identity(base))
     monkeypatch.setattr(spaces, "_up_sets", refuse)
-    assert reconstruct(minimal_ideals(act), base) == act
+    assert reconstruct(base, minimal_ideals(act), base) == act
 
 
 def test_reconstruct_random_assignments_meet_or_refuse():
@@ -225,7 +225,7 @@ def test_reconstruct_random_assignments_meet_or_refuse():
                       else rng.randrange(1 << prim.size))
                   for x in range(base.size)}
         try:
-            act = reconstruct(IdealAssignment(base, values), prim)
+            act = reconstruct(base, values, prim)
         except (NotSober, NotOpen, CoverFailure, CompatibilityFailure):
             continue
         accepted += 1
@@ -238,38 +238,41 @@ def test_reconstruct_random_assignments_meet_or_refuse():
 
 def test_reconstruct_requires_sober_base():
     base = FiniteSpace.chaotic(2)
-    assign = IdealAssignment(base, {0: 3, 1: 3})
     with pytest.raises(NotSober):
-        reconstruct(assign, FiniteSpace.chaotic(2))
+        reconstruct(base, {0: 3, 1: 3}, FiniteSpace.chaotic(2))
 
 
 def test_reconstruct_rejects_non_open_value():
     x = ninth_space()
-    assign = IdealAssignment(x, {0: 0b0100, 1: 0b0010, 2: 0b0111, 3: 0b1010})
+    values = {0: 0b0100, 1: 0b0010, 2: 0b0111, 3: 0b1010}
     with pytest.raises(NotOpen) as err:
-        reconstruct(assign, x)
+        reconstruct(x, values, x)
     assert err.value.details["point"] == 0
 
 
 def test_reconstruct_rejects_non_cover():
     x = ninth_space()
-    assign = IdealAssignment(x, {0: 0b0001, 1: 0b0010, 2: 0b0011, 3: 0b1010})
+    values = {0: 0b0001, 1: 0b0010, 2: 0b0011, 3: 0b1010}
     with pytest.raises(CoverFailure) as err:
-        reconstruct(assign, x)
+        reconstruct(x, values, x)
     assert err.value.details["union"] == 0b1011
 
 
 def test_reconstruct_rejects_incompatible_ideals():
     x = ninth_space()
-    assign = IdealAssignment(x, {0: 0b0001, 1: 0b0010, 2: 0b0111, 3: 0b1011})
+    values = {0: 0b0001, 1: 0b0010, 2: 0b0111, 3: 0b1011}
     with pytest.raises(CompatibilityFailure) as err:
-        reconstruct(assign, x)
+        reconstruct(x, values, x)
     assert (err.value.details["x"], err.value.details["y"]) == (0, 3)
 
 
 def test_assignment_totality():
-    with pytest.raises(ValueError):
-        IdealAssignment(ninth_space(), {0: 1, 1: 2})
+    x = ninth_space()
+    with pytest.raises(ValueError, match=r"no ideal assigned to points \[2, 3\]"):
+        reconstruct(x, {0: 1, 1: 2}, x)
+    # a missing point is refused first, before the base is found not sober
+    with pytest.raises(ValueError, match=r"no ideal assigned to points \[1\]"):
+        reconstruct(FiniteSpace.chaotic(2), {0: 3}, x)
 
 
 # -- filtration --------------------------------------------------------------------

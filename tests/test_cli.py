@@ -406,7 +406,7 @@ def test_action_reconstruct(tmp_path, capsys):
                            0b1010, 0b1011, 0b1111])
     act = ActionOverX(base, base, ContinuousMap.identity(base))
     path = jfile(tmp_path, "r.json",
-                 assignment_to_json(minimal_ideals(act), base))
+                 assignment_to_json(base, minimal_ideals(act), base))
     code, out, _ = run(capsys, "action", "reconstruct", path)
     assert code == 0
     assert json.loads(out)["psi"] == [0, 1, 2, 3]
@@ -520,6 +520,50 @@ def test_ktheory_exact_names_the_map_it_refuses(tmp_path, capsys, pair, name):
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": "input",
                                "message": f"{name} map must be a JSON object"}
+
+
+Z1 = {"generators": 1, "relations": []}
+Z2 = {"generators": 2, "relations": []}
+ONE = {"domain": Z1, "codomain": Z1, "matrix": [[1]]}
+NO_CYCLES = {"space": SIERPINSKI, "groups": {}}
+
+
+def square(**sides):
+    return {"top": ONE, "right": ONE, "left": ONE, "bottom": ONE, **sides}
+
+
+@pytest.mark.parametrize("argv,doc,code,reason", [
+    (["ktheory", "datum-verify"], dict(NO_CYCLES, cycles={}), 2,
+     {"error": "input", "message": "datum needs a cycles list"}),
+    (["ktheory", "datum-verify"],
+     dict(NO_CYCLES, cycles=[{"open": "", "set": "", "maps": [[]] * 5}]), 2,
+     {"error": "input", "message": "each cycle entry needs six maps"}),
+    (["action", "check"], {"base": SIERPINSKI, "prim": SIERPINSKI, "psi": [0, 2]}, 2,
+     {"error": "input", "message": "psi value 2 out of range"}),
+    (["ktheory", "exact"], [ONE, ONE], 2,
+     {"error": "input", "message": "expected an object with f and g"}),
+    (["ktheory", "two-point"],
+     square(right={"domain": Z2, "codomain": Z1, "matrix": [[1, 0]]}), 1,
+     {"error": "ShapeMismatch", "details": {},
+      "message": "right map must start where the top map ends"}),
+    (["ktheory", "two-point"],
+     square(bottom={"domain": Z2, "codomain": Z1, "matrix": [[1, 0]]}), 1,
+     {"error": "ShapeMismatch", "details": {},
+      "message": "bottom map must start where the left map ends"}),
+    (["ktheory", "two-point"],
+     square(left={"domain": Z2, "codomain": Z1, "matrix": [[1, 0]]}), 1,
+     {"error": "ShapeMismatch", "details": {},
+      "message": "top and left maps must share their domain"}),
+    (["ktheory", "two-point"],
+     square(bottom={"domain": Z1, "codomain": Z2, "matrix": [[1], [0]]}), 1,
+     {"error": "ShapeMismatch", "details": {},
+      "message": "right and bottom maps must share their codomain"}),
+], ids=["datum-cycles", "cycle-maps", "psi-range", "exact-object",
+        "square-right", "square-bottom", "square-left", "square-codomain"])
+def test_refusals_name_their_fault(tmp_path, capsys, argv, doc, code, reason):
+    got, out, err = run(capsys, *argv, jfile(tmp_path, "d.json", doc))
+    assert (got, out) == (code, "")
+    assert json.loads(err) == reason
 
 
 def test_ktheory_six_term(tmp_path, capsys):

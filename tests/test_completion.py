@@ -10,7 +10,7 @@ from finitetop.completion import (OPENS_CAP, build_yprime, from_discontinuous,
 from finitetop.enumeration import are_homeomorphic
 from finitetop.errors import (BadEndpoints, CapExceeded, DomainMismatch,
                               NotMonotone, NotOpen)
-from finitetop.spaces import (MAX_POINTS, ContinuousMap, FiniteSpace, Preorder,
+from finitetop.spaces import (MAX_POINTS, ContinuousMap, FiniteSpace,
                               alexandrov_topology, space_from_edges)
 from oracles import (brute_completion_opens, brute_monotone_failure,
                      build_power_space, random_continuous,
@@ -221,7 +221,7 @@ WORST_BASE = (1, 2, 4, 9, 27, 47)
 
 
 def test_worst_base_completion_opens():
-    base = alexandrov_topology(Preorder(6, WORST_BASE))
+    base = alexandrov_topology(WORST_BASE)
     assert base.open_count() == OPENS_CAP
     comp = build_yprime(base)
     assert len(comp.points) == MAX_POINTS
@@ -235,7 +235,7 @@ def test_every_admitted_base_completes_within_the_worst():
     largest, refused = 0, 0
     for rows in itertools.chain.from_iterable(by_count.values()):
         try:
-            comp = build_yprime(alexandrov_topology(Preorder(len(rows), rows)))
+            comp = build_yprime(alexandrov_topology(rows))
         except CapExceeded as err:
             assert set(err.details) == {"filters", "cap"}
             assert err.details["cap"] == MAX_POINTS

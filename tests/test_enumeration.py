@@ -13,7 +13,7 @@ from finitetop.enumeration import (CENSUS_CAP, RELABELING_CAP, T0_CAP,
                                    space_from_canonical)
 from finitetop import spaces
 from finitetop.errors import CapExceeded
-from finitetop.spaces import (MAX_POINTS, FiniteSpace, Preorder,
+from finitetop.spaces import (MAX_POINTS, FiniteSpace, _closure,
                               alexandrov_topology, bits, space_from_edges)
 from oracles import (brute_canonical_form, homeomorphism_oracle,
                      labeled_census, permuted_space, random_poset_space,
@@ -236,7 +236,7 @@ def blown_up(poset, sizes):
     block = [range(start, start + size) for start, size in zip(starts, sizes)]
     pairs = [(x, y) for i in range(poset.size) for j in bits(poset.rows[i])
              for x in block[i] for y in block[j]]
-    return alexandrov_topology(Preorder.generated_by(sum(sizes), pairs))
+    return alexandrov_topology(_closure(sum(sizes), pairs))
 
 
 def test_class_sizes_are_part_of_the_class():

@@ -1,10 +1,14 @@
 """Bounded fuzzing of the command line, in process.
 
 Every subcommand gets valid documents with one part replaced by small
-random JSON, or random JSON outright; one seed document repeats a key.  Whatever the input, ``main`` must
-return 0, 1 or 2 (argparse exits with 2), write JSON to standard error
-when it returns 1, and let no exception escape.  Sizes stay small so each
-call is cheap: integers lie in -2..6, ``complete`` sees at most 3 points
+random JSON, or random JSON outright; one seed document repeats a key.
+Whatever the input, ``main`` must let no exception escape and keep the
+output rule: exit 0 writes nothing to standard error; exit 1 writes
+nothing to standard output and one JSON object to standard error, an
+error or a report whose "ok" is false; exit 2 writes nothing to standard
+output and, when ``main`` returns it rather than argparse, an "input" or
+"io" error object to standard error.  Sizes stay small so each call is
+cheap: integers lie in -2..6, ``complete`` sees at most 3 points
 and ``enumerate`` at most 4, apart from seeds the caps refuse before any
 work (a five-point discrete base with 32 opens for ``complete``, eight
 points for ``enumerate``).  The canonical form has no command of its own,
@@ -24,7 +28,7 @@ from finitetop.cli import main
 from finitetop.enumeration import (RELABELING_CAP, canonical_form,
                                    space_from_canonical)
 from finitetop.errors import CapExceeded
-from finitetop.spaces import FiniteSpace, Preorder, alexandrov_topology
+from finitetop.spaces import FiniteSpace, _closure, alexandrov_topology
 from fixtures import constant_zero_datum, datum_to_json, point_count_datum
 
 KEYS = ("size", "opens", "points", "preorder", "leq", "base", "prim", "psi",
@@ -184,10 +188,19 @@ def test_cli_survives_bounded_fuzz(workdir, case):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+            assert exc.code == 2 and out.getvalue() == "", (argv, docs)
+            return
     assert code in (0, 1, 2), (argv, docs)
+    if code == 0:
+        assert err.getvalue() == "", (argv, docs)
+        return
+    assert out.getvalue() == "", (argv, docs)
+    reason = json.loads(err.getvalue())
+    assert isinstance(reason, dict), (argv, docs)
     if code == 1:
-        json.loads(err.getvalue())
+        assert "error" in reason or reason.get("ok") is False, (argv, docs)
+    else:
+        assert reason["error"] in ("input", "io"), (argv, docs)
 
 
 def two_chains(k):
@@ -212,7 +225,7 @@ def near_the_relabeling_cap(draw):
 @given(case=near_the_relabeling_cap())
 def test_canonical_form_answers_or_refuses_from_its_count(case):
     size, pairs = case
-    space = alexandrov_topology(Preorder.generated_by(size, pairs))
+    space = alexandrov_topology(_closure(size, pairs))
     try:
         form = canonical_form(space)
     except CapExceeded as exc:

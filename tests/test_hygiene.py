@@ -238,11 +238,17 @@ def test_private_helpers_have_callers():
 
 
 def test_public_names_have_callers_or_docs():
-    """Each name in __all__ is read in the package outside its own body, or
-    opens an inline code span of the README."""
+    """Each name in __all__, and each public function at module level, is
+    read in the package outside its own body, or opens an inline code span
+    of the README."""
     defined, used = definitions_and_uses()
     public = [d for d in defined if finitetop._HOME.get(d[1]) == d[0]]
     assert sorted(name for _, name, _, _ in public) == finitetop.__all__
+    public += [(path.stem, node.name, node.lineno, node.end_lineno)
+               for path in MODULES
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               and finitetop._HOME.get(node.name) != path.stem]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     documented = set(re.findall(r"`([A-Za-z_]\w*)[^`\n]*`", readme))
     assert [(m, n) for m, n in idle(public, used) if n not in documented] == []

@@ -15,7 +15,7 @@ from finitetop.ktheory import (FGAbelianGroup, GradedGroup, GroupHom, SixTermCyc
                                is_exact_at, two_point_sequence, verify_datum,
                                verify_six_term)
 from finitetop.spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap,
-                              FiniteSpace, Preorder, alexandrov_topology)
+                              FiniteSpace, alexandrov_topology)
 from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
                       datum_to_json, graded_to_json, group_to_json, hom_to_json,
                       map_to_json, point_count_datum, random_torsion_datum,
@@ -67,9 +67,8 @@ def test_preorder_roundtrip():
     rng = random.Random(601)
     for _ in range(20):
         space = random_space(rng, rng.randint(1, 5))
-        pre = space.specialization()
-        back = jsonio.space_from_json({"preorder": jsonio.preorder_to_json(pre)})
-        assert back == alexandrov_topology(pre)
+        back = jsonio.space_from_json({"preorder": jsonio.preorder_to_json(space)})
+        assert back == alexandrov_topology(space.rows) == space
 
 
 def test_space_schema_errors():
@@ -165,9 +164,10 @@ def test_assignment_roundtrip_and_errors():
     space = FiniteSpace.sierpinski()
     obj = {"base": SIERPINSKI_JSON, "prim": SIERPINSKI_JSON,
            "values": {"0": [0], "1": [0, 1]}}
-    assign, prim = ajsonio.assignment_from_json(obj)
-    assert assign.values == {0: 0b01, 1: 0b11}
-    assert assignment_to_json(assign, prim) == obj
+    base, values, prim = ajsonio.assignment_from_json(obj)
+    assert base == prim == space
+    assert values == {0: 0b01, 1: 0b11}
+    assert assignment_to_json(base, values, prim) == obj
     for values in ({"0": [0]},                       # missing point 1
                    {"0": [0], "1": [0, 1], "x": []},
                    {"0": [0], "7": [0, 1]},

@@ -12,7 +12,7 @@ from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                is_exact_at, kernel, two_point_sequence,
                                vanishing_propagation, verify_datum,
                                verify_six_term)
-from finitetop.spaces import FiniteSpace, Preorder, alexandrov_topology, family_key
+from finitetop.spaces import FiniteSpace, family_key
 from fixtures import (constant_zero_datum, datum_rows, point_count_datum,
                       random_divisors, random_torsion_cycle, random_torsion_datum,
                       random_zero_composite, zero_rows)
@@ -419,7 +419,7 @@ def test_missing_group_is_decided_from_the_keys():
 
 def test_missing_group_refused_without_listing():
     # 20 unrelated points have 3^20 locally closed sets
-    space = alexandrov_topology(Preorder.discrete(20))
+    space = FiniteSpace.discrete(20)
     with pytest.raises(ShapeMismatch) as err:
         FiltratedKDatum(space, {}, {})
     assert err.value.details == {"carrier": 0}

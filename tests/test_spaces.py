@@ -12,9 +12,9 @@ from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
 from finitetop import spaces
 from finitetop.cli import main
 from finitetop.jsonio import preorder_to_json
-from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
-                              Preorder, alexandrov_topology, bits, family_key,
-                              hasse_dot, mask_of, space_from_edges)
+from finitetop.spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap,
+                              FiniteSpace, _closure, alexandrov_topology, bits,
+                              family_key, hasse_dot, mask_of, space_from_edges)
 from oracles import (brute_chain_length, brute_check_family, brute_closure,
                      brute_interior, brute_irreducible_closed_sets,
                      brute_is_sober, brute_locally_closed,
@@ -131,23 +131,40 @@ def test_minimal_open_is_smallest():
 
 
 def test_preorder_validation():
-    with pytest.raises(NotReflexive):
-        Preorder(2, [1, 1])
+    with pytest.raises(NotReflexive) as err:
+        alexandrov_topology([1, 1])
+    assert err.value.details == {"point": 1}
     with pytest.raises(NotTransitive) as err:
-        Preorder(3, [0b011, 0b110, 0b100])
+        alexandrov_topology([0b011, 0b110, 0b100])
     assert err.value.details["witness"] == (0, 1, 2)
+    assert str(err.value) == "0<=1 and 1<=2 but not 0<=2"
+    # the checks come in order: range and reflexivity row by row, then
+    # transitivity, the open cap and the point cap
+    with pytest.raises(ValueError, match="row 1 mentions points outside 0..1"):
+        alexandrov_topology([0b01, 0b100])
+    with pytest.raises(NotReflexive) as err:
+        alexandrov_topology([0b011, 0b110, 0b000])
+    assert err.value.details == {"point": 2}
+    with pytest.raises(NotTransitive):
+        alexandrov_topology([0b011, 0b110, 0b100] + [1 << x for x in range(3, 64)])
+    with pytest.raises(CapExceeded) as err:
+        alexandrov_topology([1 << x for x in range(MAX_POINTS + 1)])
+    assert err.value.details == {"cap": OPEN_FAMILY_CAP}
+    with pytest.raises(CapExceeded) as err:
+        alexandrov_topology([(1 << x) - 1 for x in range(1, MAX_POINTS + 2)])
+    assert err.value.details == {"size": MAX_POINTS + 1, "cap": MAX_POINTS}
 
 
-def test_generated_by_closes():
-    pre = Preorder.generated_by(3, [(0, 1), (1, 2)])
-    assert pre.leq[0] == 0b111
+def test_space_from_edges_closes():
+    # drawn edges (a, b) put b below a; the order is their transitive closure
+    assert _closure(3, [(0, 1), (1, 2)])[0] == 0b111
+    assert space_from_edges(3, [(1, 0), (2, 1)]).rows == (0b111, 0b110, 0b100)
 
 
 def test_preorder_space_roundtrip_exhaustive():
     # every topology on <= 3 points comes from exactly one preorder
     for space in spaces_up_to(3):
-        pre = space.specialization()
-        assert alexandrov_topology(pre) == space
+        assert alexandrov_topology(space.rows) == space
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,8 +173,8 @@ def test_preorder_roundtrip_random(data):
     n = data.draw(st.integers(1, 6))
     pairs = data.draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
-    pre = Preorder.generated_by(n, pairs)
-    assert alexandrov_topology(pre).specialization() == pre
+    rows = _closure(n, pairs)
+    assert alexandrov_topology(rows).rows == tuple(rows)
 
 
 def test_opens_are_up_sets():
@@ -171,9 +188,9 @@ def test_opens_are_up_sets():
 
 def test_alexandrov_open_cap(monkeypatch):
     # the count stops at cap + 1: an antichain exactly at the cap is exact
-    assert spaces._up_set_count(Preorder.discrete(3).leq, 8) == 8
+    assert spaces._up_set_count((0b001, 0b010, 0b100), 8) == 8
     # one point more: 2 ** 4 up-sets, counted to 9
-    assert spaces._up_set_count(Preorder.discrete(4).leq, 8) == 9
+    assert spaces._up_set_count((0b0001, 0b0010, 0b0100, 0b1000), 8) == 9
     # a 2-chain beside two points: 3 * 2 * 2 = 12 up-sets
     assert spaces._up_set_count((0b0001, 0b0010, 0b0100, 0b1001), 8) == 9
     # three maximal points over one point: 2 ** 3 + 1 = 9 up-sets
@@ -182,7 +199,7 @@ def test_alexandrov_open_cap(monkeypatch):
     assert spaces._up_set_count(fan, 9) == 9
     # a 20-point antichain sits exactly at the cap: admitted, and left unlisted
     refuse_listing(monkeypatch)
-    antichain = alexandrov_topology(Preorder.discrete(20))
+    antichain = FiniteSpace.discrete(20)
     assert antichain.open_count() == OPEN_FAMILY_CAP
     assert antichain._opens is None
 
@@ -202,7 +219,7 @@ def test_alexandrov_bound_multiplies_components(monkeypatch):
         rows += [0b111 << 3 * c, 0b110 << 3 * c, 0b100 << 3 * c]
     refuse_listing(monkeypatch)
     with pytest.raises(CapExceeded) as err:
-        alexandrov_topology(Preorder(33, rows))
+        alexandrov_topology(rows)
     assert err.value.details == {"cap": OPEN_FAMILY_CAP}
     assert str(err.value) == f"Alexandrov topology exceeds {OPEN_FAMILY_CAP} opens"
     assert spaces._up_set_count(rows[:6], 16) == 16
@@ -211,22 +228,22 @@ def test_alexandrov_bound_multiplies_components(monkeypatch):
 def bipartite(rng, low, high):
     """low minimal points, then high maximal ones, each over three minimal."""
     pairs = [(m, low + t) for t in range(high) for m in rng.sample(range(low), 3)]
-    return Preorder.generated_by(low + high, pairs)
+    return _closure(low + high, pairs)
 
 
 def test_alexandrov_refuses_hostile_preorders_before_listing(monkeypatch):
     refuse_listing(monkeypatch)
     hostile = [
         # 20 points below one top: 2 ** 20 + 1 opens
-        Preorder.generated_by(21, [(x, 20) for x in range(20)]),
+        _closure(21, [(x, 20) for x in range(20)]),
         # one point below 20: 2 ** 20 + 1 opens
-        Preorder.generated_by(21, [(0, x) for x in range(1, 21)]),
+        _closure(21, [(0, x) for x in range(1, 21)]),
         bipartite(random.Random(31), 31, 31),
-        Preorder.discrete(40),
+        [1 << x for x in range(40)],
     ]
-    for pre in hostile:
+    for rows in hostile:
         with pytest.raises(CapExceeded) as err:
-            alexandrov_topology(pre)
+            alexandrov_topology(rows)
         assert err.value.details == {"cap": OPEN_FAMILY_CAP}
     # within the cap: counted, accepted and left unlisted
     space = alexandrov_topology(bipartite(random.Random(15), 15, 15))
@@ -238,17 +255,17 @@ def test_alexandrov_refuses_hostile_preorders_before_listing(monkeypatch):
 def test_info_counts_the_up_sets_once(tmp_path, capsys, monkeypatch, labeled):
     # past the 2 ** classes gate, the count that decides the cap is the
     # count info prints
-    pre = bipartite(random.Random(15), 15, 15)
-    doc = {"preorder": preorder_to_json(pre)}
+    space = alexandrov_topology(bipartite(random.Random(15), 15, 15))
+    doc = {"preorder": preorder_to_json(space)}
     if labeled:
-        doc["points"] = [f"p{x}" for x in range(pre.size)]
+        doc["points"] = [f"p{x}" for x in range(space.size)]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     count, calls = spaces._up_set_count, []
     monkeypatch.setattr(spaces, "_up_set_count",
                         lambda *args: calls.append(args) or count(*args))
     assert main(["info", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["opens"] == count(pre.leq)
+    assert json.loads(capsys.readouterr().out)["opens"] == count(space.rows)
     assert len(calls) == 1
 
 
@@ -260,13 +277,13 @@ def random_interleaved_preorder(rng, n):
              for block in blocks for _ in range(len(block))]
     perm = list(range(n))
     rng.shuffle(perm)
-    return Preorder.generated_by(n, [(perm[x], perm[y]) for x, y in pairs])
+    return _closure(n, [(perm[x], perm[y]) for x, y in pairs])
 
 
 def test_up_sets_and_counts_match_subset_scan():
     rng = random.Random(9)
     rows = [space.rows for space in spaces_up_to(4)]
-    rows += [random_interleaved_preorder(rng, rng.randint(5, 10)).leq
+    rows += [tuple(random_interleaved_preorder(rng, rng.randint(5, 10)))
              for _ in range(300)]
     for leq in rows:
         size = len(leq)
@@ -281,7 +298,7 @@ def test_up_sets_and_counts_match_subset_scan():
 
 def test_open_count_matches_opens():
     rng = random.Random(29)
-    spaces = [FiniteSpace.empty(), alexandrov_topology(Preorder.discrete(0))]
+    spaces = [FiniteSpace.empty(), FiniteSpace.discrete(0)]
     spaces += [random_space(rng, rng.randint(1, 7)) for _ in range(150)]
     spaces += [random_poset_space(rng, rng.randint(1, 7)) for _ in range(150)]
     for space in spaces:
@@ -293,7 +310,7 @@ def test_open_count_matches_opens():
 
 def test_open_count_leaves_opens_unbuilt(monkeypatch):
     refuse_listing(monkeypatch)
-    antichain = alexandrov_topology(Preorder.discrete(20))
+    antichain = FiniteSpace.discrete(20)
     assert antichain.open_count() == 1 << 20
     assert antichain._opens is None
     # 11 disjoint 3-point chains: one factor of 4 per chain
@@ -304,7 +321,7 @@ def test_open_count_leaves_opens_unbuilt(monkeypatch):
     assert chains.open_count() == 4 ** 11
     assert chains._opens is None
     # one point below 19 unrelated ones: 2 ** 19 opens without it, one with it
-    fan = alexandrov_topology(Preorder.generated_by(20, [(0, x) for x in range(1, 20)]))
+    fan = alexandrov_topology(_closure(20, [(0, x) for x in range(1, 20)]))
     assert fan.open_count() == (1 << 19) + 1
 
 
