@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _string
 
 from . import jsonio
 from .errors import FinitetopError, InputCapExceeded, InputFormatError
@@ -53,6 +54,98 @@ def _read_json(path):
         raise InputFormatError(f"invalid JSON in {path}: {exc}")
 
 
+def _key_text(k):
+    # json.dumps turns these keys into the text it writes for them as values
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _dumps(obj):
+    """The text of json.dumps(obj, sort_keys=True, indent=2), written faster.
+
+    The standard library encodes in C only when indent is None.  This
+    writer lays out the containers itself, appending to one list, and
+    leaves strings and other scalars to the C encoder; it raises the
+    TypeError json.dumps raises for a value or a key it cannot write.  An
+    object, or a list that holds containers, met again at a depth where it
+    was written before is copied as text: a report that shares one verdict
+    among many cycles writes it once.  A document that contains itself
+    ends in RecursionError, where json.dumps raises ValueError.
+    """
+    out = []
+    put = out.append
+    breaks = ["\n"]
+    # (id, depth) -> (start, end) of the container's chunks in out, then its
+    # text once it is met again; held keeps every id in use for the call,
+    # and the memo holds ints alone, which the garbage collector skips
+    memo = {}
+    held = []
+    written = 0
+
+    def value(v, depth, lead):
+        # lead, the text before v on its line, and v as one chunk if it can
+        t = type(v)
+        if t is str:
+            put(lead + _string(v))
+        elif t is int:
+            put(lead + int.__repr__(v))
+        elif t is bool:
+            put(lead + ("true" if v else "false"))
+        elif v is None:
+            put(lead + "null")
+        elif not isinstance(v, (list, tuple, dict)):
+            # floats, subclasses and what cannot be written: json.dumps
+            # without indent writes a scalar, or raises, in C
+            put(lead + json.dumps(v))
+        elif v:
+            put(lead)
+            container(v, depth)
+        else:
+            put(lead + ("{}" if isinstance(v, dict) else "[]"))
+
+    def container(o, depth):
+        nonlocal written
+        key = (id(o), depth)
+        seen = memo.get(key)
+        if seen is not None:
+            if type(seen) is tuple:
+                seen = memo[key] = "".join(out[seen[0]:seen[1]])
+            put(seen)
+            return
+        written += 1
+        before = written
+        start = len(out)
+        if len(breaks) == depth + 1:
+            breaks.append(breaks[depth] + "  ")
+        inner = breaks[depth + 1]
+        sep = "," + inner
+        if isinstance(o, dict):
+            head = "{" + inner
+            for k, v in sorted(o.items()):
+                key_text = _string(k if type(k) is str else _key_text(k))
+                value(v, depth + 1, head + key_text + ": ")
+                head = sep
+            put(breaks[depth] + "}")
+        else:
+            head = "[" + inner
+            for v in o:
+                value(v, depth + 1, head)
+                head = sep
+            put(breaks[depth] + "]")
+        # lists of scalars alone, the rows and point sets that fill space
+        # documents, are many and met once each: keeping them costs memory
+        if written > before or isinstance(o, dict):
+            memo[key] = (start, len(out))
+            held.append(o)
+
+    value(obj, 0, "")
+    return "".join(out)
+
+
 def _emit(obj, stream=None):
     # computed integers, such as Smith normal form transforms, may pass the
     # interpreter's int-to-str limit, which guards parsing input alone
@@ -60,7 +153,7 @@ def _emit(obj, stream=None):
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        print(json.dumps(obj, sort_keys=True, indent=2), file=stream or sys.stdout)
+        print(_dumps(obj), file=stream or sys.stdout)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

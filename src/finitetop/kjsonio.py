@@ -135,18 +135,39 @@ def exactness_to_json(report):
     return {"ok": report.ok, "reason": report.reason, "witness": report.witness}
 
 
-def cycle_report_to_json(report):
+def cycle_report_to_json(report, node_to_json=exactness_to_json):
     first = report.first_failure()
     return {"ok": report.ok,
-            "nodes": [exactness_to_json(n) for n in report.nodes],
+            "nodes": [node_to_json(n) for n in report.nodes],
             "first_failure": None if first is None else first[0]}
 
 
 def datum_report_to_json(report):
-    return {"ok": report.ok,
-            "results": [{"open": carrier_key(u), "set": carrier_key(y),
-                         "report": cycle_report_to_json(rep)}
-                        for (u, y), rep in report.results]}
+    """The report with one node object per distinct verdict.
+
+    verify_datum shares each distinct node's verdict among its cycles, so
+    the node objects are keyed by the verdicts' identities, and cycles
+    that meet the same verdicts share one cycle object: shared, each is
+    written once.
+    """
+    nodes = {}
+    cycles = {}
+
+    def node_to_json(n):
+        out = nodes.get(id(n))
+        if out is None:
+            out = nodes[id(n)] = exactness_to_json(n)
+        return out
+
+    results = []
+    for (u, y), rep in report.results:
+        key = tuple(map(id, rep.nodes))
+        cycle = cycles.get(key)
+        if cycle is None:
+            cycle = cycles[key] = cycle_report_to_json(rep, node_to_json)
+        results.append({"open": carrier_key(u), "set": carrier_key(y),
+                        "report": cycle})
+    return {"ok": report.ok, "results": results}
 
 
 def propagation_to_json(report):

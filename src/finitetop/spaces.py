@@ -554,8 +554,13 @@ def space_from_edges(size, edges, labels=None):
 
     The reflexive-transitive closure of the edges becomes the specialisation
     preorder (so the input need not be a transitive reduction), and the
-    topology is its Alexandrov family of up-sets.
+    topology is its Alexandrov family of up-sets.  An edge with an end
+    outside 0..size - 1 raises ValueError.
     """
+    edges = tuple(edges)
+    for a, b in edges:
+        if not (0 <= a < size and 0 <= b < size):
+            raise ValueError(f"edge ({a}, {b}) mentions points outside 0..{size - 1}")
     space = alexandrov_topology(_closure(size, ((b, a) for a, b in edges)))
     return space if labels is None else space.with_labels(labels)
 

@@ -17,9 +17,11 @@ from finitetop.intmat import GENERATORS_CAP, IntMatrix
 from finitetop.jsonio import space_from_json
 from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
 from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
-                      datum_to_json, point_count_datum, sierpinski_torsion_json)
-from oracles import homeomorphism_oracle
-from finitetop.ktheory import FGAbelianGroup, FiltratedKDatum
+                      datum_to_json, point_count_datum, random_torsion_datum,
+                      sierpinski_torsion_json)
+from oracles import homeomorphism_oracle, random_poset_space
+from finitetop import kjsonio
+from finitetop.ktheory import FGAbelianGroup, FiltratedKDatum, verify_datum
 
 SIERPINSKI = {"size": 2, "opens": [[], [0], [0, 1]], "points": [1, 2]}
 DISCRETE2 = {"size": 2, "opens": [[], [0], [1], [0, 1]]}
@@ -797,6 +799,51 @@ def test_ktheory_datum_verify_defect_bytes(tmp_path, capsys):
     assert len(err) == 7127
     assert (hashlib.sha256(err.encode()).hexdigest()
             == "50b7fbbb28d1e4a51fefac2ce195448765d4a421ecfe6deab6e856b01bd7a4ad")
+
+
+def large_point_count_datum():
+    return point_count_datum(random_poset_space(random.Random(3), 6))
+
+
+def large_torsion_datum():
+    return random_torsion_datum(random.Random(7), random_poset_space(random.Random(7), 5))
+
+
+# exit code, length and sha256 of the report as json.dumps(indent=2) wrote it:
+# on stdout for the exact point-count datum, on stderr for the torsion datum
+@pytest.mark.parametrize("make,code,length,digest", [
+    (large_point_count_datum, 0, 290148,
+     "e34023bd318212da53f5bbb2f143730371831932d0159b661490f93e21b30d95"),
+    (large_torsion_datum, 1, 145383,
+     "db6342899c8dff218f6099ce477096397f00e359194cb6e8cc3b35421ad6b461"),
+])
+def test_ktheory_datum_verify_large_report_bytes(tmp_path, capsys, make, code,
+                                                 length, digest):
+    path = jfile(tmp_path, "d.json", datum_to_json(make()))
+    got, out, err = run(capsys, "ktheory", "datum-verify", path)
+    report, empty = (out, err) if code == 0 else (err, out)
+    assert got == code and empty == ""
+    assert len(report) == length
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [large_point_count_datum, large_torsion_datum])
+def test_datum_report_shares_one_object_per_verdict(make):
+    # verify_datum shares each distinct node's verdict, and the JSON report
+    # shares one node object per verdict and one cycle object per tuple of
+    # verdicts, so the writer writes each once
+    report = verify_datum(make())
+    doc = kjsonio.datum_report_to_json(report)
+    node_objects = {}
+    cycle_objects = {}
+    for (_, cycle), result in zip(report.results, doc["results"]):
+        verdicts = tuple(map(id, cycle.nodes))
+        assert cycle_objects.setdefault(verdicts, result["report"]) is result["report"]
+        for verdict, node in zip(cycle.nodes, result["report"]["nodes"]):
+            assert node_objects.setdefault(id(verdict), node) is node
+            assert node == kjsonio.exactness_to_json(verdict)
+    assert len({id(n) for n in node_objects.values()}) == len(node_objects)
+    assert len(cycle_objects) < len(doc["results"])
 
 
 # sha256 and length of stdout as the subset-family and closed-set scans

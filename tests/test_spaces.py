@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,15 @@ def test_space_from_edges_closes():
     # drawn edges (a, b) put b below a; the order is their transitive closure
     assert _closure(3, [(0, 1), (1, 2)])[0] == 0b111
     assert space_from_edges(3, [(1, 0), (2, 1)]).rows == (0b111, 0b110, 0b100)
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (-1, 0), (0, 5)])
+def test_space_from_edges_refuses_points_outside(edge):
+    # a negative index would wrap round to a point from the end, and an
+    # index past the last point would fail inside the closure
+    message = re.escape(f"edge {edge} mentions points outside 0..2")
+    with pytest.raises(ValueError, match=message):
+        space_from_edges(3, [edge])
 
 
 def test_preorder_space_roundtrip_exhaustive():
