@@ -203,7 +203,8 @@ def _cmd_alexandrov(args):
     obj = _read_json(args.file)
     if args.from_preorder:
         if isinstance(obj, dict) and "preorder" not in obj:
-            obj = {"preorder": obj}
+            # the bare form carries its labels beside size and leq
+            obj = {"preorder": obj, "points": obj.get("points")}
         return jsonio.space_to_json(jsonio.space_from_json(obj))
     return jsonio.preorder_to_json(jsonio.space_from_json(obj))
 

@@ -133,10 +133,16 @@ def space_to_json(space):
 
 
 def preorder_to_json(space):
-    """The specialisation preorder of space: x <= y for each y in U_x, y != x."""
-    return {"size": space.size,
-            "leq": [[x, y] for x, row in enumerate(space.rows)
-                    for y in bits(row) if x != y]}
+    """The specialisation preorder of space: x <= y for each y in U_x, y != x.
+
+    A labeled space keeps its labels as "points" beside size and leq.
+    """
+    out = {"size": space.size,
+           "leq": [[x, y] for x, row in enumerate(space.rows)
+                   for y in bits(row) if x != y]}
+    if space.labels is not None:
+        out["points"] = list(space.labels)
+    return out
 
 
 def map_from_json(obj):

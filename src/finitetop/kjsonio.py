@@ -22,8 +22,8 @@ from .ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup, SixTermCycle
 # -- matrices and groups -------------------------------------------------------
 
 
-def group_from_json(obj):
-    """{"generators": n, "relations": [[c1, ..., cn], ...]}  (relations optional)"""
+def _presentation(obj):
+    """(generators, relator columns as tuples) of a group object, checked."""
     obj = _obj(obj, "group")
     n = _int(obj.get("generators"), "generators")
     if n < 0:
@@ -35,7 +35,17 @@ def group_from_json(obj):
     relators = matrix_rows(obj.get("relations", []), "relations")
     if relators and len(relators[0]) != n:
         raise InputFormatError("each relation needs one coordinate per generator")
+    return n, tuple(map(tuple, relators))
+
+
+def _group(presentation):
+    n, relators = presentation
     return FGAbelianGroup(n, IntMatrix.from_columns(relators, rows=n))
+
+
+def group_from_json(obj):
+    """{"generators": n, "relations": [[c1, ..., cn], ...]}  (relations optional)"""
+    return _group(_presentation(obj))
 
 
 def invariants_to_json(group):
@@ -49,12 +59,6 @@ def hom_from_json(obj):
     domain = group_from_json(_obj(obj.get("domain"), "hom domain"))
     codomain = group_from_json(_obj(obj.get("codomain"), "hom codomain"))
     return _hom_from_rows(domain, codomain, matrix_rows(obj.get("matrix"), "matrix"))
-
-
-def graded_from_json(obj):
-    obj = _obj(obj, "graded group")
-    return GradedGroup(group_from_json(_obj(obj.get("even"), "even part")),
-                       group_from_json(_obj(obj.get("odd"), "odd part")))
 
 
 def cycle_from_json(obj):
@@ -97,26 +101,47 @@ def datum_from_json(obj):
     Every group is read and every matrix checked before the datum is
     built, so malformed input is refused before any fault of the datum;
     FiltratedKDatum then checks the carriers and pairs, wires the cycles
-    and builds their maps.
+    and builds their maps.  Each distinct key string is parsed once, and
+    each distinct presentation is built and factored once: carriers with
+    equal groups share one FGAbelianGroup.
     """
     obj = _obj(obj, "datum")
     space = space_from_json(_obj(obj.get("space"), "datum space"))
+    masks = {}
+    groups = {}
+
+    def carrier(key):
+        # a key that is not a string may not hash; carrier_from_key refuses it
+        mask = masks.get(key) if type(key) is str else None
+        if mask is None:
+            mask = masks[key] = carrier_from_key(key, space.size)
+        return mask
+
+    def group(value, what):
+        presentation = _presentation(_obj(value, what))
+        g = groups.get(presentation)
+        if g is None:
+            g = groups[presentation] = _group(presentation)
+        return g
+
     raw_groups = _obj(obj.get("groups"), "datum groups")
     assignment = {}
     for key, val in raw_groups.items():
-        carrier = carrier_from_key(key, space.size)
-        if carrier in assignment:
+        c = carrier(key)
+        if c in assignment:
             raise InputFormatError(
-                f"group key {key!r} repeats carrier {indices(carrier)}")
-        assignment[carrier] = graded_from_json(val)
+                f"group key {key!r} repeats carrier {indices(c)}")
+        val = _obj(val, "graded group")
+        assignment[c] = GradedGroup(group(val.get("even"), "even part"),
+                                    group(val.get("odd"), "odd part"))
     raw_cycles = obj.get("cycles")
     if not isinstance(raw_cycles, list):
         raise InputFormatError("datum needs a cycles list")
     cycles = {}
     for entry in raw_cycles:
         entry = _obj(entry, "cycle entry")
-        u = carrier_from_key(entry.get("open"), space.size)
-        y = carrier_from_key(entry.get("set"), space.size)
+        u = carrier(entry.get("open"))
+        y = carrier(entry.get("set"))
         if (u, y) in cycles:
             raise InputFormatError(
                 f"cycle ({entry.get('open')!r}, {entry.get('set')!r}) repeats "

@@ -80,9 +80,9 @@ class FGAbelianGroup:
         return n
 
     def __eq__(self, other):
-        return (isinstance(other, FGAbelianGroup)
-                and self.generators == other.generators
-                and self.relations == other.relations)
+        return self is other or (isinstance(other, FGAbelianGroup)
+                                 and self.generators == other.generators
+                                 and self.relations == other.relations)
 
     def __hash__(self):
         return hash((self.generators, self.relations))
@@ -116,7 +116,7 @@ class GroupHom:
     means every domain relator maps into the span of codomain relators.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_reach")
+    __slots__ = ("domain", "codomain", "matrix", "_reach", "_kernel")
 
     def __init__(self, domain, codomain, matrix):
         if matrix.rows != codomain.generators or matrix.cols != domain.generators:
@@ -129,6 +129,7 @@ class GroupHom:
         self.codomain = codomain
         self.matrix = matrix
         self._reach = None
+        self._kernel = None
 
     def reach(self):
         """[matrix | codomain relations], built once and factored once.
@@ -140,6 +141,18 @@ class GroupHom:
         if self._reach is None:
             self._reach = self.matrix.hstack(self.codomain.relations)
         return self._reach
+
+    def kernel_generators(self):
+        """Columns generating the kernel, built once.
+
+        Projections of the kernel of reach(), together with the domain
+        relators (which always map to zero).
+        """
+        if self._kernel is None:
+            sols = kernel_basis(self.reach())
+            self._kernel = sols.top(self.domain.generators).hstack(
+                self.domain.relations)
+        return self._kernel
 
     @classmethod
     def zero(cls, domain, codomain):
@@ -190,19 +203,9 @@ def _subgroup_presentation(generating, ambient):
     return FGAbelianGroup(generating.cols, rel.top(generating.cols))
 
 
-def _kernel_generators(f):
-    """Columns generating the kernel of f.
-
-    Projections of the kernel of f.reach(), together with the domain
-    relators (which always map to zero).
-    """
-    sols = kernel_basis(f.reach())
-    return sols.top(f.domain.generators).hstack(f.domain.relations)
-
-
 def kernel(f):
     """The kernel subgroup with its inclusion into the domain."""
-    gens = _kernel_generators(f)
+    gens = f.kernel_generators()
     group = _subgroup_presentation(gens, f.domain)
     return group, GroupHom(group, f.domain, gens)
 
@@ -241,7 +244,7 @@ def is_exact_at(f, g):
     if j is not None:
         return ExactnessReport(False, "composite is not zero", ("generator", j))
     reach = f.reach()
-    for k in _kernel_generators(g).transpose().entries:
+    for k in g.kernel_generators().transpose().entries:
         if solve(reach, k) is None:
             return ExactnessReport(False, "kernel element not in the image",
                                    ("kernel generator", k))
@@ -319,10 +322,12 @@ class FiltratedKDatum:
 
     assignment maps carrier masks to GradedGroups; maps gives each pair
     (u, y), u relatively open in y, its six matrices as integer rows in
-    cycle order.  The datum wires them into the six-term cycle on
+    cycle order.  The datum holds one object per distinct group: equal
+    groups on several carriers, compared by value once per carrier, share
+    one FGAbelianGroup.  It wires the maps into the six-term cycle on
     (even(u), even(y), even(y minus u), odd(u), odd(y), odd(y minus u)),
-    building each distinct map (domain, codomain, rows) once, so the
-    cycles that hold it share one GroupHom.
+    building each distinct map once, keyed by the identities of its two
+    groups and its rows, so the cycles that hold it share one GroupHom.
 
     The constructor raises each kind of fault before the next: an assigned
     carrier that is not locally closed (NotLocallyClosed), a locally
@@ -345,8 +350,14 @@ class FiltratedKDatum:
         if missing is not None:
             raise ShapeMismatch(f"no group assigned to {sorted(bits(missing))}",
                                 carrier=missing)
-        # every locally closed set now has a group, and only those do
-        self.assignment = {c: assignment[c] for c in sorted(assignment, key=family_key)}
+        # every locally closed set now has a group, and only those do; equal
+        # groups become one object, so maps can be keyed by identity
+        shared = {}
+        self.assignment = {}
+        for c in sorted(assignment, key=family_key):
+            g = assignment[c]
+            self.assignment[c] = GradedGroup(shared.setdefault(g.even, g.even),
+                                             shared.setdefault(g.odd, g.odd))
         rows = space.rows
         for u, y in maps:
             if (y not in self.assignment or u & ~y
@@ -371,10 +382,11 @@ class FiltratedKDatum:
                 raise ShapeMismatch("a cycle needs six groups and six maps")
             homs = []
             for i, m in enumerate(cycle):
-                key = (groups[i], groups[(i + 1) % 6], tuple(map(tuple, m)))
+                a, b, m = groups[i], groups[(i + 1) % 6], tuple(map(tuple, m))
+                key = (id(a), id(b), m)
                 hom = built.get(key)
                 if hom is None:
-                    hom = built[key] = _hom_from_rows(*key)
+                    hom = built[key] = _hom_from_rows(a, b, m)
                 homs.append(hom)
             self.cycles[(u, y)] = SixTermCycle(homs)
 
@@ -402,9 +414,11 @@ def verify_datum(datum):
     """Exactness of the cycle of every relative-open pair, in pairs() order.
 
     Neighbouring pairs share groups and maps, so one node turns up in many
-    cycles.  The datum holds one GroupHom per distinct map and keeps each
-    alive for the call, so each distinct node is decided once, its verdict
-    kept for this call only under the identities of its two maps.
+    cycles.  The datum holds one object per distinct group and one
+    GroupHom per distinct map and keeps each alive for the call, so the
+    wiring check at a node is one identity test, each map builds its
+    kernel generators once, and each distinct node is decided once, its
+    verdict kept for this call only under the identities of its two maps.
     """
     verdicts = {}
 

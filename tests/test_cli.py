@@ -221,6 +221,23 @@ def test_alexandrov_both_directions(tmp_path, capsys):
     assert json.loads(out) == {"size": 2, "leq": [[1, 0]]}
 
 
+def test_alexandrov_keeps_display_labels(tmp_path, capsys):
+    # a labeled space prints its labels beside size and leq, and the bare
+    # preorder form that --to-preorder writes reads them back
+    spc = jfile(tmp_path, "s.json", dict(SIERPINSKI, points=["a", "b"]))
+    code, out, _ = run(capsys, "alexandrov", "--to-preorder", spc)
+    assert code == 0
+    assert out == json.dumps({"leq": [[1, 0]], "points": ["a", "b"], "size": 2},
+                             indent=2) + "\n"
+    code, out, _ = run(capsys, "alexandrov", "--from-preorder",
+                       jfile(tmp_path, "p.json", json.loads(out)))
+    assert code == 0
+    assert json.loads(out) == dict(SIERPINSKI, points=["a", "b"])
+    bad = jfile(tmp_path, "b.json", {"size": 2, "leq": [[1, 0]], "points": ["a"]})
+    code, _, err = run(capsys, "alexandrov", "--from-preorder", bad)
+    assert code == 2 and json.loads(err)["error"] == "input"
+
+
 def test_alexandrov_needs_exactly_one_direction(tmp_path):
     path = jfile(tmp_path, "p.json", {"size": 1})
     for argv in (["alexandrov", path],
@@ -805,6 +822,10 @@ def large_point_count_datum():
     return point_count_datum(random_poset_space(random.Random(3), 6))
 
 
+def eight_point_datum():
+    return point_count_datum(random_poset_space(random.Random(3), 8))
+
+
 def large_torsion_datum():
     return random_torsion_datum(random.Random(7), random_poset_space(random.Random(7), 5))
 
@@ -816,6 +837,8 @@ def large_torsion_datum():
      "e34023bd318212da53f5bbb2f143730371831932d0159b661490f93e21b30d95"),
     (large_torsion_datum, 1, 145383,
      "db6342899c8dff218f6099ce477096397f00e359194cb6e8cc3b35421ad6b461"),
+    (eight_point_datum, 0, 2046251,
+     "226e3ecf6f0319965bd96bad74161a546a6cc6b6f41571a60747143da5f4bcc6"),
 ])
 def test_ktheory_datum_verify_large_report_bytes(tmp_path, capsys, make, code,
                                                  length, digest):

@@ -557,6 +557,36 @@ def test_datum_interning_matches_maps_built_one_by_one():
             assert cycle == built[pair]
 
 
+def test_datum_reads_each_distinct_presentation_once(monkeypatch):
+    # even(A) is Z^|A| on every carrier A: carriers of one size share one
+    # group object, built and factored once, and every map of every cycle
+    # runs between the assignment's own objects
+    rng = random.Random(612)
+    data = [point_count_datum(random_poset_space(rng, 4)),
+            random_torsion_datum(rng, random_poset_space(rng, 4))]
+    for datum in data:
+        raw = datum_to_json(datum)
+        given = {(g["generators"], json.dumps(g.get("relations", [])))
+                 for graded in raw["groups"].values() for g in graded.values()}
+        inits = []
+        init = FGAbelianGroup.__init__
+
+        def counted(self, *args):
+            inits.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FGAbelianGroup, "__init__", counted)
+        parsed = kjsonio.datum_from_json(raw)
+        monkeypatch.undo()
+        assert len(inits) == len(given) < 2 * len(raw["groups"])
+        groups = [g for graded in parsed.assignment.values() for g in graded]
+        assert len({id(g) for g in groups}) == len(set(groups)) == len(given)
+        for (u, y), cycle in parsed.cycles.items():
+            gu, gy, gr = (parsed.assignment[m] for m in (u, y, y & ~u))
+            wired = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
+            assert all(h.domain is g for h, g in zip(cycle.maps, wired))
+
+
 def test_datum_refuses_a_carrier_or_cycle_given_twice():
     datum = datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
     groups = dict(datum["groups"], **{"1,0": datum["groups"]["0,1"]})

@@ -5,7 +5,7 @@ import pytest
 from finitetop import ktheory
 from finitetop.errors import (NotComposable, NotLocallyClosed, NotWellDefined,
                               ShapeMismatch, SquareNotCommuting)
-from finitetop.intmat import IntMatrix
+from finitetop.intmat import IntMatrix, kernel_basis
 from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                GroupHom,
                                SixTermCycle, cokernel, compose, image,
@@ -487,6 +487,40 @@ def test_datum_builds_each_distinct_map_once(monkeypatch):
         values = {_node_value(f, g) for f, g in nodes}
         assert len(calls) == len(set(calls)) == len(values) < len(nodes)
         assert report == brute_verify_datum(datum)
+
+
+def test_datum_holds_one_object_per_distinct_group():
+    # Z on {0} and Z on {1} come in as separate, equal objects: the datum
+    # keeps one, and the identity maps on them in the cycles of (0, {0})
+    # and (0, {1}) are one GroupHom between that one object
+    space = FiniteSpace.discrete(2)
+    datum = point_count_datum(space)
+    assert datum.assignment[0b01].even is datum.assignment[0b10].even
+    groups = [g for graded in datum.assignment.values() for g in graded]
+    assert len({id(g) for g in groups}) == len(set(groups)) == 3
+    f, g = datum.cycles[(0, 0b01)].maps[1], datum.cycles[(0, 0b10)].maps[1]
+    assert f is g and f.domain is f.codomain is datum.assignment[0b01].even
+    for (u, y), cycle in datum.cycles.items():
+        gu, gy, gr = (datum.assignment[m] for m in (u, y, y & ~u))
+        wired = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
+        assert all(h.domain is g for h, g in zip(cycle.maps, wired))
+
+
+def test_verify_datum_builds_each_kernel_once(monkeypatch):
+    # every map is the second map of some node; its kernel generators are
+    # built once however many nodes it closes
+    datum = point_count_datum(random_poset_space(random.Random(3), 6))
+    seconds = {id(h) for cycle in datum.cycles.values() for h in cycle.maps}
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(ktheory, "kernel_basis", counted)
+    assert verify_datum(datum).ok
+    nodes = {(id(f), id(g)) for f, g in _nodes(datum)}
+    assert len(calls) == len(seconds) < len(nodes)
 
 
 def test_verify_datum_on_a_cycle_replaced_by_equal_new_maps():
