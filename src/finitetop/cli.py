@@ -64,17 +64,24 @@ def _key_text(k):
                     f"not {k.__class__.__name__}")
 
 
+_INT = {int}  # the item types of a list that is written in one join
+
+
 def _dumps(obj):
     """The text of json.dumps(obj, sort_keys=True, indent=2), written faster.
 
     The standard library encodes in C only when indent is None.  This
     writer lays out the containers itself, appending to one list, and
     leaves strings and other scalars to the C encoder; it raises the
-    TypeError json.dumps raises for a value or a key it cannot write.  An
-    object, or a list that holds containers, met again at a depth where it
-    was written before is copied as text: a report that shares one verdict
-    among many cycles writes it once.  A document that contains itself
-    ends in RecursionError, where json.dumps raises ValueError.
+    TypeError json.dumps raises for a value or a key it cannot write.  A
+    list or tuple of plain ints alone, the rows and point sets that fill
+    space documents, is written in one join; a bool or an int subclass
+    among its items sends it item by item, since json.dumps writes those
+    otherwise.  An object, or a list that holds containers, met again at a
+    depth where it was written before is copied as text: a report that
+    shares one verdict among many cycles writes it once.  A document that
+    contains itself ends in RecursionError, where json.dumps raises
+    ValueError.
     """
     out = []
     put = out.append
@@ -130,14 +137,17 @@ def _dumps(obj):
                 value(v, depth + 1, head + key_text + ": ")
                 head = sep
             put(breaks[depth] + "}")
+        elif set(map(type, o)) == _INT:  # not one bool: True is not 1
+            put("[" + inner + sep.join(map(int.__repr__, o)) + breaks[depth] + "]")
+            return
         else:
             head = "[" + inner
             for v in o:
                 value(v, depth + 1, head)
                 head = sep
             put(breaks[depth] + "]")
-        # lists of scalars alone, the rows and point sets that fill space
-        # documents, are many and met once each: keeping them costs memory
+        # lists of scalars alone are many and met once each: keeping them
+        # costs memory
         if written > before or isinstance(o, dict):
             memo[key] = (start, len(out))
             held.append(o)
@@ -203,8 +213,7 @@ def _cmd_alexandrov(args):
     obj = _read_json(args.file)
     if args.from_preorder:
         if isinstance(obj, dict) and "preorder" not in obj:
-            # the bare form carries its labels beside size and leq
-            obj = {"preorder": obj, "points": obj.get("points")}
+            obj = {"preorder": obj}
         return jsonio.space_to_json(jsonio.space_from_json(obj))
     return jsonio.preorder_to_json(jsonio.space_from_json(obj))
 
@@ -247,7 +256,8 @@ def _cmd_complete(args):
     space = jsonio.space_from_json(_read_json(args.space))
     completion = build_yprime(space)
     emb = neighborhood_filter_embedding(completion)
-    filters = [[indices(u) for u in sorted(p, key=family_key)]
+    names = {u: indices(u) for u in space.opens}
+    filters = [[names[u] for u in sorted(p, key=family_key)]
                for p in completion.points]
     return {"space": jsonio.space_to_json(completion.space),
             "embedding": list(emb.assignment),

@@ -79,7 +79,13 @@ def _index(text):
 
 
 def indices(mask):
-    return sorted(bits(mask))
+    """The indices of the set bits of mask, ascending, as a list.
+
+    Read off the binary text, low bit first, which already runs in
+    ascending order: on the wide opens of a completion this takes one
+    half to two thirds of the time of sorting what bits() yields.
+    """
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 # -- spaces and maps -----------------------------------------------------------
@@ -92,13 +98,18 @@ def space_from_json(obj):
     {"preorder": {"size": n, "leq": [[x, y], ...]}}   (diagonal implied)
 
     Either form may carry "points", a list of display labels: strings or
-    integers, one per point, no two with the same text.
+    integers, one per point, no two with the same text.  The preorder form
+    carries it beside "preorder" or inside it, beside "size", not both.
     """
     obj = _obj(obj, "space")
     if "preorder" in obj:
         pre = _obj(obj["preorder"], "preorder")
         n = _size(pre, "preorder")
-        labels = _labels(obj.get("points"), n)
+        outer, inner = obj.get("points"), pre.get("points")
+        if outer is not None and inner is not None:
+            raise InputFormatError(
+                "points is given both beside and inside preorder")
+        labels = _labels(inner if outer is None else outer, n)
         leq = pre.get("leq", [])
         if not isinstance(leq, list):
             raise InputFormatError("leq must be a list of [x, y] pairs")

@@ -14,8 +14,9 @@ import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
 from finitetop.intmat import GENERATORS_CAP, IntMatrix
-from finitetop.jsonio import space_from_json
-from finitetop.spaces import OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace
+from finitetop.jsonio import space_from_json, space_to_json
+from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
+                              alexandrov_topology)
 from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
                       datum_to_json, point_count_datum, random_torsion_datum,
                       sierpinski_torsion_json)
@@ -31,6 +32,8 @@ TWO_BLOCKS = {"size": 4, "opens": [[], [0, 1], [2, 3], [0, 1, 2, 3]]}
 POSET5 = {"size": 5, "opens": [[], [0], [1], [2], [0, 1], [0, 2], [1, 2],
                                [0, 1, 2], [0, 1, 3], [0, 2, 4], [0, 1, 2, 3],
                                [0, 1, 2, 4], [0, 1, 2, 3, 4]]}
+# test_completion.WORST_BASE: the base whose completion has the most opens
+WORST = space_to_json(alexandrov_topology((1, 2, 4, 9, 27, 47)))
 NINTH = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 1, 2], [1, 3],
                               [0, 1, 3], [0, 1, 2, 3]]}
 
@@ -236,6 +239,24 @@ def test_alexandrov_keeps_display_labels(tmp_path, capsys):
     bad = jfile(tmp_path, "b.json", {"size": 2, "leq": [[1, 0]], "points": ["a"]})
     code, _, err = run(capsys, "alexandrov", "--from-preorder", bad)
     assert code == 2 and json.loads(err)["error"] == "input"
+
+
+def test_wrapped_preorder_reads_labels_inside_it(tmp_path, capsys):
+    wrapped = {"preorder": {"size": 2, "leq": [[1, 0]], "points": ["a", "b"]}}
+    path = jfile(tmp_path, "w.json", wrapped)
+    code, out, err = run(capsys, "info", path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["components"] == [["a", "b"]]
+    code, out, _ = run(capsys, "alexandrov", "--from-preorder", path)
+    assert code == 0
+    assert json.loads(out) == dict(SIERPINSKI, points=["a", "b"])
+    twice = jfile(tmp_path, "t.json", dict(wrapped, points=["c", "d"]))
+    for argv in (["info", twice], ["alexandrov", "--from-preorder", twice]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "input",
+            "message": "points is given both beside and inside preorder"}
 
 
 def test_alexandrov_needs_exactly_one_direction(tmp_path):
@@ -896,6 +917,10 @@ PINNED_STDOUT = [
     # labeled T0 spaces in generation order
     (["enumerate", "--points", "4", "--t0"], 87317,
      "25b0d4c299052d7a8ed3f2abe5c683b92c3662fe4b85b3b7f71d470cd903e54c"),
+    # the largest admitted completion, 63 filters and 6,445 opens, as its
+    # index lists were written one integer at a time
+    (["complete", WORST], 2391971,
+     "ffbd8419bf25dde1cc4a5a08b614e4541bdf6619cc0a35d88df341f8fb3732b2"),
 ]
 
 

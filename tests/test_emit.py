@@ -102,6 +102,43 @@ def test_writer_writes_what_json_dumps_writes(doc):
         assert _dumps(doc) == stdlib(doc)
 
 
+class Count(int):
+    """A trivial int subclass, which json.dumps writes as the int it is."""
+
+
+# past the 4,300-digit int-to-str limit
+huge_ints = st.integers(-9, 9).map(lambda k: k * 10 ** 4300 + k)
+plain_ints = st.one_of(st.integers(), huge_ints)
+# plain ints among items that send a list item by item: json.dumps writes
+# true, not 1, and 1.0, not 1
+int_like = st.one_of(plain_ints, st.booleans(), st.integers().map(Count),
+                     st.floats())
+
+
+def flat(items):
+    return st.one_of(st.lists(items, max_size=6),
+                     st.lists(items, max_size=6).map(tuple))
+
+
+def int_documents():
+    """Flat lists and tuples of ints, alone or mixed with int-like items,
+    and one list of plain ints shared at one depth and at two."""
+    def document(lists, shared):
+        return {"lists": lists, "twice": [shared, shared],
+                "deeper": [[shared], shared]}
+    return st.builds(document,
+                     st.lists(st.one_of(flat(plain_ints), flat(int_like)),
+                              max_size=6),
+                     st.lists(plain_ints, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_documents())
+def test_writer_writes_int_lists_as_json_dumps_writes(doc):
+    with digit_limit_lifted():
+        assert _dumps(doc) == stdlib(doc)
+
+
 INF = float("inf")
 
 
@@ -109,10 +146,12 @@ INF = float("inf")
     [float("nan"), INF, -INF, -0.0, 1e16, 1.5, 10 ** 20],
     {float("nan"): 0, INF: 1, -INF: 2, 0.5: 3, 2: 4, -0.0: 5},
     {True: 0}, {False: "f", 2: "two"}, {None: []}, {"": {}, "é": ()},
-    [[[]], [{}], ({"a": ()},)], "\ud800\x00é"])
+    [[[]], [{}], ({"a": ()},)], "\ud800\x00é",
+    [True, 1], (False, 0), [Count(3), 1], [1.0, 1], [[1, 2], [True]], (0, -2)])
 def test_writer_writes_the_edge_cases_json_dumps_writes(doc):
     # non-finite floats print as NaN and Infinity, even as keys, and
-    # bool and None keys as true, false and null
+    # bool and None keys as true, false and null; a list goes in one join
+    # only when every item is exactly an int
     assert _dumps(doc) == stdlib(doc)
 
 

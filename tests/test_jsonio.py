@@ -63,6 +63,23 @@ def test_space_from_preorder_form():
             == FiniteSpace.discrete(2))
 
 
+def test_preorder_form_reads_points_inside_or_beside_not_both():
+    inside = {"preorder": {"size": 2, "leq": [[1, 0]], "points": ["a", "b"]}}
+    beside = {"preorder": {"size": 2, "leq": [[1, 0]]}, "points": ["a", "b"]}
+    for obj in (inside, beside):
+        space = jsonio.space_from_json(obj)
+        assert space == FiniteSpace.sierpinski() and space.labels == ("a", "b")
+    # a null list is no labels, wherever it stands
+    assert jsonio.space_from_json(dict(inside, points=None)).labels == ("a", "b")
+    with pytest.raises(InputFormatError, match="both beside and inside"):
+        jsonio.space_from_json(dict(inside, points=["a", "b"]))
+    # labels inside are checked as labels beside are
+    for labels in (["a"], [1, "1"], "ab"):
+        with pytest.raises(InputFormatError):
+            jsonio.space_from_json(
+                {"preorder": {"size": 2, "leq": [[1, 0]], "points": labels}})
+
+
 def test_preorder_roundtrip():
     rng = random.Random(601)
     for _ in range(20):
