@@ -11,6 +11,7 @@ is kept on the immutable matrix, and every later ``smith_normal_form``,
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 
 # Most generators a group, and most rows or columns a matrix given to
@@ -90,8 +91,8 @@ class IntMatrix:
             raise ValueError("dimension mismatch in product")
         columns = other.transpose().entries
         return IntMatrix._trusted(
-            tuple(tuple(sum(map(mul, row, col)) for col in columns)
-                  for row in self.entries),
+            tuple([tuple([sum(map(mul, row, col)) for col in columns])
+                   for row in self.entries]),
             self.rows, other.cols)
 
     def __sub__(self, other):
@@ -133,7 +134,10 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
+@lru_cache(maxsize=2 * GENERATORS_CAP)
 def _identity_rows(n):
+    # one tuple per size, shared; rows are capped but relator columns are
+    # not, so the cache keeps the sizes used last
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
@@ -144,6 +148,8 @@ def smith_normal_form(matrix):
     step; U and V are built from the same elementary operations, so the
     identity U·A·V = D is re-checked exactly before the result is kept on
     the matrix.  Later calls on the same matrix return the kept result.
+    The pivot is the first entry of least absolute value in row-major
+    order; a unit is least, so the scan stops at the end of its row.
     """
     if matrix._snf is None:
         matrix._snf = _factor(matrix)
@@ -184,11 +190,14 @@ def _factor(matrix):
     for t in range(min(r, c)):
         while True:
             pivot = None
+            least = 0
             for i in range(t, r):
+                row = m[i]
                 for j in range(t, c):
-                    if m[i][j] and (pivot is None
-                                    or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    if row[j] and (not least or abs(row[j]) < least):
+                        pivot, least = (i, j), abs(row[j])
+                if least == 1:
+                    break
             if pivot is None:
                 break
             if pivot != (t, t):

@@ -103,7 +103,12 @@ def datum_from_json(obj):
     FiltratedKDatum then checks the carriers and pairs, wires the cycles
     and builds their maps.  Each distinct key string is parsed once, and
     each distinct presentation is built and factored once: carriers with
-    equal groups share one FGAbelianGroup.
+    equal groups share one FGAbelianGroup.  Each distinct maps list, told
+    apart by its text str(maps), is checked and turned into one tuple of
+    row tuples once, which the cycles that repeat it share, so
+    FiltratedKDatum wires each distinct cycle once.  A list holding an
+    integer past the interpreter's int-to-str limit, which json.loads
+    never gives, has no text and is read on its own.
     """
     obj = _obj(obj, "datum")
     space = space_from_json(_obj(obj.get("space"), "datum space"))
@@ -137,6 +142,7 @@ def datum_from_json(obj):
     raw_cycles = obj.get("cycles")
     if not isinstance(raw_cycles, list):
         raise InputFormatError("datum needs a cycles list")
+    texts = {}
     cycles = {}
     for entry in raw_cycles:
         entry = _obj(entry, "cycle entry")
@@ -149,7 +155,18 @@ def datum_from_json(obj):
         maps = entry.get("maps")
         if not isinstance(maps, list) or len(maps) != 6:
             raise InputFormatError("each cycle entry needs six maps")
-        cycles[(u, y)] = [matrix_rows(m, f"cycle map {i}") for i, m in enumerate(maps)]
+        # the text tells true and 1.0 from 1, which equal 1 as values; a
+        # text met again was checked where it first appeared
+        try:
+            text = str(maps)
+        except ValueError:
+            text = id(maps)
+        rows = texts.get(text)
+        if rows is None:
+            rows = texts[text] = tuple(
+                tuple(map(tuple, matrix_rows(m, f"cycle map {i}")))
+                for i, m in enumerate(maps))
+        cycles[(u, y)] = rows
     return FiltratedKDatum(space, assignment, cycles)
 
 
@@ -173,10 +190,11 @@ def datum_report_to_json(report):
     verify_datum shares each distinct node's verdict among its cycles, so
     the node objects are keyed by the verdicts' identities, and cycles
     that meet the same verdicts share one cycle object: shared, each is
-    written once.
+    written once.  Each carrier's key is named once.
     """
     nodes = {}
     cycles = {}
+    names = {}
 
     def node_to_json(n):
         out = nodes.get(id(n))
@@ -184,14 +202,19 @@ def datum_report_to_json(report):
             out = nodes[id(n)] = exactness_to_json(n)
         return out
 
+    def name(mask):
+        key = names.get(mask)
+        if key is None:
+            key = names[mask] = carrier_key(mask)
+        return key
+
     results = []
     for (u, y), rep in report.results:
         key = tuple(map(id, rep.nodes))
         cycle = cycles.get(key)
         if cycle is None:
             cycle = cycles[key] = cycle_report_to_json(rep, node_to_json)
-        results.append({"open": carrier_key(u), "set": carrier_key(y),
-                        "report": cycle})
+        results.append({"open": name(u), "set": name(y), "report": cycle})
     return {"ok": report.ok, "results": results}
 
 

@@ -102,9 +102,12 @@ class GradedGroup(namedtuple("GradedGroup", "even odd")):
 
 
 def _stray_column(matrix, group):
-    """Index of the first column outside group's relation span, or None."""
+    """Index of the first column outside group's relation span, or None.
+
+    A zero column lies in every span, so only the others are solved.
+    """
     for j, column in enumerate(matrix.transpose().entries):
-        if solve(group.relations, column) is None:
+        if any(column) and solve(group.relations, column) is None:
             return j
     return None
 
@@ -236,7 +239,9 @@ def is_exact_at(f, g):
     """Exactness of A --f--> B --g--> C at B, with a witness when it fails.
 
     Checks that g after f induces zero and that every kernel generator of g
-    is hit by f modulo the relations of B.
+    is hit by f modulo the relations of B.  The last kernel generators are
+    B's relators, which are columns of f.reach() itself, so only the ones
+    before them are solved.
     """
     if f.codomain != g.domain:
         raise NotComposable("maps do not meet at a common middle group")
@@ -244,7 +249,8 @@ def is_exact_at(f, g):
     if j is not None:
         return ExactnessReport(False, "composite is not zero", ("generator", j))
     reach = f.reach()
-    for k in g.kernel_generators().transpose().entries:
+    kernel = g.kernel_generators()
+    for k in kernel.transpose().entries[:kernel.cols - g.domain.relations.cols]:
         if solve(reach, k) is None:
             return ExactnessReport(False, "kernel element not in the image",
                                    ("kernel generator", k))
@@ -328,6 +334,9 @@ class FiltratedKDatum:
     (even(u), even(y), even(y minus u), odd(u), odd(y), odd(y minus u)),
     building each distinct map once, keyed by the identities of its two
     groups and its rows, so the cycles that hold it share one GroupHom.
+    Pairs whose six groups are the same objects and whose maps are one
+    rows object, as datum_from_json gives every repeat of a maps text,
+    share one SixTermCycle, wired and checked once.
 
     The constructor raises each kind of fault before the next: an assigned
     carrier that is not locally closed (NotLocallyClosed), a locally
@@ -358,37 +367,43 @@ class FiltratedKDatum:
             g = assignment[c]
             self.assignment[c] = GradedGroup(shared.setdefault(g.even, g.even),
                                              shared.setdefault(g.odd, g.odd))
-        rows = space.rows
+        pairs = self.pairs()
+        relative_open = set(pairs)
         for u, y in maps:
-            if (y not in self.assignment or u & ~y
-                    or any(rows[x] & y & ~u for x in bits(u))):
+            if (u, y) not in relative_open:
                 raise ShapeMismatch(
                     f"cycle ({sorted(bits(u))}, {sorted(bits(y))}) is not a "
                     "relative-open pair", pair=(u, y))
         # every key is now a pair, so some pair has no maps when keys are fewer
-        pairs = self.pairs()
         if len(maps) < len(pairs):
             u, y = next(p for p in pairs if p not in maps)
             raise ShapeMismatch(
                 f"missing cycle for ({sorted(bits(u))}, {sorted(bits(y))})",
                 pair=(u, y))
+        # maps keeps each rows object alive, the assignment each group
         built = {}
+        wired = {}
         self.cycles = {}
+        graded = self.assignment
         for u, y in pairs:
-            gu, gy, gr = (self.assignment[m] for m in (u, y, y & ~u))
+            gu, gy, gr = graded[u], graded[y], graded[y & ~u]
             groups = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
-            cycle = maps[(u, y)]
-            if len(cycle) != 6:
-                raise ShapeMismatch("a cycle needs six groups and six maps")
-            homs = []
-            for i, m in enumerate(cycle):
-                a, b, m = groups[i], groups[(i + 1) % 6], tuple(map(tuple, m))
-                key = (id(a), id(b), m)
-                hom = built.get(key)
-                if hom is None:
-                    hom = built[key] = _hom_from_rows(a, b, m)
-                homs.append(hom)
-            self.cycles[(u, y)] = SixTermCycle(homs)
+            rows = maps[(u, y)]
+            key = (*map(id, groups), id(rows))
+            cycle = wired.get(key)
+            if cycle is None:
+                if len(rows) != 6:
+                    raise ShapeMismatch("a cycle needs six groups and six maps")
+                homs = []
+                for i, m in enumerate(rows):
+                    a, b, m = groups[i], groups[(i + 1) % 6], tuple(map(tuple, m))
+                    hom_key = (id(a), id(b), m)
+                    hom = built.get(hom_key)
+                    if hom is None:
+                        hom = built[hom_key] = _hom_from_rows(a, b, m)
+                    homs.append(hom)
+                cycle = wired[key] = SixTermCycle(homs)
+            self.cycles[(u, y)] = cycle
 
     def pairs(self):
         """All (u, y): y locally closed, u = y & w for an open w.
@@ -419,8 +434,11 @@ def verify_datum(datum):
     wiring check at a node is one identity test, each map builds its
     kernel generators once, and each distinct node is decided once, its
     verdict kept for this call only under the identities of its two maps.
+    Pairs that share one SixTermCycle share one CycleReport: each
+    distinct cycle is decided once.
     """
     verdicts = {}
+    reports = {}
 
     def decide(f, g):
         key = (id(f), id(g))
@@ -429,8 +447,13 @@ def verify_datum(datum):
             verdict = verdicts[key] = is_exact_at(f, g)
         return verdict
 
-    return DatumReport(tuple((pair, _cycle_report(cycle, decide))
-                             for pair, cycle in datum.cycles.items()))
+    results = []
+    for pair, cycle in datum.cycles.items():
+        report = reports.get(id(cycle))
+        if report is None:
+            report = reports[id(cycle)] = _cycle_report(cycle, decide)
+        results.append((pair, report))
+    return DatumReport(tuple(results))
 
 
 class PropagationReport(namedtuple("PropagationReport", "ok deviation",

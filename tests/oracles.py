@@ -563,6 +563,31 @@ def determinant(matrix):
     return sign * a[n - 1][n - 1]
 
 
+def determinantal_divisors(matrix):
+    """The diagonal of the Smith normal form, from the minors alone.
+
+    The k-th determinantal divisor is the gcd of all k x k minors, and the
+    k-th invariant factor is its quotient by the one before; once every
+    k x k minor vanishes, so do all larger ones, and the factors are 0.
+    """
+    r, c = matrix.rows, matrix.cols
+    factors = []
+    before = 1
+    for k in range(1, min(r, c) + 1):
+        divisor = 0
+        for rows in itertools.combinations(range(r), k):
+            for cols in itertools.combinations(range(c), k):
+                minor = IntMatrix([[matrix.entries[i][j] for j in cols]
+                                   for i in rows])
+                divisor = gcd(divisor, determinant(minor))
+        factors.append(divisor // before if divisor else 0)
+        if not divisor:
+            factors += [0] * (min(r, c) - k)
+            break
+        before = divisor
+    return tuple(factors)
+
+
 def rational_rank(matrix):
     """Row-echelon rank over the rationals via fractions-free elimination."""
     from fractions import Fraction

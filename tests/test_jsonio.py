@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -602,6 +603,57 @@ def test_datum_reads_each_distinct_presentation_once(monkeypatch):
             gu, gy, gr = (parsed.assignment[m] for m in (u, y, y & ~u))
             wired = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
             assert all(h.domain is g for h, g in zip(cycle.maps, wired))
+
+
+def test_datum_tells_repeated_maps_texts_apart_by_value_and_groups(monkeypatch,
+                                                                    capsys):
+    # on two unrelated points with Z on each, the cycles of (0, {1}) and
+    # ({1}, {1}) repeat the maps texts of (0, {0}) and ({0}, {0}), which
+    # hold 1s; true and 1.0 equal 1 as values but are other texts, and are
+    # refused where they stand
+    doc = datum_to_json(point_count_datum(FiniteSpace.discrete(2)))
+    entries = {(c["open"], c["set"]): c for c in doc["cycles"]}
+    assert entries[("1", "1")]["maps"] == entries[("0", "0")]["maps"]
+    assert entries[("1", "1")]["maps"][0] == [[1]]
+    message = "cycle map 0 entry must be an integer"
+    for bad in (True, 1.0):
+        spoiled = json.loads(json.dumps(doc))
+        next(c for c in spoiled["cycles"]
+             if (c["open"], c["set"]) == ("1", "1"))["maps"][0] = [[bad]]
+        with pytest.raises(InputFormatError) as err:
+            kjsonio.datum_from_json(spoiled)
+        assert str(err.value) == message
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spoiled)))
+        assert main(["ktheory", "datum-verify", "-"]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "input",
+                                                       "message": message}
+    # Z^2 on {1}: the maps text of (0, {0}) is a map on Z and repeats on
+    # (0, {1}), where its first matrix is 1 x 0 into Z^2
+    wide = dict(doc, groups=dict(doc["groups"], **{"1": {
+        "even": {"generators": 2}, "odd": {"generators": 0}}}))
+    assert entries[("", "1")]["maps"] == entries[("", "0")]["maps"]
+    with pytest.raises(ShapeMismatch) as err:
+        kjsonio.datum_from_json(wide)
+    assert str(err.value) == "matrix is 1x0, expected 2x0"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(wide)))
+    assert main(["ktheory", "datum-verify", "-"]) == 1
+    assert json.loads(capsys.readouterr().err)["message"] == str(err.value)
+
+
+def test_datum_reads_integers_past_the_int_to_str_limit():
+    # json.loads refuses such literals, but a caller may put them in: the
+    # maps list has no text then and is read on its own
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this interpreter has no int-to-str limit")
+    doc = datum_to_json(point_count_datum(FiniteSpace.discrete(2)))
+    huge = 10 ** 4400
+    for c in doc["cycles"]:
+        if c["open"] in ("0", "1") and c["set"] == c["open"]:
+            c["maps"][0] = [[huge]]
+    datum = kjsonio.datum_from_json(doc)
+    maps = datum.cycles[(0b01, 0b01)].maps, datum.cycles[(0b10, 0b10)].maps
+    assert maps[0][0].matrix.entries == maps[1][0].matrix.entries == ((huge,),)
+    assert not verify_datum(datum).ok
 
 
 def test_datum_refuses_a_carrier_or_cycle_given_twice():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finitetop import ktheory
+from finitetop import jsonio, kjsonio, ktheory
 from finitetop.errors import (NotComposable, NotLocallyClosed, NotWellDefined,
                               ShapeMismatch, SquareNotCommuting)
 from finitetop.intmat import IntMatrix, kernel_basis
@@ -13,9 +13,9 @@ from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                vanishing_propagation, verify_datum,
                                verify_six_term)
 from finitetop.spaces import FiniteSpace, family_key
-from fixtures import (constant_zero_datum, datum_rows, point_count_datum,
-                      random_divisors, random_torsion_cycle, random_torsion_datum,
-                      random_zero_composite, zero_rows)
+from fixtures import (constant_zero_datum, datum_rows, datum_to_json,
+                      point_count_datum, random_divisors, random_torsion_cycle,
+                      random_torsion_datum, random_zero_composite, zero_rows)
 from oracles import (brute_locally_closed, brute_verify_datum, diagonal_group,
                      element_exact, element_image, element_kernel,
                      random_poset_space, random_space, random_torsion_hom)
@@ -521,6 +521,39 @@ def test_verify_datum_builds_each_kernel_once(monkeypatch):
     assert verify_datum(datum).ok
     nodes = {(id(f), id(g)) for f, g in _nodes(datum)}
     assert len(calls) == len(seconds) < len(nodes)
+
+
+def test_datum_read_from_json_wires_and_decides_each_distinct_cycle_once(
+        monkeypatch):
+    # the 6-point point-count datum read from its file: pairs whose six
+    # groups are the same objects and whose maps texts are equal share one
+    # SixTermCycle, and verify_datum reports on each shared cycle once
+    raw = datum_to_json(point_count_datum(random_poset_space(random.Random(3), 6)))
+    datum = kjsonio.datum_from_json(raw)
+    keyed = {}
+    for entry in raw["cycles"]:
+        u, y = (jsonio.carrier_from_key(entry[k], datum.space.size)
+                for k in ("open", "set"))
+        gu, gy, gr = (datum.assignment[m] for m in (u, y, y & ~u))
+        groups = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
+        cycle = datum.cycles[(u, y)]
+        assert all(h.domain is g for h, g in zip(cycle.maps, groups))
+        key = (tuple(map(id, groups)), str(entry["maps"]))
+        assert keyed.setdefault(key, cycle) is cycle
+    cycles = list(datum.cycles.values())
+    assert len({id(c) for c in cycles}) == len(keyed) < len(cycles)
+    calls = []
+    report_on = ktheory._cycle_report
+
+    def counted(cycle, decide):
+        calls.append(cycle)
+        return report_on(cycle, decide)
+
+    monkeypatch.setattr(ktheory, "_cycle_report", counted)
+    report = verify_datum(datum)
+    monkeypatch.undo()
+    assert len(calls) == len({id(c) for c in calls}) == len(keyed)
+    assert report.ok and report == brute_verify_datum(datum)
 
 
 def test_verify_datum_on_a_cycle_replaced_by_equal_new_maps():
