@@ -12,18 +12,20 @@ the minimum count the automorphisms.
 
 The census grows classes, not labelings: every poset on k + 1 points is a
 poset on k points with a new maximal point above one of its down-sets, and
-one representative per canonical form is kept.  A space on n points is a
-poset on k <= n points with a composition s of n into k class sizes, and
-its class holds n! / (prod s_i! * |Aut_s|) labeled spaces, Aut_s being the
-automorphisms that keep the sizes.  Labeled spaces are generated one
-preorder at a time, by row-by-row extension of relation matrices, for the
-labeled listings alone.
+one representative per canonical form is kept.  Each level is grown once
+per process, with the form and |Aut| of every class, and every census
+call reads it.  A space on n points is a poset on k <= n points with a
+composition s of n into k class sizes, and its class holds
+n! / (prod s_i! * |Aut_s|) labeled spaces, Aut_s being the automorphisms
+that keep the sizes.  Labeled spaces are generated one preorder at a time,
+by row-by-row extension of relation matrices, for the labeled listings alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import cache
 from math import factorial, prod
 
 from .errors import CapExceeded
@@ -234,24 +236,28 @@ class CensusRow(namedtuple("CensusRow", "n connected t0 labeled_count classes"))
         return len(self.classes)
 
 
-def _poset_classes(n):
-    """For k = 0..n, the rows of one poset per class on k points.
+@cache
+def _poset_level(k):
+    """(form, rows, |Aut|) of one poset per class on k points, as first grown.
 
-    Each poset on k + 1 points is a poset on k points with a new maximal
-    point above one of its down-sets (the up-sets of the opposite order).
+    Each poset on k points is a poset on k - 1 points with a new maximal
+    point above one of its down-sets (the up-sets of the opposite order);
+    the first poset grown of each form represents its class.  The level is
+    cached, so a process grows it once; k never exceeds CENSUS_CAP.
     """
-    levels = [[()]]
-    for k in range(n):
-        bit = 1 << k
-        grown = {}
-        for rows in levels[-1]:
-            downs = [_down(rows, 1 << x) for x in range(k)]
-            for d in _up_sets(downs):
-                new = tuple(r | bit if d >> y & 1 else r
-                            for y, r in enumerate(rows)) + (bit,)
-                grown.setdefault(_canonical(new, (1,) * (k + 1))[0], new)
-        levels.append(list(grown.values()))
-    return levels
+    if k == 0:
+        form, aut = _canonical((), ())
+        return ((form, (), aut),)
+    bit = 1 << k - 1
+    grown = {}
+    for _, rows, _ in _poset_level(k - 1):
+        downs = [_down(rows, 1 << x) for x in range(k - 1)]
+        for d in _up_sets(downs):
+            new = tuple(r | bit if d >> y & 1 else r
+                        for y, r in enumerate(rows)) + (bit,)
+            form, aut = _canonical(new, (1,) * k)
+            grown.setdefault(form, (form, new, aut))
+    return tuple(grown.values())
 
 
 def _compositions(n, k):
@@ -270,20 +276,23 @@ def census(n, connected=False, t0=False):
 
     The classes come from the posets on at most n points, with a
     composition of n into class sizes when t0 is off; each class adds
-    n! / (prod s_i! * |Aut_s|) labeled spaces.
+    n! / (prod s_i! * |Aut_s|) labeled spaces.  The posets come from the
+    levels every call shares; on n points the one composition is all
+    ones, whose form and |Aut| the level holds, so a T0 slice canonizes
+    nothing once its level is grown.
     """
     _require_nonnegative(n)
     if n > CENSUS_CAP:
         raise CapExceeded(f"census capped at {CENSUS_CAP} points", n=n,
                           cap=CENSUS_CAP)
-    levels = _poset_classes(n)
     count, forms = 0, set()
     for k in ([n] if t0 else range(n + 1)):
-        for rows in levels[k]:
+        for form, rows, aut in _poset_level(k):
             if connected and len(_components(rows)) != 1:
                 continue
             for sizes in _compositions(n, k):
-                form, aut = _canonical(rows, sizes)
+                if k < n:
+                    form, aut = _canonical(rows, sizes)
                 if form not in forms:
                     forms.add(form)
                     count += factorial(n) // (prod(map(factorial, sizes)) * aut)

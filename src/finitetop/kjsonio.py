@@ -7,8 +7,8 @@ groups and checked matrix rows for FiltratedKDatum to build, and the
 reports of the exactness checks are written back.  Spaces, point sets
 and matrix rows use the formats of ``jsonio``, with its split between
 InputFormatError and the mathematical FinitetopError subclasses.  A group
-with more than GENERATORS_CAP generators is refused with InputCapExceeded
-before anything is built for it.
+with more than GENERATORS_CAP generators or relations is refused with
+InputCapExceeded before anything is built for it.
 """
 
 from .errors import InputCapExceeded, InputFormatError
@@ -32,7 +32,13 @@ def _presentation(obj):
         raise InputCapExceeded(
             f"groups are capped at {GENERATORS_CAP} generators, got {n}",
             generators=n, cap=GENERATORS_CAP)
-    relators = matrix_rows(obj.get("relations", []), "relations")
+    relations = obj.get("relations", [])
+    k = len(relations) if isinstance(relations, list) else 0
+    if k > GENERATORS_CAP:
+        raise InputCapExceeded(
+            f"groups are capped at {GENERATORS_CAP} relations, got {k}",
+            relations=k, cap=GENERATORS_CAP)
+    relators = matrix_rows(relations, "relations")
     if relators and len(relators[0]) != n:
         raise InputFormatError("each relation needs one coordinate per generator")
     return n, tuple(map(tuple, relators))

@@ -622,6 +622,47 @@ def test_ktheory_six_term(tmp_path, capsys):
     assert json.loads(err)["first_failure"] == 0
 
 
+RELATIONS_PAST_CAP = {"error": "input",
+                      "message": "groups are capped at 64 relations, got 65",
+                      "details": {"relations": 65, "cap": GENERATORS_CAP}}
+
+
+def test_six_term_caps_the_relations_of_a_group(tmp_path, capsys):
+    # Z/2 given by copies of its one relator: 64 are read, 65 are refused
+    zero = {"generators": 0}
+    mod2 = {"generators": 1, "relations": [[2]] * GENERATORS_CAP}
+    cycle = {"groups": [mod2, mod2, zero, zero, zero, zero],
+             "maps": [[[1]], [], [], [], [], [[]]]}
+    code, out, err = run(capsys, "ktheory", "six-term",
+                         jfile(tmp_path, "c64.json", cycle))
+    assert code == 0 and err == ""
+    assert json.loads(out)["first_failure"] is None
+    mod2["relations"].append([2])
+    code, out, err = run(capsys, "ktheory", "six-term",
+                         jfile(tmp_path, "c65.json", cycle))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == RELATIONS_PAST_CAP
+
+
+def test_datum_verify_caps_the_relations_of_a_group(tmp_path, capsys):
+    datum = datum_to_json(point_count_datum(FiniteSpace.sierpinski()))
+    code, plain, err = run(capsys, "ktheory", "datum-verify",
+                           jfile(tmp_path, "d.json", datum))
+    assert code == 0 and err == ""
+    # the zero relator repeated 64 times presents the same group
+    even = datum["groups"]["0"]["even"]
+    assert even == {"generators": 1, "relations": []}
+    even["relations"] = [[0]] * GENERATORS_CAP
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "d64.json", datum))
+    assert (code, out, err) == (0, plain, "")
+    even["relations"].append([0])
+    code, out, err = run(capsys, "ktheory", "datum-verify",
+                         jfile(tmp_path, "d65.json", datum))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == RELATIONS_PAST_CAP
+
+
 def test_ktheory_datum_verify(tmp_path, capsys):
     space = FiniteSpace.sierpinski()
     rich = jfile(tmp_path, "ok.json", datum_to_json(point_count_datum(space)))

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -11,7 +15,7 @@ from finitetop.enumeration import (CENSUS_CAP, RELABELING_CAP, T0_CAP,
                                    enumerate_labeled_t0,
                                    enumerate_labeled_topologies,
                                    space_from_canonical)
-from finitetop import spaces
+from finitetop import enumeration, spaces
 from finitetop.errors import CapExceeded
 from finitetop.spaces import (MAX_POINTS, FiniteSpace, _closure,
                               alexandrov_topology, bits, space_from_edges)
@@ -311,6 +315,98 @@ def test_class_census_matches_labeled_census(n):
 @pytest.mark.slow
 def test_census_seven_points():
     assert_census_matches_oeis(7)
+
+
+# -- the poset ladder every census call shares --------------------------------
+
+
+@pytest.mark.parametrize("k", [*range(7), pytest.param(7, marks=pytest.mark.slow)])
+def test_poset_level_holds_each_class_once_with_its_form_and_automorphisms(k):
+    level = enumeration._poset_level(k)
+    # one poset per class (A000112), and with |Aut| each class counts its
+    # labelings: together the labeled posets (A001035)
+    assert len(level) == T0_CLASS_COUNTS[k]
+    assert sum(math.factorial(k) // aut for _, _, aut in level) == T0_COUNTS[k]
+    assert len({form for form, _, _ in level}) == len(level)
+    for form, rows, aut in level:
+        assert enumeration._canonical(rows, (1,) * k) == (form, aut)
+    assert enumeration._poset_level(k) is level
+
+
+def test_census_canonizes_only_compositions_below_n_once_the_level_exists(monkeypatch):
+    n = 5
+    census(n)
+    calls = []
+
+    def counting(rows, sizes):
+        calls.append(len(rows))
+        return canonize(rows, sizes)
+
+    canonize = enumeration._canonical
+    monkeypatch.setattr(enumeration, "_canonical", counting)
+    assert census(n, t0=True).class_count() == T0_CLASS_COUNTS[n]
+    assert census(n, connected=True, t0=True).class_count() == (
+        CONNECTED_T0_CLASS_COUNTS[n])
+    assert calls == []
+    # one search per class on k < n points and composition of n into k parts
+    assert census(n).class_count() == CLASS_COUNTS[n]
+    assert len(calls) == sum(T0_CLASS_COUNTS[k] * math.comb(n - 1, k - 1)
+                             for k in range(1, n))
+    assert max(calls) == n - 1
+
+
+# sha256 of the rows (n, connected, t0, labeled_count, classes) of every
+# slice with n <= 5, sorted, as the census gave them before its levels
+# were shared
+SLICES_UP_TO_FIVE_SHA256 = (
+    "24d5d74b7d8e720d099029558a421ea4f943ff11af63215d4089b72fddbf7945")
+SLICES_DIGEST = """
+import hashlib, sys
+from finitetop.enumeration import census
+slices = [(n, c, t) for n in range(6) for c in (False, True) for t in (False, True)]
+if sys.argv[1] == "descending":
+    slices.reverse()
+rows = sorted(tuple(census(*s)) for s in slices)
+print(hashlib.sha256(repr(rows).encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_census_rows_do_not_depend_on_call_order(order):
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", SLICES_DIGEST, order],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == SLICES_UP_TO_FIVE_SHA256
+
+
+def test_census_threads_growing_the_levels_together_agree():
+    def calls():
+        return census(6, t0=True), census(5)
+
+    alone = calls()
+    enumeration._poset_level.cache_clear()
+    start = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def work(i):
+        start.wait()
+        results[i] = calls()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [alone] * 4
 
 
 # -- the printed catalog -----------------------------------------------------------

@@ -347,6 +347,7 @@ README_CAPS = {
     "spaces read from JSON": (spaces.MAX_POINTS, "points"),
     "open lists read from JSON": (spaces.OPEN_FAMILY_CAP, "sets"),
     "groups read from JSON": (intmat.GENERATORS_CAP, "generators"),
+    "group relations read from JSON": (intmat.GENERATORS_CAP, "relations"),
     "matrices given to snf": (intmat.GENERATORS_CAP, "rows or columns"),
 }
 

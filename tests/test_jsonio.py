@@ -246,6 +246,18 @@ def test_group_generator_cap():
         assert err.value.details == {"generators": n, "cap": cap}
 
 
+def test_group_relation_cap():
+    cap = kjsonio.GENERATORS_CAP
+    group = kjsonio.group_from_json({"generators": 1, "relations": [[2]] * cap})
+    assert kjsonio.invariants_to_json(group) == {"rank": 0, "torsion": [2]}
+    # refused before any relator is read, so malformed ones are never reached
+    for relations in ([[2]] * (cap + 1), [["x"]] * (cap + 1), [[2]] * 2000):
+        with pytest.raises(CapExceeded) as err:
+            kjsonio.group_from_json({"generators": 1, "relations": relations})
+        assert isinstance(err.value, InputFormatError)
+        assert err.value.details == {"relations": len(relations), "cap": cap}
+
+
 def test_hom_roundtrip():
     f = GroupHom(FGAbelianGroup.cyclic(2), FGAbelianGroup.cyclic(4),
                  IntMatrix([[2]]))
