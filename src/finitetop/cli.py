@@ -20,12 +20,13 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
 from . import jsonio
 from .errors import FinitetopError, InputCapExceeded, InputFormatError
 from .jsonio import _obj, indices
-from .spaces import bits, family_key, hasse_dot
+from .spaces import bits, hasse_dot, sorted_family
 
 
 def _json_object(pairs):
@@ -65,6 +66,7 @@ def _key_text(k):
 
 
 _INT = {int}  # the item types of a list that is written in one join
+_LIST = {list}
 
 
 def _dumps(obj):
@@ -74,14 +76,16 @@ def _dumps(obj):
     writer lays out the containers itself, appending to one list, and
     leaves strings and other scalars to the C encoder; it raises the
     TypeError json.dumps raises for a value or a key it cannot write.  A
-    list or tuple of plain ints alone, the rows and point sets that fill
-    space documents, is written in one join; a bool or an int subclass
-    among its items sends it item by item, since json.dumps writes those
-    otherwise.  An object, or a list that holds containers, met again at a
-    depth where it was written before is copied as text: a report that
-    shares one verdict among many cycles writes it once.  A document that
-    contains itself ends in RecursionError, where json.dumps raises
-    ValueError.
+    list or tuple of plain ints, the rows and point sets that fill space
+    documents, is written in one join, and so is a list of such lists,
+    one join per row; a bool or an int subclass among the items sends
+    them item by item, since json.dumps writes those otherwise.  An
+    object, or a list that holds other containers, met again at a depth
+    where it was written before is copied as text: a report that shares
+    one verdict among many cycles writes it once.  Joined lists are never
+    kept, and are written anew to the same bytes when met again.  A
+    document that contains itself ends in RecursionError, where
+    json.dumps raises ValueError.
     """
     out = []
     put = out.append
@@ -137,10 +141,20 @@ def _dumps(obj):
                 value(v, depth + 1, head + key_text + ": ")
                 head = sep
             put(breaks[depth] + "}")
-        elif set(map(type, o)) == _INT:  # not one bool: True is not 1
-            put("[" + inner + sep.join(map(int.__repr__, o)) + breaks[depth] + "]")
-            return
         else:
+            types = set(map(type, o))
+            if types == _INT:  # not one bool: True is not 1
+                put("[" + inner + sep.join(map(int.__repr__, o)) + breaks[depth] + "]")
+                return
+            if types == _LIST and set(map(type, chain.from_iterable(o))) <= _INT:
+                if len(breaks) == depth + 2:
+                    breaks.append(inner + "  ")
+                deep = breaks[depth + 2]
+                sep2 = "," + deep
+                put("[" + inner + sep.join(
+                    ["[" + deep + sep2.join(map(int.__repr__, r)) + inner + "]"
+                     if r else "[]" for r in o]) + breaks[depth] + "]")
+                return
             head = "[" + inner
             for v in o:
                 value(v, depth + 1, head)
@@ -257,7 +271,7 @@ def _cmd_complete(args):
     completion = build_yprime(space)
     emb = neighborhood_filter_embedding(completion)
     names = {u: indices(u) for u in space.opens}
-    filters = [[names[u] for u in sorted(p, key=family_key)]
+    filters = [list(map(names.__getitem__, sorted_family(p)))
                for p in completion.points]
     return {"space": jsonio.space_to_json(completion.space),
             "embedding": list(emb.assignment),

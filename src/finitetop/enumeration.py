@@ -260,6 +260,12 @@ def _poset_level(k):
     return tuple(grown.values())
 
 
+@cache
+def _connected_level(k):
+    """The classes of _poset_level(k) that are connected, decided once."""
+    return tuple(c for c in _poset_level(k) if len(_components(c[1])) == 1)
+
+
 def _compositions(n, k):
     """Every way to write n as an ordered sum of k positive parts."""
     if k == 0:
@@ -279,17 +285,17 @@ def census(n, connected=False, t0=False):
     n! / (prod s_i! * |Aut_s|) labeled spaces.  The posets come from the
     levels every call shares; on n points the one composition is all
     ones, whose form and |Aut| the level holds, so a T0 slice canonizes
-    nothing once its level is grown.
+    nothing once its level is grown.  A connected slice reads the
+    connected classes of each level, also kept once per process.
     """
     _require_nonnegative(n)
     if n > CENSUS_CAP:
         raise CapExceeded(f"census capped at {CENSUS_CAP} points", n=n,
                           cap=CENSUS_CAP)
     count, forms = 0, set()
+    level = _connected_level if connected else _poset_level
     for k in ([n] if t0 else range(n + 1)):
-        for form, rows, aut in _poset_level(k):
-            if connected and len(_components(rows)) != 1:
-                continue
+        for form, rows, aut in level(k):
             for sizes in _compositions(n, k):
                 if k < n:
                     form, aut = _canonical(rows, sizes)

@@ -13,6 +13,8 @@ Nothing here needs the group or action modules, so the space commands
 load none of them; their formats live in ``kjsonio`` and ``ajsonio``.
 """
 
+from itertools import compress, count
+
 from .errors import InputCapExceeded, InputFormatError
 from .spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
                      alexandrov_topology, bits)
@@ -78,14 +80,16 @@ def _index(text):
         return None
 
 
-def indices(mask):
-    """The indices of the set bits of mask, ascending, as a list.
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
-    Read off the binary text, low bit first, which already runs in
-    ascending order: on the wide opens of a completion this takes one
-    half to two thirds of the time of sorting what bits() yields.
+
+def indices(mask):
+    """The indices of the set bits of mask >= 0, ascending, as a list.
+
+    The binary text, low bit first, becomes bytes 0 and 1 that select
+    from a count in C: no Python step per bit.
     """
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT)))
 
 
 # -- spaces and maps -----------------------------------------------------------

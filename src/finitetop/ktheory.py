@@ -19,7 +19,7 @@ from .errors import (
     SquareNotCommuting,
 )
 from .intmat import IntMatrix, kernel_basis, smith_normal_form, solve
-from .spaces import _up_sets, bits, family_key, mask_of
+from .spaces import _up_sets, bits, family_key, mask_of, sorted_family
 
 
 class FGAbelianGroup:
@@ -363,7 +363,7 @@ class FiltratedKDatum:
         # groups become one object, so maps can be keyed by identity
         shared = {}
         self.assignment = {}
-        for c in sorted(assignment, key=family_key):
+        for c in sorted_family(assignment):
             g = assignment[c]
             self.assignment[c] = GradedGroup(shared.setdefault(g.even, g.even),
                                              shared.setdefault(g.odd, g.odd))

@@ -55,8 +55,15 @@ def mask_of(indices):
 
 
 def family_key(mask):
-    # canonical iteration order for set families: by size, then numerically
+    """The order of set families: by size, then numerically; see sorted_family."""
     return (mask.bit_count(), mask)
+
+
+def sorted_family(masks):
+    """The masks as a list in family_key order, by two sorts keyed in C."""
+    out = sorted(masks)
+    out.sort(key=int.bit_count)
+    return out
 
 
 def _down(rows, s):
@@ -148,8 +155,7 @@ def _up_sets(rows, within=None):
         rec(rest & ~rows[c], cur | rows[c] & within)
 
     rec(within, 0)
-    opens.sort(key=family_key)
-    return tuple(opens)
+    return tuple(sorted_family(opens))
 
 
 def _up_set_count(rows, cap=inf):
@@ -199,7 +205,7 @@ class FiniteSpace:
         since a member is the union of the rows of its points.
         """
         self._fill(size, labels)
-        self._opens = tuple(sorted(set(opens), key=family_key))
+        self._opens = tuple(sorted_family(set(opens)))
         self._count = None
         self.rows = _minimal_opens(size, self._opens)
 
@@ -285,8 +291,7 @@ class FiniteSpace:
 
     def irreducible_closed_sets(self):
         """The distinct point closures: in a finite space, all the irreducible ones."""
-        return tuple(sorted({self.closure(1 << x) for x in range(self.size)},
-                            key=family_key))
+        return tuple(sorted_family({self.closure(1 << x) for x in range(self.size)}))
 
     def is_sober(self):
         """Finite spaces are sober exactly when they are T0."""
@@ -358,7 +363,7 @@ class FiniteSpace:
             for x in bits(u):
                 above |= strict[x]
             carriers += (u & ~v for v in _up_sets(self.rows, above))
-        return tuple(sorted(carriers, key=family_key))
+        return tuple(sorted_family(carriers))
 
     # -- T0-only structure --------------------------------------------------
 
@@ -483,7 +488,7 @@ class ContinuousMap:
         if any(not 0 <= v < codomain.size for v in self.assignment):
             raise ValueError("image point out of range")
         # preimages keep unions, so the first open (family order) that fails is a row
-        for u in sorted(set(codomain.rows), key=family_key):
+        for u in sorted_family(set(codomain.rows)):
             if not domain.is_open(self.preimage(u)):
                 raise NotContinuous(
                     f"preimage of open {sorted(bits(u))} is not open", witness=u)

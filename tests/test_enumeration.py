@@ -355,6 +355,24 @@ def test_census_canonizes_only_compositions_below_n_once_the_level_exists(monkey
     assert max(calls) == n - 1
 
 
+def test_connected_census_decides_each_class_once(monkeypatch):
+    n = 5
+    first = census(n, connected=True, t0=True)
+    first_all = census(n, connected=True)
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return components(rows)
+
+    components = enumeration._components
+    monkeypatch.setattr(enumeration, "_components", counting)
+    assert census(n, connected=True, t0=True) == first
+    assert first.class_count() == CONNECTED_T0_CLASS_COUNTS[n]
+    assert census(n, connected=True) == first_all
+    assert calls == []
+
+
 # sha256 of the rows (n, connected, t0, labeled_count, classes) of every
 # slice with n <= 5, sorted, as the census gave them before its levels
 # were shared

@@ -298,6 +298,24 @@ def test_square_parsing():
         "middle": {"rank": 0, "torsion": [2]}, "note": ""}
 
 
+def oracle_indices(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+@pytest.mark.parametrize("mask", [0, 1, 2, 3, 2 ** 62, 2 ** 63 - 1, 2 ** 63,
+                                  2 ** 200 + 1])
+def test_indices_of_edge_masks(mask):
+    assert jsonio.indices(mask) == oracle_indices(mask)
+
+
+def test_indices_of_random_masks():
+    rng = random.Random(29)
+    for width in (1, 7, 8, 16, 63, 64, 65, 300):
+        for _ in range(50):
+            mask = rng.getrandbits(width)
+            assert jsonio.indices(mask) == oracle_indices(mask)
+
+
 def test_carrier_keys():
     assert jsonio.carrier_key(0) == ""
     assert jsonio.carrier_key(0b101) == "0,2"

@@ -15,7 +15,8 @@ from finitetop.cli import main
 from finitetop.jsonio import preorder_to_json
 from finitetop.spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap,
                               FiniteSpace, _closure, alexandrov_topology, bits,
-                              family_key, hasse_dot, mask_of, space_from_edges)
+                              family_key, hasse_dot, mask_of, sorted_family,
+                              space_from_edges)
 from oracles import (brute_chain_length, brute_check_family, brute_closure,
                      brute_interior, brute_irreducible_closed_sets,
                      brute_is_sober, brute_locally_closed,
@@ -96,6 +97,24 @@ def test_validator_linear_on_discrete_family():
 def test_family_deduplicated_and_sorted():
     space = FiniteSpace(2, [3, 0, 1, 1, 3])
     assert space.opens == (0, 1, 3)
+
+
+masks = st.integers(0, 2 ** 63 - 1)
+# small masks tie on bit count often; repeats and 0 must keep their places
+families = st.one_of(
+    st.lists(st.one_of(st.integers(0, 15), masks), max_size=24),
+    st.lists(masks, max_size=8).map(lambda xs: xs + xs[::2] + [0, 0]),
+    st.sets(masks, max_size=12),
+    st.lists(masks, max_size=12).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families)
+def test_sorted_family_is_sorted_by_family_key(family):
+    got = sorted_family(family)
+    assert type(got) is list
+    assert got == sorted(family, key=family_key)
+    assert sorted_family(iter(family)) == got
 
 
 def test_labels_checked():
