@@ -13,7 +13,7 @@ Nothing here needs the group or action modules, so the space commands
 load none of them; their formats live in ``kjsonio`` and ``ajsonio``.
 """
 
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 
 from .errors import InputCapExceeded, InputFormatError
 from .spaces import (MAX_POINTS, OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
@@ -57,6 +57,17 @@ def _mask(value, size, what):
     return m
 
 
+def _masks(opens, size):
+    """Masks of opens: in C for lists of distinct ints in range, else by _mask."""
+    if ({list}.issuperset(map(type, opens))
+            and {int}.issuperset(map(type, chain.from_iterable(opens)))
+            and set(range(size)).issuperset(chain.from_iterable(opens))):
+        masks = list(map(sum, map(map, repeat(_POWERS.__getitem__), opens)))
+        if sum(map(int.bit_count, masks)) == sum(map(len, opens)):  # repeats carry
+            return masks
+    return [_mask(u, size, "open set") for u in opens]
+
+
 def _labels(value, size):
     """Display labels: None, or strings or integers, one per point, unique as text."""
     if value is None:
@@ -81,6 +92,7 @@ def _index(text):
 
 
 _BIT = bytes.maketrans(b"01", b"\x00\x01")
+_POWERS = [1 << i for i in range(MAX_POINTS)]
 
 
 def indices(mask):
@@ -137,7 +149,7 @@ def space_from_json(obj):
         raise InputCapExceeded(
             f"open families are capped at {OPEN_FAMILY_CAP} sets, got {len(opens)}",
             opens=len(opens), cap=OPEN_FAMILY_CAP)
-    return FiniteSpace(n, (_mask(u, n, "open set") for u in opens), labels)
+    return FiniteSpace(n, _masks(opens, n), labels)
 
 
 def space_to_json(space):

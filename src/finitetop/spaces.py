@@ -101,20 +101,32 @@ def _covers(rows):
     return covers, downs
 
 
-def _minimal_opens(size, family):
-    """Rows of a sorted family, each the AND of the members holding its point.
+def _minimal_opens(size, family, members):
+    """Rows of a sorted family F = members: r_x is the first member holding x.
 
-    The family is validated on the way, as FiniteSpace.__init__ describes.
+    Checked as FiniteSpace.__init__ says.  If F is closed under m | r_x and
+    m & r_x, a member holding x meets r_x in a member no later than r_x, so
+    in r_x: each member is a union of rows, and each union of rows is in F.
     """
     full = (1 << size) - 1
-    for m in family:
-        if m & ~full:
-            raise ValueError(f"open {m:#x} not within ground set of size {size}")
-    members = frozenset(family)
+    if family and (min(family) < 0 or max(family) > full):
+        bad = next(m for m in family if m & ~full)
+        raise ValueError(f"open {bad:#x} not within ground set of size {size}")
     if 0 not in members:
         raise MissingEmpty("empty set is not open")
     if full not in members:
         raise MissingFull("full set is not open")
+    rows, covered = [0] * size, 0
+    for m in family:
+        if covered == full:
+            break
+        if m & ~covered:
+            for x in bits(m & ~covered):
+                rows[x] = m
+            covered |= m
+    if all(members.issuperset(map(r.__or__, family))
+           and members.issuperset(map(r.__and__, family)) for r in set(rows)):
+        return tuple(rows)
     rows = [full] * size
     for m in family:
         for x in bits(m):
@@ -197,17 +209,23 @@ class FiniteSpace:
     def __init__(self, size, opens, labels=None):
         """The space on the open family opens, checked, deduplicated and sorted.
 
-        After the empty and the full set, row U_x folds as the AND of the
-        members holding x, in family order; the first step that leaves the
-        family raises NotClosedUnderIntersection(row so far, member).  Then
-        a | U_x must be a member for all members a and points x, else
-        NotClosedUnderUnion(a, U_x).  That accepts exactly the topologies,
-        since a member is the union of the rows of its points.
+        A member that is not an exact int raises ValueError.  A family with
+        the empty and the full set, closed under | and & with each row U_x
+        (the first member holding x), is accepted after distinct rows times
+        family size set lookups, in C.  Else a fold names the fault: U_x is
+        the AND of the members holding x, in family order, the first step
+        that leaves the family raising NotClosedUnderIntersection(row so far,
+        member); then a missing a | U_x raises NotClosedUnderUnion(a, U_x).
         """
         self._fill(size, labels)
-        self._opens = tuple(sorted_family(set(opens)))
+        opens = list(opens)
+        if not {int}.issuperset(map(type, opens)):
+            bad = next(m for m in opens if type(m) is not int)
+            raise ValueError(f"open {bad!r} is not an integer")
+        members = set(opens)
+        self._opens = tuple(sorted_family(members))
         self._count = None
-        self.rows = _minimal_opens(size, self._opens)
+        self.rows = _minimal_opens(size, self._opens, members)
 
     @classmethod
     def _from_rows(cls, size, rows, labels=None, opens=None, count=None):

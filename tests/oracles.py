@@ -129,6 +129,44 @@ def brute_check_family(size, family):
                     "intersection is not open", witness=(a, b))
 
 
+def fold_minimal_opens(size, family):
+    """Rows of a family by the fold that names its first fault.
+
+    The reference for FiniteSpace's refusals, down to the message and the
+    witness.  After the ground set and the empty and the full set, row U_x
+    folds as the AND of the members holding x in (popcount, value) order;
+    the first step that leaves the family raises NotClosedUnderIntersection
+    (row so far, member).  Then a | U_x must be a member for every member
+    a and point x outside it, else NotClosedUnderUnion(a, U_x).
+    """
+    full = (1 << size) - 1
+    family = sorted(set(family), key=lambda m: (m.bit_count(), m))
+    for m in family:
+        if m & ~full:
+            raise ValueError(f"open {m:#x} not within ground set of size {size}")
+    members = frozenset(family)
+    if 0 not in members:
+        raise MissingEmpty("empty set is not open")
+    if full not in members:
+        raise MissingFull("full set is not open")
+    rows = [full] * size
+    for m in family:
+        for x in bits(m):
+            meet = rows[x] & m
+            if meet != rows[x] and meet not in members:
+                raise NotClosedUnderIntersection(
+                    f"intersection of {sorted(bits(rows[x]))} and "
+                    f"{sorted(bits(m))} is not open", witness=(rows[x], m))
+            rows[x] = meet
+    for a in family:
+        for x in bits(full & ~a):
+            if a | rows[x] not in members:
+                raise NotClosedUnderUnion(
+                    f"union of {sorted(bits(a))} and {sorted(bits(rows[x]))} "
+                    "is not open", witness=(a, rows[x]))
+    return tuple(rows)
+
+
 def brute_irreducible_closed_sets(space):
     """Nonempty closed sets that are not a union of two proper closed subsets."""
     closed = closed_sets(space)

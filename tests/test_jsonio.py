@@ -108,6 +108,53 @@ def test_space_schema_errors():
             jsonio.space_from_json(bad)
 
 
+# the messages of _mask, open by open, whichever route the reader takes
+MALFORMED_OPENS = [
+    (2, [[], [True], [0, 1]], "open set entry must be an integer"),
+    (2, [[], [0.0], [0, 1]], "open set entry must be an integer"),
+    (2, [[], ["0"], [0, 1]], "open set entry must be an integer"),
+    (2, [[], [-1], [0, 1]], "open set index -1 out of range for size 2"),
+    (2, [[], [2], [0, 1]], "open set index 2 out of range for size 2"),
+    (2, [[], [10 ** 30], [0, 1]],
+     f"open set index {10 ** 30} out of range for size 2"),
+    (0, [[0]], "open set index 0 out of range for size 0"),
+    (2, [[], [1, 1], [0, 1]], "open set repeats index 1"),
+    (2, [[0, 0, 9], []], "open set repeats index 0"),
+    (2, [[], 1, [0, 1]], "open set must be a list of point indices"),
+    (2, [[], "01", [0, 1]], "open set must be a list of point indices"),
+    (2, [[], {"0": 1}, [0, 1]], "open set must be a list of point indices"),
+    # a fault in the third open, after two good ones
+    (3, [[], [0], [0, "2"], [0, 1, 2]], "open set entry must be an integer"),
+    (3, [[], [0], [3], [0, 1, 2]], "open set index 3 out of range for size 3"),
+    # two faults: the first in list order wins
+    (2, [[], [0, 5], [True]], "open set index 5 out of range for size 2"),
+    (2, [[], [1, 1], 7], "open set repeats index 1"),
+    (2, [[], [True, 5], [0, 1]], "open set entry must be an integer"),
+]
+
+
+@pytest.mark.parametrize("size, opens, message", MALFORMED_OPENS)
+def test_malformed_opens_keep_their_messages(size, opens, message):
+    with pytest.raises(InputFormatError) as err:
+        jsonio.space_from_json({"size": size, "opens": opens})
+    assert str(err.value) == message
+
+
+def test_well_formed_opens_are_read_without_a_per_entry_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an open was read index by index")
+
+    rng = random.Random(8)
+    spaces = [random_poset_space(rng, 8), random_space(rng, 8),
+              FiniteSpace.discrete(12), FiniteSpace(0, [0])]
+    docs = [jsonio.space_to_json(space) for space in spaces]
+    monkeypatch.setattr(jsonio, "_mask", refuse)
+    for space, doc in zip(spaces, docs):
+        got = jsonio.space_from_json(doc)
+        assert got.rows == alexandrov_topology(space.rows).rows
+        assert got.opens == space.opens
+
+
 def test_space_size_cap(monkeypatch):
     cap = MAX_POINTS
     # the full relation on 63 points is one chaotic class with two opens

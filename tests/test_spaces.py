@@ -21,7 +21,8 @@ from oracles import (brute_chain_length, brute_check_family, brute_closure,
                      brute_interior, brute_irreducible_closed_sets,
                      brute_is_sober, brute_locally_closed,
                      brute_locally_closed_witnesses, brute_minimal_open,
-                     brute_up_sets, random_poset_space, random_space)
+                     brute_up_sets, fold_minimal_opens, random_poset_space,
+                     random_space)
 
 from finitetop.enumeration import enumerate_labeled_topologies
 
@@ -75,8 +76,20 @@ def test_validator_matches_pairwise_scan_exhaustive():
             assert_validator_matches_scan(n, list(bits(choice)))
 
 
+def assert_validator_matches_fold(size, family):
+    """The reference fold names the same fault, or gives the same rows."""
+    got = _refusal(FiniteSpace, size, family)
+    want = _refusal(fold_minimal_opens, size, family)
+    assert type(got) is type(want), (size, family)
+    if got is None:
+        assert FiniteSpace(size, family).rows == fold_minimal_opens(size, family)
+    else:
+        assert str(got) == str(want) and got.details == want.details
+
+
 def test_validator_matches_pairwise_scan_random():
     rng = random.Random(19)
+    cases = []
     for i in range(1000):
         if i % 2:
             # a topology with one or two sets toggled
@@ -85,13 +98,55 @@ def test_validator_matches_pairwise_scan_random():
                 family ^= {rng.randrange(32)}
         else:
             family = {m for m in range(32) if rng.random() < 0.3} | {0, 31}
-        assert_validator_matches_scan(5, sorted(family))
+        cases.append((5, family))
+    rng = random.Random(29)
+    for _ in range(400):
+        # on 6-9 points, a topology with one or two members dropped or sets added
+        n = rng.randint(6, 9)
+        family = set(random_space(rng, n).opens)
+        for _ in range(rng.randint(1, 2)):
+            family ^= {rng.choice(sorted(family)) if rng.random() < 0.5
+                       else rng.randrange(1 << n)}
+        cases.append((n, family))
+    for size, family in cases:
+        assert_validator_matches_scan(size, sorted(family))
+        assert_validator_matches_fold(size, sorted(family))
 
 
 def test_validator_linear_on_discrete_family():
     # 65,536 opens: a pairwise scan would test over two billion pairs
     space = FiniteSpace.discrete(16)
     assert FiniteSpace(16, space.opens) == space
+
+
+@pytest.mark.parametrize("size, opens, named", [
+    (1, [False, True], "False"),
+    (1, [0, 1, 1.0], "1.0"),   # equal to a member, so a set would drop it
+    (1, [0, 1.0], "1.0"),
+    (2, [0, 3, "1"], "'1'"),   # a sort would fail on it first
+])
+def test_family_members_must_be_exact_ints(size, opens, named):
+    with pytest.raises(ValueError) as err:
+        FiniteSpace(size, opens)
+    assert str(err.value) == f"open {named} is not an integer"
+
+
+def test_validator_calls_bits_at_most_once_per_point(monkeypatch):
+    rng = random.Random(31)
+    tops = [random_poset_space(rng, 8), random_space(rng, 9),
+            FiniteSpace.discrete(12), FiniteSpace.chaotic(5), FiniteSpace(0, [0])]
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return bits(mask)
+
+    monkeypatch.setattr(spaces, "bits", counted)
+    for space in tops:
+        opens = space.opens
+        calls.clear()
+        assert FiniteSpace(space.size, opens).rows == space.rows
+        assert len(calls) <= space.size
 
 
 def test_family_deduplicated_and_sorted():
