@@ -20,13 +20,13 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import chain
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _string
 
 from . import jsonio
 from .errors import FinitetopError, InputCapExceeded, InputFormatError
-from .jsonio import _obj, indices
-from .spaces import bits, hasse_dot, sorted_family
+from .jsonio import PointSets, _bit_bytes, _obj, indices
+from .spaces import MAX_POINTS, bits, hasse_dot, sorted_family
 
 
 def _json_object(pairs):
@@ -66,30 +66,33 @@ def _key_text(k):
 
 
 _INT = {int}  # the item types of a list that is written in one join
-_LIST = {list}
 
 
 def _dumps(obj):
-    """The text of json.dumps(obj, sort_keys=True, indent=2), written faster.
+    """The text of json.dumps(obj, sort_keys=True, indent=2), written faster,
+    with each PointSets in obj written as the list of its sets' index lists.
 
     The standard library encodes in C only when indent is None.  This
     writer lays out the containers itself, appending to one list, and
     leaves strings and other scalars to the C encoder; it raises the
     TypeError json.dumps raises for a value or a key it cannot write.  A
-    list or tuple of plain ints, the rows and point sets that fill space
-    documents, is written in one join, and so is a list of such lists,
-    one join per row; a bool or an int subclass among the items sends
-    them item by item, since json.dumps writes those otherwise.  An
-    object, or a list that holds other containers, met again at a depth
-    where it was written before is copied as text: a report that shares
-    one verdict among many cycles writes it once.  Joined lists are never
-    kept, and are written anew to the same bytes when met again.  A
-    document that contains itself ends in RecursionError, where
-    json.dumps raises ValueError.
+    PointSets goes out in one piece straight from its masks: the bit
+    bytes of each mask select its index texts, made once per depth, in C;
+    a mask below 0 or with a bit at MAX_POINTS or past raises ValueError.
+    A list or tuple of plain ints is written in one join; a bool or an
+    int subclass among the items sends them item by item, since
+    json.dumps writes those otherwise.  An object, or a list that holds
+    other containers, met again at a depth where it was written before
+    is copied as text: a report that shares one verdict among many
+    cycles writes it once.  Joined lists and PointSets are never kept,
+    and are written anew to the same bytes when met again.  A document
+    that contains itself ends in RecursionError, where json.dumps raises
+    ValueError.
     """
     out = []
     put = out.append
     breaks = ["\n"]
+    index_texts = {}  # depth of a PointSets -> the texts of its indices
     # (id, depth) -> (start, end) of the container's chunks in out, then its
     # text once it is met again; held keeps every id in use for the call,
     # and the memo holds ints alone, which the garbage collector skips
@@ -109,14 +112,34 @@ def _dumps(obj):
         elif v is None:
             put(lead + "null")
         elif not isinstance(v, (list, tuple, dict)):
-            # floats, subclasses and what cannot be written: json.dumps
-            # without indent writes a scalar, or raises, in C
-            put(lead + json.dumps(v))
+            # a PointSets; floats, subclasses and what cannot be written:
+            # json.dumps without indent writes a scalar, or raises, in C
+            put(lead + (point_sets(v.masks, depth) if t is PointSets
+                        else json.dumps(v)))
         elif v:
             put(lead)
             container(v, depth)
         else:
             put(lead + ("{}" if isinstance(v, dict) else "[]"))
+
+    def point_sets(masks, depth):
+        # a set's bit bytes select its index texts, each with the comma and
+        # line break before it, from the texts of its depth
+        if not masks:
+            return "[]"
+        if min(masks) < 0 or max(masks) >> MAX_POINTS:
+            raise ValueError(f"a point set mask must lie in [0, 2**{MAX_POINTS})")
+        while len(breaks) < depth + 3:
+            breaks.append(breaks[-1] + "  ")
+        inner = breaks[depth + 1]
+        texts = index_texts.get(depth)
+        if texts is None:
+            deep = "," + breaks[depth + 2]
+            texts = index_texts[depth] = tuple([deep + str(i) for i in range(MAX_POINTS)])
+        tail = inner + "]"
+        return "[" + inner + ("," + inner).join([
+            "[" + "".join(compress(texts, _bit_bytes(m)))[1:] + tail if m else "[]"
+            for m in masks]) + breaks[depth] + "]"
 
     def container(o, depth):
         nonlocal written
@@ -145,15 +168,6 @@ def _dumps(obj):
             types = set(map(type, o))
             if types == _INT:  # not one bool: True is not 1
                 put("[" + inner + sep.join(map(int.__repr__, o)) + breaks[depth] + "]")
-                return
-            if types == _LIST and set(map(type, chain.from_iterable(o))) <= _INT:
-                if len(breaks) == depth + 2:
-                    breaks.append(inner + "  ")
-                deep = breaks[depth + 2]
-                sep2 = "," + deep
-                put("[" + inner + sep.join(
-                    ["[" + deep + sep2.join(map(int.__repr__, r)) + inner + "]"
-                     if r else "[]" for r in o]) + breaks[depth] + "]")
                 return
             head = "[" + inner
             for v in o:
@@ -270,12 +284,9 @@ def _cmd_complete(args):
     space = jsonio.space_from_json(_read_json(args.space))
     completion = build_yprime(space)
     emb = neighborhood_filter_embedding(completion)
-    names = {u: indices(u) for u in space.opens}
-    filters = [list(map(names.__getitem__, sorted_family(p)))
-               for p in completion.points]
     return {"space": jsonio.space_to_json(completion.space),
             "embedding": list(emb.assignment),
-            "filters": filters}
+            "filters": [PointSets(sorted_family(p)) for p in completion.points]}
 
 
 # -- action commands -----------------------------------------------------------
@@ -308,9 +319,9 @@ def _cmd_action(args):
         for stratum, sup in zip(filt.strata, supports):
             rows.append({"stratum": indices(stratum),
                          "support": indices(sup),
-                         "fibers": [indices(fiber_support(action, x))
-                                    for x in bits(stratum)]})
-        return {"layers": [indices(m) for m in filt.layers], "strata": rows}
+                         "fibers": PointSets(fiber_support(action, x)
+                                             for x in bits(stratum))})
+        return {"layers": PointSets(filt.layers), "strata": rows}
     base, values, prim = ajsonio.assignment_from_json(_read_json(args.file))
     return ajsonio.action_to_json(reconstruct(base, values, prim))
 

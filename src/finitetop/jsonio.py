@@ -1,7 +1,8 @@
 """JSON wire formats for spaces, maps, point sets, matrix rows and errors.
 
-Point sets travel as sorted lists of 0-based indices, or as comma-joined
-keys, and matrices as row-major integer lists.  Structural problems raise
+Point sets travel as sorted lists of 0-based indices (a family is written
+from a PointSets of masks) or as comma-joined keys, and matrices as
+row-major integer lists.  Structural problems raise
 InputFormatError; inputs that parse but fail a mathematical check (a
 family that is not a topology, a map that is not continuous) raise the
 usual FinitetopError subclasses so callers can tell the two apart.  A
@@ -95,13 +96,24 @@ _BIT = bytes.maketrans(b"01", b"\x00\x01")
 _POWERS = [1 << i for i in range(MAX_POINTS)]
 
 
-def indices(mask):
-    """The indices of the set bits of mask >= 0, ascending, as a list.
+def _bit_bytes(mask):
+    """mask >= 0 as bytes 0 and 1, low bit first, for compress to select by."""
+    return bin(mask)[:1:-1].encode().translate(_BIT)
 
-    The binary text, low bit first, becomes bytes 0 and 1 that select
-    from a count in C: no Python step per bit.
-    """
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT)))
+
+def indices(mask):
+    """The indices of the set bits of mask >= 0, ascending, as a list, in C."""
+    return list(compress(count(), _bit_bytes(mask)))
+
+
+class PointSets:
+    """A family of point sets as masks, which ``cli._dumps`` writes as index
+    lists; not a list, so ``json.dumps`` refuses it, never writing a mask."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks):
+        self.masks = tuple(masks)
 
 
 # -- spaces and maps -----------------------------------------------------------
@@ -153,7 +165,8 @@ def space_from_json(obj):
 
 
 def space_to_json(space):
-    out = {"size": space.size, "opens": [indices(u) for u in space.opens]}
+    """{"size": n, "opens": PointSets}, with "points" for a labeled space."""
+    out = {"size": space.size, "opens": PointSets(space.opens)}
     if space.labels is not None:
         out["points"] = list(space.labels)
     return out

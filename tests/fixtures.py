@@ -13,7 +13,7 @@ from finitetop.jsonio import (carrier_from_key, carrier_key, indices, matrix_to_
 from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
                                GroupHom, SixTermCycle)
 from finitetop.spaces import bits, family_key
-from oracles import diagonal_group, element_kernel, random_torsion_hom
+from oracles import diagonal_group, element_kernel, plain, random_torsion_hom
 
 # small torsion factors; products are kept at or below 36
 DIVISOR_POOL = (2, 2, 3, 4, 5, 6, 8, 9, 12)
@@ -139,15 +139,15 @@ def random_torsion_datum(rng, space):
 
 
 def map_to_json(f):
-    return {"domain": space_to_json(f.domain),
-            "codomain": space_to_json(f.codomain),
-            "values": list(f.assignment)}
+    return plain({"domain": space_to_json(f.domain),
+                  "codomain": space_to_json(f.codomain),
+                  "values": list(f.assignment)})
 
 
 def assignment_to_json(base, values, prim):
-    return {"base": space_to_json(base),
-            "prim": space_to_json(prim),
-            "values": {str(x): indices(m) for x, m in values.items()}}
+    return plain({"base": space_to_json(base),
+                  "prim": space_to_json(prim),
+                  "values": {str(x): indices(m) for x, m in values.items()}})
 
 
 def group_to_json(group):
@@ -175,7 +175,7 @@ def datum_to_json(datum):
                                                family_key(p[0][0]))):
         cycles.append({"open": carrier_key(u), "set": carrier_key(y),
                        "maps": [matrix_to_json(h.matrix) for h in cycle.maps]})
-    return {"space": space_to_json(datum.space),
+    return {"space": plain(space_to_json(datum.space)),
             "groups": groups, "cycles": cycles}
 
 

@@ -15,9 +15,23 @@ from finitetop.errors import (CapExceeded, MissingEmpty, MissingFull,
                               NotContinuous, NotLocallyClosed, NotWellDefined,
                               ShapeMismatch)
 from finitetop.intmat import IntMatrix
+from finitetop.jsonio import PointSets
 from finitetop.ktheory import DatumReport, FGAbelianGroup, GroupHom, verify_six_term
 from finitetop.spaces import (ContinuousMap, FiniteSpace, _closure,
                               alexandrov_topology, bits, mask_of)
+
+
+def plain(doc):
+    """doc with each PointSets replaced by a list of index lists, read off
+    bit by bit, and every other list, tuple and dict copied as it is."""
+    if isinstance(doc, PointSets):
+        return [[i for i in range(m.bit_length()) if m >> i & 1]
+                for m in doc.masks]
+    if isinstance(doc, dict):
+        return {k: plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(map(plain, doc))
+    return doc
 
 
 def random_poset_space(rng, n):

@@ -20,7 +20,7 @@ from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
 from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
                       datum_to_json, point_count_datum, random_torsion_datum,
                       sierpinski_torsion_json)
-from oracles import homeomorphism_oracle, random_poset_space
+from oracles import homeomorphism_oracle, plain, random_poset_space
 from finitetop import kjsonio
 from finitetop.ktheory import FGAbelianGroup, FiltratedKDatum, verify_datum
 
@@ -33,9 +33,19 @@ POSET5 = {"size": 5, "opens": [[], [0], [1], [2], [0, 1], [0, 2], [1, 2],
                                [0, 1, 2], [0, 1, 3], [0, 2, 4], [0, 1, 2, 3],
                                [0, 1, 2, 4], [0, 1, 2, 3, 4]]}
 # test_completion.WORST_BASE: the base whose completion has the most opens
-WORST = space_to_json(alexandrov_topology((1, 2, 4, 9, 27, 47)))
+WORST = plain(space_to_json(alexandrov_topology((1, 2, 4, 9, 27, 47))))
 NINTH = {"size": 4, "opens": [[], [0], [1], [0, 1], [0, 1, 2], [1, 3],
                               [0, 1, 3], [0, 1, 2, 3]]}
+NINTH_ACTION = {"base": NINTH, "prim": NINTH, "psi": [0, 1, 2, 3]}
+NINTH_IDEALS = {"base": NINTH, "prim": NINTH,
+                "values": {"0": [0], "1": [1], "2": [0, 1, 2], "3": [1, 3]}}
+# NINTH over the two-point chain: each fiber holds two points
+FILTRATED = {"base": {"size": 2, "opens": [[], [0], [0, 1]]}, "prim": NINTH,
+             "psi": [0, 0, 1, 1]}
+TO_POINT = {"domain": NINTH, "codomain": {"size": 1, "opens": [[], [0]]},
+            "values": [0, 0, 0, 0]}
+LABELED_DIAMOND = {"size": 4, "leq": [[1, 0], [2, 0], [3, 0], [3, 1], [3, 2]],
+                   "points": ["a", "b", "c", "d"]}
 
 
 def run(capsys, *argv):
@@ -48,10 +58,6 @@ def jfile(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
-
-
-def ninth_action_json():
-    return {"base": NINTH, "prim": NINTH, "psi": [0, 1, 2, 3]}
 
 
 # -- validate / info / soberify --------------------------------------------------
@@ -394,7 +400,7 @@ def test_complete_refuses_large_topology(tmp_path, capsys):
 
 
 def test_action_check(tmp_path, capsys):
-    path = jfile(tmp_path, "a.json", ninth_action_json())
+    path = jfile(tmp_path, "a.json", NINTH_ACTION)
     code, out, _ = run(capsys, "action", "check", path)
     assert code == 0
     parsed = json.loads(out)
@@ -404,7 +410,7 @@ def test_action_check(tmp_path, capsys):
 
 
 def test_action_restrict(tmp_path, capsys):
-    path = jfile(tmp_path, "a.json", ninth_action_json())
+    path = jfile(tmp_path, "a.json", NINTH_ACTION)
     code, out, _ = run(capsys, "action", "restrict", path, "--set", "1,3")
     assert code == 0
     parsed = json.loads(out)
@@ -413,14 +419,14 @@ def test_action_restrict(tmp_path, capsys):
 
 
 def test_action_restrict_needs_set(tmp_path):
-    path = jfile(tmp_path, "a.json", ninth_action_json())
+    path = jfile(tmp_path, "a.json", NINTH_ACTION)
     with pytest.raises(SystemExit) as err:
         main(["action", "restrict", path])
     assert err.value.code == 2
 
 
 def test_action_pushforward(tmp_path, capsys):
-    path = jfile(tmp_path, "a.json", ninth_action_json())
+    path = jfile(tmp_path, "a.json", NINTH_ACTION)
     point = {"size": 1, "opens": [[], [0]]}
     mp = jfile(tmp_path, "m.json",
                {"domain": NINTH, "codomain": point, "values": [0, 0, 0, 0]})
@@ -433,7 +439,7 @@ def test_action_pushforward(tmp_path, capsys):
 
 
 def test_action_filtrate(tmp_path, capsys):
-    path = jfile(tmp_path, "a.json", ninth_action_json())
+    path = jfile(tmp_path, "a.json", NINTH_ACTION)
     code, out, _ = run(capsys, "action", "filtrate", path)
     assert code == 0
     parsed = json.loads(out)
@@ -962,13 +968,28 @@ PINNED_STDOUT = [
     # index lists were written one integer at a time
     (["complete", WORST], 2391971,
      "ffbd8419bf25dde1cc4a5a08b614e4541bdf6619cc0a35d88df341f8fb3732b2"),
+    # documents whose spaces, layers and fibers were written as index lists
+    (["action", "filtrate", FILTRATED], 440,
+     "daf1bc90818e65296fdecdc01d09c209eb0f83a12ec4488bd882c9407d4084f1"),
+    (["action", "filtrate", NINTH_ACTION], 529,
+     "91ef8f2a98d89da008fadf2829f51c2ea61bc36c16ab2d4051360ea40bcf8706"),
+    (["action", "restrict", NINTH_ACTION, "--set", "1,3"], 438,
+     "d9ad17a800392a76dc3b668990c505b16e989113286e4d405e780df63a49d26c"),
+    (["action", "pushforward", NINTH_ACTION, TO_POINT], 485,
+     "45352d244cc6996af558ce641c9d17384f4325f59a7e739b73a9c64749e5995f"),
+    (["action", "reconstruct", NINTH_IDEALS], 746,
+     "2cbcaf8d8ac08fdb402cec286155efacd68055233b6e3480e274eb67c201aa42"),
+    (["alexandrov", "--from-preorder", LABELED_DIAMOND], 263,
+     "4d473ea61c8ea41b0e60009081b81b20365e489deb340dab53f7b82b6f92f78b"),
+    (["enumerate", "--points", "6", "--up-to-homeo"], 585621,
+     "6e4bc928e33d89238d0a28ee95dee8f7d6ff5d87dba9c044865622ef5cf626a1"),
 ]
 
 
 @pytest.mark.parametrize("argv,length,digest", PINNED_STDOUT)
 def test_stdout_bytes_pinned(tmp_path, capsys, argv, length, digest):
-    argv = [jfile(tmp_path, "s.json", a) if isinstance(a, dict) else a
-            for a in argv]
+    argv = [jfile(tmp_path, f"{i}.json", a) if isinstance(a, dict) else a
+            for i, a in enumerate(argv)]
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert len(out) == length
@@ -996,7 +1017,7 @@ def test_one_parser_answers_like_a_fresh_process(tmp_path, capsys, monkeypatch):
     # help text wraps at COLUMNS, which the child inherits
     monkeypatch.setenv("COLUMNS", "80")
     files = {"space": jfile(tmp_path, "s.json", SIERPINSKI),
-             "action": jfile(tmp_path, "a.json", ninth_action_json()),
+             "action": jfile(tmp_path, "a.json", NINTH_ACTION),
              "matrix": jfile(tmp_path, "m.json", [[4, 6], [2, 2]])}
     calls = [
         ["info", "{space}"],

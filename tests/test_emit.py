@@ -5,7 +5,8 @@ standard library's byte for byte: sorted keys, ASCII with \\u escapes,
 two-space indent, the same key conversion and the same exception class
 for what neither can write.  Documents share sub-objects at one depth and
 at several, since the writer copies a container met again at a depth as
-text.
+text.  A PointSets, which json.dumps cannot write, must come out as the
+standard library writes its sets as index lists, read off bit by bit.
 """
 
 import contextlib
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetop.cli import _dumps
+from finitetop.jsonio import PointSets
+from oracles import plain
 
 # lone surrogates, C0 controls, DEL, a line separator and a non-BMP character
 ODD_CHARACTERS = "\ud800\udbff\udc00\udfff\x00\x1f\x7f\u2028\U0001f600\xe9\\\""
@@ -165,6 +168,46 @@ def row_documents():
 def test_writer_writes_lists_of_int_rows_as_json_dumps_writes(doc):
     with digit_limit_lifted():
         assert _dumps(doc) == stdlib(doc)
+
+
+# masks of point sets on up to 63 points, with the empty set and the top point
+masks = st.one_of(st.integers(0, (1 << 63) - 1), st.sampled_from([0, 1 << 62]))
+point_sets = st.lists(masks, max_size=5).map(PointSets)
+
+
+def point_set_documents():
+    """PointSets inside dicts, lists and tuples, and one PointSets shared
+    twice at one depth and once a level deeper."""
+    def document(shared, tree):
+        return {"tree": tree, "twice": [shared, shared], "deeper": [[shared]]}
+    return st.builds(document, point_sets,
+                     trees(st.one_of(scalars, point_sets), key_families))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_set_documents())
+def test_writer_writes_point_sets_as_json_dumps_writes_their_index_lists(doc):
+    with digit_limit_lifted():
+        assert _dumps(doc) == stdlib(plain(doc))
+
+
+@pytest.mark.parametrize("doc", [
+    PointSets([]), PointSets([0]), [PointSets([0, 1 << 62, (1 << 63) - 1])],
+    ({"opens": PointSets([0, 5, 3])}, PointSets([]))])
+def test_writer_writes_the_point_set_edge_cases(doc):
+    assert _dumps(doc) == stdlib(plain(doc))
+
+
+def test_point_sets_are_not_written_as_numbers():
+    # json.dumps cannot write a PointSets, so no writer puts masks out as
+    # ints; _dumps refuses a mask that is not a set of points 0..62
+    with pytest.raises(TypeError):
+        json.dumps(PointSets([1, 2]))
+    with pytest.raises(TypeError):
+        json.dumps({"opens": PointSets([])})
+    for mask in (-1, 1 << 63):
+        with pytest.raises(ValueError):
+            _dumps({"opens": PointSets([0, mask])})
 
 
 INF = float("inf")
