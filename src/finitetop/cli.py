@@ -1,8 +1,9 @@
 """Batch command line: spaces in, JSON (or DOT) out.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (the reason
-goes to standard error as JSON), 2 for malformed input or usage.  File
-arguments accept "-" for standard input.  All JSON output has sorted
+goes to standard error as JSON), 2 for malformed input or usage, 141
+(128 + SIGPIPE) with nothing written when standard output closes early.
+File arguments accept "-" for standard input.  All JSON output has sorted
 keys, so identical inputs give identical bytes.  A JSON object that gives
 one key twice is malformed input.
 
@@ -18,6 +19,7 @@ command no group code, and a group command no action code.
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import compress
@@ -454,12 +456,23 @@ def main(argv=None):
         parser.error(f"--points must be nonnegative, got {args.points}")
     try:
         out = args.func(args)
-        if isinstance(out, str):
-            sys.stdout.write(out)
-            return 0
-        ok = out.get("ok", True)
-        _emit(out, stream=None if ok else sys.stderr)
-        return 0 if ok else 1
+        if not isinstance(out, str) and not out.get("ok", True):
+            _emit(out, stream=sys.stderr)
+            return 1
+        try:
+            if isinstance(out, str):
+                sys.stdout.write(out)
+            else:
+                _emit(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the rest of the buffer goes nowhere, as in the signal docs' note
+            # on SIGPIPE; main also runs in other programs, so sets no handler
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            return 141
+        return 0
     except InputFormatError as exc:
         out = {"error": "input", "message": str(exc)}
         if isinstance(exc, FinitetopError):  # an input cap names its limit

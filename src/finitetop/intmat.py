@@ -6,7 +6,8 @@ the diagonal case through the recorded unimodular transforms.
 
 A matrix is factored at most once: the (U, D, V) of its Smith normal form
 is kept on the immutable matrix, and every later ``smith_normal_form``,
-``solve`` and ``kernel_basis`` on it answers from that one factorisation.
+``solve``, ``kernel_basis`` and membership test on it answers from that
+one factorisation; a membership test reads U and D alone.
 """
 
 from __future__ import annotations
@@ -240,13 +241,10 @@ def _factor(matrix):
     return um, dm, vm
 
 
-def solve(matrix, b):
-    """One integer solution x of A·x = b as a tuple, or None.
-
-    b is one vector of length A.rows; a caller with several right-hand
-    sides solves them one by one.
-    """
-    u, d, v = smith_normal_form(matrix)
+def _diagonal_solution(matrix, b):
+    """y with D·y = U·b as a list, or None: A·x = b exactly when x = V·y,
+    so U and D alone decide whether b lies in the column span of A."""
+    u, d, _ = smith_normal_form(matrix)
     diag = d.diagonal()
     y = [0] * matrix.cols
     for i, ub in enumerate(u.apply(b)):
@@ -258,7 +256,17 @@ def solve(matrix, b):
             if ub % di:
                 return None
             y[i] = ub // di
-    return v.apply(y)
+    return y
+
+
+def solve(matrix, b):
+    """One integer solution x of A·x = b as a tuple, or None.
+
+    b is one vector of length A.rows; a caller with several right-hand
+    sides solves them one by one.
+    """
+    y = _diagonal_solution(matrix, b)
+    return None if y is None else smith_normal_form(matrix)[2].apply(y)
 
 
 def kernel_basis(matrix):

@@ -18,7 +18,7 @@ from .errors import (
     ShapeMismatch,
     SquareNotCommuting,
 )
-from .intmat import IntMatrix, kernel_basis, smith_normal_form, solve
+from .intmat import IntMatrix, _diagonal_solution, kernel_basis, smith_normal_form
 from .spaces import _up_sets, bits, family_key, mask_of, sorted_family
 
 
@@ -101,13 +101,11 @@ class GradedGroup(namedtuple("GradedGroup", "even odd")):
         return self.even.is_zero() and self.odd.is_zero()
 
 
-def _stray_column(matrix, group):
-    """Index of the first column outside group's relation span, or None.
-
-    A zero column lies in every span, so only the others are solved.
-    """
-    for j, column in enumerate(matrix.transpose().entries):
-        if any(column) and solve(group.relations, column) is None:
+def _stray_column(columns, span):
+    """Index of the first of the columns outside the column span of span, or
+    None.  A zero column lies in every span, so only the others are tested."""
+    for j, column in enumerate(columns):
+        if any(column) and _diagonal_solution(span, column) is None:
             return j
     return None
 
@@ -117,44 +115,50 @@ class GroupHom:
 
     matrix is (codomain generators x domain generators); well-definedness
     means every domain relator maps into the span of codomain relators.
+    columns holds the columns of matrix.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "_reach", "_kernel")
+    __slots__ = ("domain", "codomain", "matrix", "columns", "_reach", "_kernel")
 
     def __init__(self, domain, codomain, matrix):
         if matrix.rows != codomain.generators or matrix.cols != domain.generators:
             raise ShapeMismatch(
                 f"matrix is {matrix.rows}x{matrix.cols}, expected "
                 f"{codomain.generators}x{domain.generators}")
-        if _stray_column(matrix @ domain.relations, codomain) is not None:
+        if domain.relations.cols and _stray_column(
+                map(matrix.apply, domain.relations.transpose().entries),
+                codomain.relations) is not None:
             raise NotWellDefined("matrix does not respect the domain relations")
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
+        self.columns = matrix.transpose().entries
         self._reach = None
         self._kernel = None
 
     def reach(self):
-        """[matrix | codomain relations], built once and factored once.
+        """[matrix | codomain relations], built at most once, factored once.
 
-        A vector of the codomain lies in the image exactly when it solves
-        against this matrix, and the first domain.generators rows of its
-        kernel generate the kernel of the map modulo domain relations.
+        A vector of the codomain lies in the image exactly when it lies in
+        its column span, and the first domain.generators rows of its kernel
+        generate the kernel of the map modulo domain relations.  Out of a
+        zero group it is the codomain's relations, into a free group the
+        matrix: the same objects, so their factorisations are shared.
         """
+        if not self.matrix.cols:
+            return self.codomain.relations
+        if not self.codomain.relations.cols:
+            return self.matrix
         if self._reach is None:
             self._reach = self.matrix.hstack(self.codomain.relations)
         return self._reach
 
-    def kernel_generators(self):
-        """Columns generating the kernel, built once.
-
-        Projections of the kernel of reach(), together with the domain
-        relators (which always map to zero).
-        """
+    def kernel_columns(self):
+        """Columns that generate the kernel together with the domain
+        relators, built once: the kernel of reach() cut to the domain."""
         if self._kernel is None:
             sols = kernel_basis(self.reach())
-            self._kernel = sols.top(self.domain.generators).hstack(
-                self.domain.relations)
+            self._kernel = sols.top(self.domain.generators).transpose().entries
         return self._kernel
 
     @classmethod
@@ -170,7 +174,8 @@ class GroupHom:
         """Same presentations and same induced map (matrices may differ)."""
         return (isinstance(other, GroupHom)
                 and self.domain == other.domain and self.codomain == other.codomain
-                and _stray_column(self.matrix - other.matrix, self.codomain) is None)
+                and _stray_column((self.matrix - other.matrix).transpose().entries,
+                                  self.codomain.relations) is None)
 
     def __repr__(self):
         return f"GroupHom({self.domain!r} -> {self.codomain!r})"
@@ -208,7 +213,8 @@ def _subgroup_presentation(generating, ambient):
 
 def kernel(f):
     """The kernel subgroup with its inclusion into the domain."""
-    gens = f.kernel_generators()
+    gens = IntMatrix.from_columns(f.kernel_columns(), f.domain.generators).hstack(
+        f.domain.relations)
     group = _subgroup_presentation(gens, f.domain)
     return group, GroupHom(group, f.domain, gens)
 
@@ -238,22 +244,21 @@ class ExactnessReport(namedtuple("ExactnessReport", "ok reason witness",
 def is_exact_at(f, g):
     """Exactness of A --f--> B --g--> C at B, with a witness when it fails.
 
-    Checks that g after f induces zero and that every kernel generator of g
-    is hit by f modulo the relations of B.  The last kernel generators are
-    B's relators, which are columns of f.reach() itself, so only the ones
-    before them are solved.
+    Checks that g after f induces zero, applying g to the columns of f,
+    and that every kernel generator of g is hit by f modulo the relations
+    of B.  The last kernel generators are B's relators, which are columns
+    of f.reach() itself, so only g.kernel_columns() are tested.
     """
     if f.codomain != g.domain:
         raise NotComposable("maps do not meet at a common middle group")
-    j = _stray_column(g.matrix @ f.matrix, g.codomain)
+    j = _stray_column(map(g.matrix.apply, f.columns), g.codomain.relations)
     if j is not None:
         return ExactnessReport(False, "composite is not zero", ("generator", j))
-    reach = f.reach()
-    kernel = g.kernel_generators()
-    for k in kernel.transpose().entries[:kernel.cols - g.domain.relations.cols]:
-        if solve(reach, k) is None:
-            return ExactnessReport(False, "kernel element not in the image",
-                                   ("kernel generator", k))
+    kernel = g.kernel_columns()
+    j = _stray_column(kernel, f.reach())
+    if j is not None:
+        return ExactnessReport(False, "kernel element not in the image",
+                               ("kernel generator", kernel[j]))
     return ExactnessReport(True)
 
 
@@ -517,7 +522,7 @@ def two_point_sequence(top, right, left, bottom):
     if bottom.codomain != right.codomain:
         raise ShapeMismatch("right and bottom maps must share their codomain")
     diff = right.matrix @ top.matrix - bottom.matrix @ left.matrix
-    j = _stray_column(diff, right.codomain)
+    j = _stray_column(diff.transpose().entries, right.codomain.relations)
     if j is not None:
         raise SquareNotCommuting("the two composites differ",
                                  witness=("generator", j, diff.column(j)))

@@ -155,7 +155,10 @@ def _up_sets(rows, within=None):
     """
     if within is None:
         within = (1 << len(rows)) - 1
-    downs = {c: _down(rows, 1 << c) for c in bits(within)}
+    downs = [0] * len(rows)  # downs[c]: the points of within whose row holds c
+    for x in bits(within):
+        for c in bits(rows[x] & within):
+            downs[c] |= 1 << x
     opens = []
 
     def rec(rest, cur):

@@ -65,15 +65,19 @@ def datum_rows(datum):
             for pair, cycle in datum.cycles.items()}
 
 
-def point_count_datum(space):
-    """Evenly graded datum: functions from the carrier to the integers.
+def point_count_datum(space, modulus=0):
+    """Evenly graded datum: functions from the carrier to the integers,
+    or to Z/modulus when modulus is not 0.
 
-    even(A) is free on the points of A, restriction and extension by zero
-    give short exact sequences, the odd part vanishes.  Passes verification
-    over any space.  Each pair's matrices are new lists.
+    even(A) is free on the points of A (each point of order modulus),
+    restriction and extension by zero give short exact sequences, the odd
+    part vanishes.  Passes verification over any space.  Each pair's
+    matrices are new lists.
     """
     zero = FGAbelianGroup.zero()
-    assignment = {y: GradedGroup(FGAbelianGroup.free(y.bit_count()), zero)
+    assignment = {y: GradedGroup(diagonal_group((modulus,) * y.bit_count())
+                                 if modulus else FGAbelianGroup.free(y.bit_count()),
+                                 zero)
                   for y in space.locally_closed_sets()}
     maps = {}
     for y in assignment:

@@ -14,7 +14,7 @@ import finitetop
 from finitetop.action import ActionOverX, minimal_ideals
 from finitetop.cli import main
 from finitetop.intmat import GENERATORS_CAP, IntMatrix
-from finitetop.jsonio import space_from_json, space_to_json
+from finitetop.jsonio import carrier_key, space_from_json, space_to_json
 from finitetop.spaces import (OPEN_FAMILY_CAP, ContinuousMap, FiniteSpace,
                               alexandrov_topology)
 from fixtures import (assignment_to_json, constant_zero_datum, datum_rows,
@@ -886,6 +886,40 @@ def test_ktheory_datum_verify_defect_bytes(tmp_path, capsys):
             == "50b7fbbb28d1e4a51fefac2ce195448765d4a421ecfe6deab6e856b01bd7a4ad")
 
 
+def torsion_defect_datum():
+    """Z/6 on every point of a seeded 5-point poset, with the restriction
+    map of one pair, the last with points on both sides, replaced by zero;
+    returns the datum and that pair."""
+    space = random_poset_space(random.Random(11), 5)
+    good = point_count_datum(space, modulus=6)
+    maps = datum_rows(good)
+    u, y = [p for p in good.cycles if p[0] and p[1] & ~p[0]][-1]
+    maps[(u, y)][1] = [[0] * y.bit_count()] * (y & ~u).bit_count()
+    return FiltratedKDatum(space, good.assignment, maps), (u, y)
+
+
+def test_ktheory_datum_verify_torsion_defect_bytes(tmp_path, capsys):
+    # the zero restriction leaves the kernels at nodes 1 and 2 of its cycle
+    # unhit, and every other cycle exact; the witnesses come from columns
+    # of V, so every byte of the failing report is pinned
+    datum, (u, y) = torsion_defect_datum()
+    path = jfile(tmp_path, "d.json", datum_to_json(datum))
+    code, out, err = run(capsys, "ktheory", "datum-verify", path)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["ok"] is False and doc["propagation"] is None
+    failures = [r for r in doc["cycles"]["results"] if not r["report"]["ok"]]
+    assert [(r["open"], r["set"]) for r in failures] == [(carrier_key(u), carrier_key(y))]
+    nodes = failures[0]["report"]["nodes"]
+    assert [n["reason"] for n in nodes if not n["ok"]] == [
+        "kernel element not in the image"] * 2
+    assert [n["witness"] for n in nodes[1:3]] == [
+        ["kernel generator", [0, 0, 1, 0, 0]], ["kernel generator", [1]]]
+    assert len(err) == 68125
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "8ada8426d5b38218780c8ff7d4f0ada097bf0493aa80a7fb976b5f4068452cf7")
+
+
 def large_point_count_datum():
     return point_count_datum(random_poset_space(random.Random(3), 6))
 
@@ -996,13 +1030,38 @@ def test_stdout_bytes_pinned(tmp_path, capsys, argv, length, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def fresh_env():
+    """The environment of a new interpreter that imports this test's package."""
+    src = os.path.dirname(os.path.dirname(finitetop.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run_fresh(*argv):
     """The command line in a new interpreter that imports this test's package."""
-    src = os.path.dirname(os.path.dirname(finitetop.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=fresh_env(), timeout=60)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["enumerate", "--points", "5", "--up-to-homeo"], 141),  # a document
+    (["enumerate", "--points", "3", "--table"], 141),  # text
+    (["info", "/no/such/file.json"], 2),  # unreadable input stays bad input
+])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, code):
+    # the reader of stdout is gone before the first byte, as after
+    # `| head -c 10`: not an input fault, and nothing to report
+    proc = subprocess.Popen([sys.executable, "-m", "finitetop.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=fresh_env())
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == code
+    if code == 141:
+        assert err == b""
+    else:
+        assert json.loads(err)["error"] == "io"
 
 
 def test_module_entry_point(tmp_path):

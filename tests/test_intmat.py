@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitetop.intmat import IntMatrix, kernel_basis, smith_normal_form, solve
+from finitetop.intmat import (IntMatrix, _diagonal_solution, kernel_basis,
+                              smith_normal_form, solve)
 from oracles import determinant, determinantal_divisors, random_matrix, rational_rank
 
 
@@ -228,3 +229,48 @@ def test_normal_form_transforms_are_pinned():
         digest.update(repr(tuple(t.entries for t in smith_normal_form(m))).encode())
     assert digest.hexdigest() == (
         "769d4d14ec873f40796ea1dcfae53178b87c616ae219dc2091ac8e40ac538dca")
+
+
+def membership_corpus():
+    """300 seeded (A, b): shapes up to 5 x 5, among them no rows or no
+    columns, every tenth A all zero, some A = A0·diag(d) with d up to 4,
+    and b = A·x, half of them moved by a small offset."""
+    rng = random.Random("span membership")
+    for k in range(300):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        if k % 10 == 0:
+            m = IntMatrix.zeros(rows, cols)
+        elif k % 3 == 0:
+            scale = [rng.randint(1, 4) for _ in range(cols)]
+            m = IntMatrix([[rng.randint(-2, 2) * s for s in scale]
+                           for _ in range(rows)], rows, cols)
+        else:
+            m = IntMatrix([[rng.randint(-4, 4) for _ in range(cols)]
+                           for _ in range(rows)], rows, cols)
+        b = m.apply(tuple(rng.randint(-3, 3) for _ in range(cols)))
+        if k % 2:
+            b = tuple(v + rng.randint(-2, 2) for v in b)
+        yield m, b
+
+
+def test_membership_reads_u_and_d_alone_and_agrees_with_solve():
+    # the diagonal step decides membership; solve applies V to its answer
+    seen = set()
+    for m, b in membership_corpus():
+        y = _diagonal_solution(m, b)
+        x = solve(m, b)
+        assert (y is None) == (x is None)
+        if x is None:
+            # torsion: in the rational span, not the integer one
+            stacked = IntMatrix([list(r) + [v] for r, v in zip(m.entries, b)],
+                                m.rows, m.cols + 1)
+            seen.add("torsion" if rational_rank(stacked) == rational_rank(m)
+                     else "outside")
+        else:
+            assert m.apply(x) == b
+            assert smith_normal_form(m)[2].apply(y) == x
+            seen.add("inside")
+        seen.add((m.rows == 0, m.cols == 0, not any(map(any, m.entries))))
+    assert {"inside", "outside", "torsion"} <= seen
+    assert {(True, False, True), (False, True, True), (False, False, True),
+            (False, False, False)} <= seen

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from finitetop import jsonio, kjsonio, ktheory
+from finitetop import intmat, jsonio, kjsonio, ktheory
 from finitetop.errors import (NotComposable, NotLocallyClosed, NotWellDefined,
                               ShapeMismatch, SquareNotCommuting)
 from finitetop.intmat import IntMatrix, kernel_basis
@@ -521,6 +521,39 @@ def test_verify_datum_builds_each_kernel_once(monkeypatch):
     assert verify_datum(datum).ok
     nodes = {(id(f), id(g)) for f, g in _nodes(datum)}
     assert len(calls) == len(seconds) < len(nodes)
+
+
+def test_reach_is_a_matrix_the_map_already_holds():
+    # out of a zero group the reach is the codomain's relations, into a
+    # free group the map's matrix: no new matrix, and their normal forms
+    # are shared
+    out_of_zero = GroupHom(FGAbelianGroup.zero(), CYCLIC(4), IntMatrix.zeros(1, 0))
+    assert out_of_zero.reach() is out_of_zero.codomain.relations
+    into_free = GroupHom(CYCLIC(2), Z(2), IntMatrix([[0], [0]]))
+    assert into_free.reach() is into_free.matrix
+    doubling = GroupHom(Z(1), CYCLIC(4), IntMatrix([[2]]))
+    assert doubling.reach() is doubling.reach()
+    assert doubling.reach() == IntMatrix([[2, 4]])
+
+
+def test_datum_read_and_verified_with_a_pinned_factorisation_count(monkeypatch):
+    # Z/6 on every point of the 6-point datum read from its file: each
+    # distinct group is factored once when read, and each map's reach at
+    # most once when verified, never when the map leaves a zero group
+    raw = datum_to_json(point_count_datum(random_poset_space(random.Random(3), 6), 6))
+    calls = []
+    factor = intmat._factor
+
+    def counted(matrix):
+        calls.append(matrix)
+        return factor(matrix)
+
+    monkeypatch.setattr(intmat, "_factor", counted)
+    datum = kjsonio.datum_from_json(raw)
+    assert len(calls) == 7
+    assert verify_datum(datum).ok
+    assert len(calls) == 155
+    assert len({id(m) for m in calls}) == len(calls)
 
 
 def test_datum_read_from_json_wires_and_decides_each_distinct_cycle_once(
