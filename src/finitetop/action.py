@@ -16,7 +16,7 @@ from .errors import (
     NotOpen,
     NotSober,
 )
-from .spaces import ContinuousMap, bits
+from .spaces import ContinuousMap, _downs, bits
 
 
 class ActionOverX:
@@ -153,7 +153,7 @@ def reconstruct(base, values, prim):
     for x in range(base.size):
         for p in bits(values[x]):
             below[p] |= 1 << x
-    generic = {base.closure(1 << x): x for x in range(base.size)}
+    generic = {c: x for x, c in enumerate(_downs(base.rows))}
     psi = ContinuousMap(prim, base, [generic[base.closure(b)] for b in below])
     return ActionOverX(base, prim, psi)
 

@@ -34,7 +34,7 @@ from .spaces import (
     _closure,
     _components,
     _covers,
-    _down,
+    _downs,
     _up_sets,
     alexandrov_topology,
     bits,
@@ -251,8 +251,7 @@ def _poset_level(k):
     bit = 1 << k - 1
     grown = {}
     for _, rows, _ in _poset_level(k - 1):
-        downs = [_down(rows, 1 << x) for x in range(k - 1)]
-        for d in _up_sets(downs):
+        for d in _up_sets(_downs(rows)):
             new = tuple(r | bit if d >> y & 1 else r
                         for y, r in enumerate(rows)) + (bit,)
             form, aut = _canonical(new, (1,) * k)

@@ -11,6 +11,8 @@ with more than GENERATORS_CAP generators or relations is refused with
 InputCapExceeded before anything is built for it.
 """
 
+import marshal
+
 from .errors import InputCapExceeded, InputFormatError
 from .intmat import GENERATORS_CAP, IntMatrix
 from .jsonio import (_int, _obj, carrier_from_key, carrier_key, indices,
@@ -110,11 +112,10 @@ def datum_from_json(obj):
     and builds their maps.  Each distinct key string is parsed once, and
     each distinct presentation is built and factored once: carriers with
     equal groups share one FGAbelianGroup.  Each distinct maps list, told
-    apart by its text str(maps), is checked and turned into one tuple of
+    apart by its marshal bytes, is checked and turned into one tuple of
     row tuples once, which the cycles that repeat it share, so
-    FiltratedKDatum wires each distinct cycle once.  A list holding an
-    integer past the interpreter's int-to-str limit, which json.loads
-    never gives, has no text and is read on its own.
+    FiltratedKDatum wires each distinct cycle once.  A list that marshal
+    refuses, holding a list subclass, say, is read on its own.
     """
     obj = _obj(obj, "datum")
     space = space_from_json(_obj(obj.get("space"), "datum space"))
@@ -148,7 +149,7 @@ def datum_from_json(obj):
     raw_cycles = obj.get("cycles")
     if not isinstance(raw_cycles, list):
         raise InputFormatError("datum needs a cycles list")
-    texts = {}
+    read = {}
     cycles = {}
     for entry in raw_cycles:
         entry = _obj(entry, "cycle entry")
@@ -161,15 +162,15 @@ def datum_from_json(obj):
         maps = entry.get("maps")
         if not isinstance(maps, list) or len(maps) != 6:
             raise InputFormatError("each cycle entry needs six maps")
-        # the text tells true and 1.0 from 1, which equal 1 as values; a
-        # text met again was checked where it first appeared
+        # the bytes tell true and 1.0 from 1, and version 2 writes no
+        # back-references: equal bytes were checked where first met
         try:
-            text = str(maps)
+            packed = marshal.dumps(maps, 2)
         except ValueError:
-            text = id(maps)
-        rows = texts.get(text)
+            packed = id(maps)
+        rows = read.get(packed)
         if rows is None:
-            rows = texts[text] = tuple(
+            rows = read[packed] = tuple(
                 tuple(map(tuple, matrix_rows(m, f"cycle map {i}")))
                 for i, m in enumerate(maps))
         cycles[(u, y)] = rows
@@ -193,10 +194,10 @@ def cycle_report_to_json(report, node_to_json=exactness_to_json):
 def datum_report_to_json(report):
     """The report with one node object per distinct verdict.
 
-    verify_datum shares each distinct node's verdict among its cycles, so
-    the node objects are keyed by the verdicts' identities, and cycles
-    that meet the same verdicts share one cycle object: shared, each is
-    written once.  Each carrier's key is named once.
+    verify_datum shares one verdict per distinct node, one for all exact
+    nodes, and one CycleReport per tuple of verdicts, so node objects are
+    keyed by the verdicts' identities and cycle objects by the reports':
+    shared, each is written once.  Each carrier's key is named once.
     """
     nodes = {}
     cycles = {}
@@ -216,10 +217,9 @@ def datum_report_to_json(report):
 
     results = []
     for (u, y), rep in report.results:
-        key = tuple(map(id, rep.nodes))
-        cycle = cycles.get(key)
+        cycle = cycles.get(id(rep))
         if cycle is None:
-            cycle = cycles[key] = cycle_report_to_json(rep, node_to_json)
+            cycle = cycles[id(rep)] = cycle_report_to_json(rep, node_to_json)
         results.append({"open": name(u), "set": name(y), "report": cycle})
     return {"ok": report.ok, "results": results}
 

@@ -241,13 +241,17 @@ class ExactnessReport(namedtuple("ExactnessReport", "ok reason witness",
         return self.ok
 
 
+_EXACT = ExactnessReport(True)
+
+
 def is_exact_at(f, g):
     """Exactness of A --f--> B --g--> C at B, with a witness when it fails.
 
     Checks that g after f induces zero, applying g to the columns of f,
     and that every kernel generator of g is hit by f modulo the relations
     of B.  The last kernel generators are B's relators, which are columns
-    of f.reach() itself, so only g.kernel_columns() are tested.
+    of f.reach() itself, so only g.kernel_columns() are tested.  Every
+    exact node gets one shared report, a failing node its own.
     """
     if f.codomain != g.domain:
         raise NotComposable("maps do not meet at a common middle group")
@@ -259,7 +263,7 @@ def is_exact_at(f, g):
     if j is not None:
         return ExactnessReport(False, "kernel element not in the image",
                                ("kernel generator", kernel[j]))
-    return ExactnessReport(True)
+    return _EXACT
 
 
 class SixTermCycle:
@@ -304,8 +308,8 @@ class CycleReport(namedtuple("CycleReport", "nodes")):
 
 def _cycle_report(cycle, decide):
     """decide(f, g) at each node of the cycle, node i between maps i - 1 and i."""
-    return CycleReport(tuple(decide(cycle.maps[(i - 1) % 6], cycle.maps[i])
-                             for i in range(6)))
+    return CycleReport(tuple([decide(cycle.maps[i - 1], cycle.maps[i])
+                              for i in range(6)]))
 
 
 def verify_six_term(cycle):
@@ -335,13 +339,13 @@ class FiltratedKDatum:
     (u, y), u relatively open in y, its six matrices as integer rows in
     cycle order.  The datum holds one object per distinct group: equal
     groups on several carriers, compared by value once per carrier, share
-    one FGAbelianGroup.  It wires the maps into the six-term cycle on
-    (even(u), even(y), even(y minus u), odd(u), odd(y), odd(y minus u)),
-    building each distinct map once, keyed by the identities of its two
-    groups and its rows, so the cycles that hold it share one GroupHom.
-    Pairs whose six groups are the same objects and whose maps are one
-    rows object, as datum_from_json gives every repeat of a maps text,
-    share one SixTermCycle, wired and checked once.
+    one FGAbelianGroup, and carriers with the same two share a GradedGroup.
+    It wires the maps into the six-term cycle on (even(u), even(y),
+    even(y minus u), odd(u), odd(y), odd(y minus u)), building each
+    distinct map once, keyed by the identities of its two groups and its
+    rows, so the cycles that hold it share one GroupHom.  Pairs whose
+    graded groups and rows object are the same, as datum_from_json gives
+    every repeat of a maps list, share one SixTermCycle, wired once.
 
     The constructor raises each kind of fault before the next: an assigned
     carrier that is not locally closed (NotLocallyClosed), a locally
@@ -367,11 +371,13 @@ class FiltratedKDatum:
         # every locally closed set now has a group, and only those do; equal
         # groups become one object, so maps can be keyed by identity
         shared = {}
+        by_parts = {}
         self.assignment = {}
         for c in sorted_family(assignment):
             g = assignment[c]
-            self.assignment[c] = GradedGroup(shared.setdefault(g.even, g.even),
-                                             shared.setdefault(g.odd, g.odd))
+            g = GradedGroup(shared.setdefault(g.even, g.even),
+                            shared.setdefault(g.odd, g.odd))
+            self.assignment[c] = by_parts.setdefault((id(g.even), id(g.odd)), g)
         pairs = self.pairs()
         relative_open = set(pairs)
         for u, y in maps:
@@ -392,11 +398,11 @@ class FiltratedKDatum:
         graded = self.assignment
         for u, y in pairs:
             gu, gy, gr = graded[u], graded[y], graded[y & ~u]
-            groups = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
             rows = maps[(u, y)]
-            key = (*map(id, groups), id(rows))
+            key = (id(gu), id(gy), id(gr), id(rows))
             cycle = wired.get(key)
             if cycle is None:
+                groups = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
                 if len(rows) != 6:
                     raise ShapeMismatch("a cycle needs six groups and six maps")
                 homs = []
@@ -421,13 +427,13 @@ class FiltratedKDatum:
 
 
 class DatumReport(namedtuple("DatumReport", "results")):
-    """results holds ((u, y), CycleReport) pairs."""
+    """results holds ((u, y), CycleReport) pairs; ok reads each distinct one once."""
 
     __slots__ = ()
 
     @property
     def ok(self):
-        return all(r.ok for _, r in self.results)
+        return all(r.ok for r in {id(r): r for _, r in self.results}.values())
 
 
 def verify_datum(datum):
@@ -439,11 +445,12 @@ def verify_datum(datum):
     wiring check at a node is one identity test, each map builds its
     kernel generators once, and each distinct node is decided once, its
     verdict kept for this call only under the identities of its two maps.
-    Pairs that share one SixTermCycle share one CycleReport: each
-    distinct cycle is decided once.
+    Pairs that share one SixTermCycle, or whose cycles meet equal
+    verdicts, share one CycleReport: each distinct cycle is decided once.
     """
     verdicts = {}
     reports = {}
+    shared = {}
 
     def decide(f, g):
         key = (id(f), id(g))
@@ -456,7 +463,8 @@ def verify_datum(datum):
     for pair, cycle in datum.cycles.items():
         report = reports.get(id(cycle))
         if report is None:
-            report = reports[id(cycle)] = _cycle_report(cycle, decide)
+            report = _cycle_report(cycle, decide)
+            report = reports[id(cycle)] = shared.setdefault(report, report)
         results.append((pair, report))
     return DatumReport(tuple(results))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .action import reconstruct
 from .errors import NotSober, PreservationFailure
-from .spaces import bits
+from .spaces import _downs, bits
 
 
 class LatticeMap:
@@ -58,7 +58,7 @@ def _preservation_failures(m):
     source, table = m.source, m.table
     points = range(source.size)
     at_rows = [table[source.minimal_open(x)] for x in points]
-    at_coclosures = [table[source.full ^ source.closure(1 << x)] for x in points]
+    at_coclosures = [table[source.full ^ c] for c in _downs(source.rows)]
     for a in source.opens:
         value = table[a]
         join = 0

@@ -66,14 +66,24 @@ def sorted_family(masks):
     return out
 
 
-def _down(rows, s):
-    """The points whose row meets s: the down-closure of s."""
-    return mask_of(y for y, row in enumerate(rows) if row & s)
+def _downs(rows, within=None):
+    """downs[c]: the points of within, all by default, whose row holds c,
+    built in one pass over the rows' bits; downs[x] is the closure of x."""
+    if within is None:
+        within = (1 << len(rows)) - 1
+    downs = [0] * len(rows)
+    for x in bits(within):
+        bit, row = 1 << x, rows[x] & within
+        while row:  # bits() inlined: a generator step per bit costs a third
+            low = row & -row
+            downs[low.bit_length() - 1] |= bit
+            row ^= low
+    return downs
 
 
 def _components(rows):
     """Connected components of a preorder, grown along the order both ways."""
-    adj = [row | _down(rows, 1 << x) for x, row in enumerate(rows)]
+    adj = [row | down for row, down in zip(rows, _downs(rows))]
     out = []
     rest = (1 << len(rows)) - 1
     while rest:
@@ -155,10 +165,7 @@ def _up_sets(rows, within=None):
     """
     if within is None:
         within = (1 << len(rows)) - 1
-    downs = [0] * len(rows)  # downs[c]: the points of within whose row holds c
-    for x in bits(within):
-        for c in bits(rows[x] & within):
-            downs[c] |= 1 << x
+    downs = _downs(rows, within)
     opens = []
 
     def rec(rest, cur):
@@ -181,7 +188,7 @@ def _up_set_count(rows, cap=inf):
     reaches cap + 1 stops there, since exact counting is #P-complete.
     """
     over = cap + 1
-    downs = [_down(rows, 1 << c) for c in range(len(rows))]
+    downs = _downs(rows)
     memo = {0: 1}
 
     def count(rest):
@@ -295,7 +302,7 @@ class FiniteSpace:
 
     def closure(self, s):
         """Smallest closed superset: every point whose minimal open meets s."""
-        return _down(self.rows, s)
+        return mask_of(y for y, row in enumerate(self.rows) if row & s)
 
     def interior(self, s):
         """Largest open subset: the points whose minimal open lies in s."""
@@ -312,7 +319,7 @@ class FiniteSpace:
 
     def irreducible_closed_sets(self):
         """The distinct point closures: in a finite space, all the irreducible ones."""
-        return tuple(sorted_family({self.closure(1 << x) for x in range(self.size)}))
+        return tuple(sorted_family(set(_downs(self.rows))))
 
     def is_sober(self):
         """Finite spaces are sober exactly when they are T0."""
@@ -326,7 +333,7 @@ class FiniteSpace:
         """
         irr = self.irreducible_closed_sets()
         index = {c: i for i, c in enumerate(irr)}
-        assignment = [index[self.closure(1 << x)] for x in range(self.size)]
+        assignment = [index[c] for c in _downs(self.rows)]
         rows = [0] * len(irr)
         for x, row in enumerate(self.rows):
             rows[assignment[x]] = mask_of(assignment[y] for y in bits(row))

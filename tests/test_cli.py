@@ -971,6 +971,16 @@ def test_datum_report_shares_one_object_per_verdict(make):
     assert len(cycle_objects) < len(doc["results"])
 
 
+def test_all_exact_datum_report_holds_one_report_object():
+    # every node of the exact point-count datum is the one exact verdict, so
+    # every pair's cycle is one CycleReport and one report object
+    report = verify_datum(large_point_count_datum())
+    doc = kjsonio.datum_report_to_json(report)
+    assert report.ok and doc["ok"] and len(doc["results"]) > 1
+    assert len({id(r["report"]) for r in doc["results"]}) == 1
+    assert len({id(n) for n in doc["results"][0]["report"]["nodes"]}) == 1
+
+
 # sha256 and length of stdout as the subset-family and closed-set scans
 # produced them; the point-closure and preorder routes must keep every byte
 PINNED_STDOUT = [

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -6,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from finitetop import ajsonio, jsonio, kjsonio
+from finitetop import ajsonio, cli, jsonio, kjsonio
 from finitetop.action import ActionOverX
 from finitetop.cli import main
 from finitetop.errors import (CapExceeded, InputFormatError, NotContinuous,
@@ -686,8 +687,8 @@ def test_datum_tells_repeated_maps_texts_apart_by_value_and_groups(monkeypatch,
                                                                     capsys):
     # on two unrelated points with Z on each, the cycles of (0, {1}) and
     # ({1}, {1}) repeat the maps texts of (0, {0}) and ({0}, {0}), which
-    # hold 1s; true and 1.0 equal 1 as values but are other texts, and are
-    # refused where they stand
+    # hold 1s; true and 1.0 equal 1 as values but give other marshal bytes,
+    # and are refused where they stand
     doc = datum_to_json(point_count_datum(FiniteSpace.discrete(2)))
     entries = {(c["open"], c["set"]): c for c in doc["cycles"]}
     assert entries[("1", "1")]["maps"] == entries[("0", "0")]["maps"]
@@ -717,20 +718,53 @@ def test_datum_tells_repeated_maps_texts_apart_by_value_and_groups(monkeypatch,
     assert json.loads(capsys.readouterr().err)["message"] == str(err.value)
 
 
-def test_datum_reads_integers_past_the_int_to_str_limit():
-    # json.loads refuses such literals, but a caller may put them in: the
-    # maps list has no text then and is read on its own
-    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
-        pytest.skip("this interpreter has no int-to-str limit")
+def huge_maps_datum():
+    # the two-point datum with 10**4400 for the 1 of the maps texts on
+    # ({0}, {0}) and ({1}, {1}), which repeat each other
     doc = datum_to_json(point_count_datum(FiniteSpace.discrete(2)))
-    huge = 10 ** 4400
     for c in doc["cycles"]:
         if c["open"] in ("0", "1") and c["set"] == c["open"]:
-            c["maps"][0] = [[huge]]
+            c["maps"][0] = [[10 ** 4400]]
+    return doc
+
+
+def test_datum_reads_integers_past_the_int_to_str_limit():
+    # json.loads refuses such literals, but a caller may put them in: the
+    # maps lists are told apart by their marshal bytes, which have no such
+    # limit, so the repeat shares the first one's rows
+    doc = huge_maps_datum()
     datum = kjsonio.datum_from_json(doc)
     maps = datum.cycles[(0b01, 0b01)].maps, datum.cycles[(0b10, 0b10)].maps
-    assert maps[0][0].matrix.entries == maps[1][0].matrix.entries == ((huge,),)
+    assert maps[0][0].matrix.entries == maps[1][0].matrix.entries == ((10 ** 4400,),)
+    assert maps[0] is maps[1]
     assert not verify_datum(datum).ok
+
+
+def test_datum_reads_a_maps_list_marshal_cannot_write():
+    # rows in a list subclass, which json.loads never gives, have no marshal
+    # bytes: each such maps list is read on its own, to the same datum
+    class Rows(list):
+        pass
+
+    datum = point_count_datum(FiniteSpace.discrete(2))
+    doc = datum_to_json(datum)
+    for c in doc["cycles"]:
+        c["maps"] = [Rows(m) for m in c["maps"]]
+    parsed = kjsonio.datum_from_json(doc)
+    assert parsed.cycles == datum.cycles
+    assert verify_datum(parsed) == verify_datum(datum)
+
+
+def test_datum_verify_with_integers_past_the_int_to_str_limit(monkeypatch, capsys):
+    # the exit code, length and sha256 of the report on stderr as written
+    # when maps lists were keyed by str(maps) and lists past the limit were
+    # read alone
+    monkeypatch.setattr(cli, "_read_json", lambda path: huge_maps_datum())
+    assert main(["ktheory", "datum-verify", "d.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) == 7947
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "e90af63b51962c8e3e249b39db1c535fab817a467d9e233d126e02964bcb07b1")
 
 
 def test_datum_refuses_a_carrier_or_cycle_given_twice():

@@ -6,8 +6,8 @@ from finitetop import intmat, jsonio, kjsonio, ktheory
 from finitetop.errors import (NotComposable, NotLocallyClosed, NotWellDefined,
                               ShapeMismatch, SquareNotCommuting)
 from finitetop.intmat import IntMatrix, kernel_basis
-from finitetop.ktheory import (FGAbelianGroup, FiltratedKDatum, GradedGroup,
-                               GroupHom,
+from finitetop.ktheory import (CycleReport, FGAbelianGroup, FiltratedKDatum,
+                               GradedGroup, GroupHom,
                                SixTermCycle, cokernel, compose, image,
                                is_exact_at, kernel, two_point_sequence,
                                vanishing_propagation, verify_datum,
@@ -496,14 +496,46 @@ def test_datum_holds_one_object_per_distinct_group():
     space = FiniteSpace.discrete(2)
     datum = point_count_datum(space)
     assert datum.assignment[0b01].even is datum.assignment[0b10].even
+    assert datum.assignment[0b01] is datum.assignment[0b10]
     groups = [g for graded in datum.assignment.values() for g in graded]
     assert len({id(g) for g in groups}) == len(set(groups)) == 3
+    graded = list(datum.assignment.values())
+    assert len({id(g) for g in graded}) == len(set(graded)) == 3
     f, g = datum.cycles[(0, 0b01)].maps[1], datum.cycles[(0, 0b10)].maps[1]
     assert f is g and f.domain is f.codomain is datum.assignment[0b01].even
     for (u, y), cycle in datum.cycles.items():
         gu, gy, gr = (datum.assignment[m] for m in (u, y, y & ~u))
         wired = (gu.even, gy.even, gr.even, gu.odd, gy.odd, gr.odd)
         assert all(h.domain is g for h, g in zip(cycle.maps, wired))
+
+
+def test_verify_datum_shares_one_exact_verdict_and_one_report_per_verdicts(
+        monkeypatch):
+    # every exact node of every datum is one shared verdict; a failing node
+    # keeps its own verdict and witness; cycles that meet equal verdicts
+    # share one CycleReport, and DatumReport.ok reads each of them once
+    rng = random.Random(913)
+    flawed = FiniteSpace.sierpinski()
+    data = [random_torsion_datum(rng, random_poset_space(rng, 4)) for _ in range(4)]
+    data.append(constant_zero_datum(flawed, special=flawed.full, group=CYCLIC(2)))
+    exact, failing = set(), []
+    for datum in data:
+        report = verify_datum(datum)
+        assert report == brute_verify_datum(datum)
+        reports = {id(rep): rep for _, rep in report.results}
+        assert len(set(reports.values())) == len(reports)
+        nodes = [n for rep in reports.values() for n in rep.nodes]
+        exact.update(id(n) for n in nodes if n.ok)
+        failing += [n for n in nodes if not n.ok]
+        reads = []
+        ok = CycleReport.ok
+        monkeypatch.setattr(CycleReport, "ok",
+                            property(lambda r: reads.append(r) or ok.fget(r)))
+        assert report.ok == all(rep.ok for rep in reports.values())
+        monkeypatch.undo()
+        assert len(reads) <= len(reports)
+    assert len(exact) == 1 and failing
+    assert all(n.witness and n.reason and id(n) not in exact for n in failing)
 
 
 def test_verify_datum_builds_each_kernel_once(monkeypatch):

@@ -270,6 +270,39 @@ def test_opens_are_up_sets():
             assert all(rows[x] & ~u == 0 for x in bits(u))
 
 
+def test_down_table_is_the_point_closures_within():
+    # downs[c] is the closure of c for every c, and inside within the points
+    # of within whose row holds c; preorders with equal rows included
+    rng = random.Random(33)
+    for _ in range(40):
+        space = random_space(rng, rng.randint(1, 6))
+        rows = space.rows
+        downs = spaces._downs(rows)
+        assert downs == [brute_closure(space, 1 << c) for c in range(space.size)]
+        within = rng.getrandbits(space.size)
+        downs = spaces._downs(rows, within)
+        for c in bits(within):
+            assert downs[c] == mask_of(x for x in bits(within) if rows[x] >> c & 1)
+        assert spaces._components(rows) == brute_components(space)
+
+
+def brute_components(space):
+    # label each point by the least point it is joined to, relaxed along
+    # every comparable pair until nothing moves
+    n = space.size
+    label = list(range(n))
+    moved = True
+    while moved:
+        moved = False
+        for x in range(n):
+            for y in bits(space.rows[x]):
+                if label[x] != label[y]:
+                    label[x] = label[y] = min(label[x], label[y])
+                    moved = True
+    return tuple(mask_of(x for x in range(n) if label[x] == k)
+                 for k in sorted(set(label)))
+
+
 def test_alexandrov_open_cap(monkeypatch):
     # the count stops at cap + 1: an antichain exactly at the cap is exact
     assert spaces._up_set_count((0b001, 0b010, 0b100), 8) == 8
