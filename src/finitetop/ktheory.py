@@ -306,15 +306,14 @@ class CycleReport(namedtuple("CycleReport", "nodes")):
         return None
 
 
-def _cycle_report(cycle, decide):
+def _cycle_nodes(cycle, decide):
     """decide(f, g) at each node of the cycle, node i between maps i - 1 and i."""
-    return CycleReport(tuple([decide(cycle.maps[i - 1], cycle.maps[i])
-                              for i in range(6)]))
+    return tuple([decide(cycle.maps[i - 1], cycle.maps[i]) for i in range(6)])
 
 
 def verify_six_term(cycle):
     """Exactness verdict at each node of the cycle."""
-    return _cycle_report(cycle, is_exact_at)
+    return CycleReport(_cycle_nodes(cycle, is_exact_at))
 
 
 def _first_without_group(space, assignment):
@@ -446,7 +445,8 @@ def verify_datum(datum):
     kernel generators once, and each distinct node is decided once, its
     verdict kept for this call only under the identities of its two maps.
     Pairs that share one SixTermCycle, or whose cycles meet equal
-    verdicts, share one CycleReport: each distinct cycle is decided once.
+    verdicts, share one CycleReport, built for the first of them alone:
+    each distinct cycle is decided once.
     """
     verdicts = {}
     reports = {}
@@ -463,8 +463,11 @@ def verify_datum(datum):
     for pair, cycle in datum.cycles.items():
         report = reports.get(id(cycle))
         if report is None:
-            report = _cycle_report(cycle, decide)
-            report = reports[id(cycle)] = shared.setdefault(report, report)
+            nodes = _cycle_nodes(cycle, decide)
+            report = shared.get(nodes)
+            if report is None:
+                report = shared[nodes] = CycleReport(nodes)
+            reports[id(cycle)] = report
         results.append((pair, report))
     return DatumReport(tuple(results))
 

@@ -66,14 +66,12 @@ def sorted_family(masks):
     return out
 
 
-def _downs(rows, within=None):
-    """downs[c]: the points of within, all by default, whose row holds c,
-    built in one pass over the rows' bits; downs[x] is the closure of x."""
-    if within is None:
-        within = (1 << len(rows)) - 1
+def _downs(rows):
+    """downs[c]: the points whose row holds c, that is the closure of c,
+    built in one pass over the rows' bits."""
     downs = [0] * len(rows)
-    for x in bits(within):
-        bit, row = 1 << x, rows[x] & within
+    for x, row in enumerate(rows):
+        bit = 1 << x
         while row:  # bits() inlined: a generator step per bit costs a third
             low = row & -row
             downs[low.bit_length() - 1] |= bit
@@ -114,9 +112,11 @@ def _covers(rows):
 def _minimal_opens(size, family, members):
     """Rows of a sorted family F = members: r_x is the first member holding x.
 
-    Checked as FiniteSpace.__init__ says.  If F is closed under m | r_x and
-    m & r_x, a member holding x meets r_x in a member no later than r_x, so
-    in r_x: each member is a union of rows, and each union of rows is in F.
+    Checked as FiniteSpace.__init__ says.  The points first met in a member
+    m are the class of the row m, and family order puts a row after every
+    row inside it, so _join lists the up-sets of transitive rows.  F is
+    accepted when _join builds exactly F: every set built holds the rows
+    of its points and each row is in F, so then the rows are transitive.
     """
     full = (1 << size) - 1
     if family and (min(family) < 0 or max(family) > full):
@@ -126,16 +126,18 @@ def _minimal_opens(size, family, members):
         raise MissingEmpty("empty set is not open")
     if full not in members:
         raise MissingFull("full set is not open")
-    rows, covered = [0] * size, 0
+    rows, classes, covered = [0] * size, [], 0
     for m in family:
         if covered == full:
             break
         if m & ~covered:
+            classes.append((m, m & ~covered))
             for x in bits(m & ~covered):
                 rows[x] = m
             covered |= m
-    if all(members.issuperset(map(r.__or__, family))
-           and members.issuperset(map(r.__and__, family)) for r in set(rows)):
+    # _join builds no set twice, so equal counts and inclusion mean equality
+    ups = _join(classes, len(family))
+    if ups is not None and len(ups) == len(family) and members.issuperset(ups):
         return tuple(rows)
     rows = [full] * size
     for m in family:
@@ -155,37 +157,60 @@ def _minimal_opens(size, family, members):
     return tuple(rows)
 
 
+def _join(classes, cap=inf):
+    """The sets holding the row of each of their points, or None past cap.
+
+    classes holds (row, class) pairs, class the points whose row is row,
+    each pair after every pair whose class meets its row.  Each class joins
+    every set built so far that holds the rest of its row; such a set holds
+    the last class met in that row, so only the sets built since that class
+    are scanned.  Each set is built once and holds the rows of its points,
+    whatever the rows; for the rows of a preorder, every up-set is built.
+    """
+    ups, met, starts = [0], [-1], [0]  # -1 meets every row: scan from 0
+    for row, cls in classes:
+        need = row & ~cls
+        if need:
+            k = len(met) - 1
+            while not met[k] & need:
+                k -= 1
+            fresh = [s | cls for s in ups[starts[k]:] if s & need == need]
+        else:
+            fresh = [s | cls for s in ups]
+        met.append(cls)
+        starts.append(len(ups))
+        ups += fresh
+        if len(ups) > cap:
+            return None
+    return ups if len(ups) <= cap else None  # [0] alone when no class came
+
+
 def _up_sets(rows, within=None):
     """Every up-set of the preorder rows inside within, sorted by family_key.
 
-    These are the opens of the subspace on within, all points by default.
-    The up-sets of the points left miss the lowest one, c, and all below
-    it, or hold U_c; both ways hold at least one, so the recursion is a
-    full binary tree with one leaf per up-set.
+    These are the opens of the subspace on within, all points by default:
+    _join over its classes of equal rows, in numeric order of their rows,
+    since a row holding another is the larger number.
     """
     if within is None:
         within = (1 << len(rows)) - 1
-    downs = _downs(rows, within)
-    opens = []
-
-    def rec(rest, cur):
-        if not rest:
-            opens.append(cur)
-            return
-        c = (rest & -rest).bit_length() - 1
-        rec(rest & ~downs[c], cur)
-        rec(rest & ~rows[c], cur | rows[c] & within)
-
-    rec(within, 0)
-    return tuple(sorted_family(opens))
+    classes, rest = {}, within
+    while rest:  # bits() inlined, as in _downs
+        low = rest & -rest
+        row = rows[low.bit_length() - 1] & within
+        classes[row] = classes.get(row, 0) | low
+        rest ^= low
+    return tuple(sorted_family(_join(sorted(classes.items()))))
 
 
 def _up_set_count(rows, cap=inf):
     """len(_up_sets(rows)), or cap + 1 if that is more, without listing.
 
     Up-set counts multiply over the connected components.  Within one, the
-    count splits as _up_sets does, memoised on the points left; a sum that
-    reaches cap + 1 stops there, since exact counting is #P-complete.
+    up-sets of the points left miss the lowest one, c, and all below it,
+    or hold U_c, so the count splits in two, memoised on the points left;
+    a sum that reaches cap + 1 stops there, since exact counting is
+    #P-complete.
     """
     over = cap + 1
     downs = _downs(rows)
@@ -220,12 +245,13 @@ class FiniteSpace:
         """The space on the open family opens, checked, deduplicated and sorted.
 
         A member that is not an exact int raises ValueError.  A family with
-        the empty and the full set, closed under | and & with each row U_x
-        (the first member holding x), is accepted after distinct rows times
-        family size set lookups, in C.  Else a fold names the fault: U_x is
-        the AND of the members holding x, in family order, the first step
-        that leaves the family raising NotClosedUnderIntersection(row so far,
-        member); then a missing a | U_x raises NotClosedUnderUnion(a, U_x).
+        the empty and the full set is accepted when it is the family of
+        up-sets of its rows U_x (the first member holding x), built by
+        _join and stopped past the family's size, then compared in C.  Else
+        a fold names the fault: U_x is the AND of the members holding x, in
+        family order, the first step that leaves the family raising
+        NotClosedUnderIntersection(row so far, member); then a missing
+        a | U_x raises NotClosedUnderUnion(a, U_x).
         """
         self._fill(size, labels)
         opens = list(opens)

@@ -112,10 +112,40 @@ def brute_minimal_open(space, x):
     return acc
 
 
-def brute_up_sets(size, rows):
-    """Subsets holding the row of each of their points, by (popcount, value)."""
-    ups = [m for m in range(1 << size) if all(rows[x] & ~m == 0 for x in bits(m))]
+def brute_up_sets(size, rows, within=None):
+    """Subsets of within, all points by default, holding the part in within
+    of the row of each of their points, by (popcount, value)."""
+    if within is None:
+        within = (1 << size) - 1
+    ups = [m for m in range(1 << size) if m & ~within == 0
+           and all(rows[x] & within & ~m == 0 for x in bits(m))]
     return sorted(ups, key=lambda m: (m.bit_count(), m))
+
+
+def recursive_up_sets(rows, within=None):
+    """The up-sets of the preorder rows inside within by a binary recursion.
+
+    The up-sets of the points left miss the lowest one, c, and all below
+    it, or hold U_c; both ways hold at least one point, so the recursion
+    is a full binary tree with one leaf per up-set.  Sorted by (popcount,
+    value).
+    """
+    if within is None:
+        within = (1 << len(rows)) - 1
+    downs = [mask_of(y for y in bits(within) if rows[y] >> c & 1)
+             for c in range(len(rows))]
+    opens = []
+
+    def rec(rest, cur):
+        if not rest:
+            opens.append(cur)
+            return
+        c = (rest & -rest).bit_length() - 1
+        rec(rest & ~downs[c], cur)
+        rec(rest & ~rows[c], cur | rows[c] & within)
+
+    rec(within, 0)
+    return sorted(opens, key=lambda m: (m.bit_count(), m))
 
 
 def brute_check_family(size, family):

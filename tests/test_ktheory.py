@@ -608,13 +608,13 @@ def test_datum_read_from_json_wires_and_decides_each_distinct_cycle_once(
     cycles = list(datum.cycles.values())
     assert len({id(c) for c in cycles}) == len(keyed) < len(cycles)
     calls = []
-    report_on = ktheory._cycle_report
+    nodes_of = ktheory._cycle_nodes
 
     def counted(cycle, decide):
         calls.append(cycle)
-        return report_on(cycle, decide)
+        return nodes_of(cycle, decide)
 
-    monkeypatch.setattr(ktheory, "_cycle_report", counted)
+    monkeypatch.setattr(ktheory, "_cycle_nodes", counted)
     report = verify_datum(datum)
     monkeypatch.undo()
     assert len(calls) == len({id(c) for c in calls}) == len(keyed)

@@ -22,7 +22,7 @@ from oracles import (brute_chain_length, brute_check_family, brute_closure,
                      brute_is_sober, brute_locally_closed,
                      brute_locally_closed_witnesses, brute_minimal_open,
                      brute_up_sets, fold_minimal_opens, random_poset_space,
-                     random_space)
+                     random_space, recursive_up_sets)
 
 from finitetop.enumeration import enumerate_labeled_topologies
 
@@ -270,19 +270,14 @@ def test_opens_are_up_sets():
             assert all(rows[x] & ~u == 0 for x in bits(u))
 
 
-def test_down_table_is_the_point_closures_within():
-    # downs[c] is the closure of c for every c, and inside within the points
-    # of within whose row holds c; preorders with equal rows included
+def test_down_table_is_the_point_closures():
+    # downs[c] is the closure of c for every c; preorders with equal rows included
     rng = random.Random(33)
     for _ in range(40):
         space = random_space(rng, rng.randint(1, 6))
         rows = space.rows
         downs = spaces._downs(rows)
         assert downs == [brute_closure(space, 1 << c) for c in range(space.size)]
-        within = rng.getrandbits(space.size)
-        downs = spaces._downs(rows, within)
-        for c in bits(within):
-            assert downs[c] == mask_of(x for x in bits(within) if rows[x] >> c & 1)
         assert spaces._components(rows) == brute_components(space)
 
 
@@ -411,6 +406,74 @@ def test_up_sets_and_counts_match_subset_scan():
         assert list(space.opens) == want
         for cap in (0, 1, n - 1, n):
             assert spaces._up_set_count(leq, cap) == min(cap + 1, n)
+
+
+def test_up_sets_within_and_join_cap_match_subset_scan():
+    # inside every within mask of small preorders; _join past cap k is None
+    # exactly when there are more than k up-sets
+    rng = random.Random(34)
+    cases = [(space.rows, within) for space in spaces_up_to(3)
+             for within in range(1 << space.size)]
+    for _ in range(200):
+        n = rng.randint(4, 10)
+        cases.append((tuple(random_interleaved_preorder(rng, n)), rng.getrandbits(n)))
+    for rows, within in cases:
+        want = brute_up_sets(len(rows), rows, within)
+        assert list(spaces._up_sets(rows, within)) == want
+        classes = {}
+        for x in bits(within):
+            row = rows[x] & within
+            classes[row] = classes.get(row, 0) | 1 << x
+        n = len(want)
+        for cap in (0, 1, n - 1, n):
+            got = spaces._join(sorted(classes.items()), cap)
+            assert (got is None) == (n > cap)
+            assert got is None or sorted(got, key=family_key) == want
+
+
+def sparse_poset(rng, n):
+    """Random poset with about one relation per point before closure."""
+    return tuple(_closure(n, [(x, y) for x in range(n) for y in range(x + 1, n)
+                              if rng.random() < 2 / n]))
+
+
+def test_up_sets_match_recursion_on_larger_preorders():
+    # posets and preorders of 12-40 points, inside random masks of at most
+    # 12 points, and whole for the dense ones
+    rng = random.Random(34)
+    for i in range(240):
+        n = rng.randint(12, 40)
+        kind = i % 4
+        if kind == 0:
+            rows = random_poset_space(rng, n).rows
+        elif kind == 1:
+            rows = random_space(rng, n).rows
+        elif kind == 2:
+            rows = tuple(random_interleaved_preorder(rng, n))
+        else:
+            rows = sparse_poset(rng, n)
+        within = mask_of(rng.sample(range(n), rng.randint(0, 12)))
+        if kind < 2 and i % 3 == 0:
+            within = None
+        assert list(spaces._up_sets(rows, within)) == recursive_up_sets(rows, within)
+
+
+def test_acceptance_refuses_rows_that_are_not_transitive():
+    # the first-met rows are {1, 2} for 1 and 2 and {0, 1, 3} for 0 and 3:
+    # {0, 1, 3} holds 1 but not its row, and the fold names the fault
+    assert_validator_matches_fold(4, [0, 6, 11, 15])
+    with pytest.raises(NotClosedUnderIntersection) as err:
+        FiniteSpace(4, [0, 6, 11, 15])
+    assert err.value.details["witness"] == (6, 11)
+
+
+def test_acceptance_stops_past_the_family_size():
+    # 63 singleton rows have 2^63 up-sets; building stops past 65 sets
+    family = [0, (1 << 63) - 1] + [1 << x for x in range(63)]
+    assert_validator_matches_fold(63, family)
+    with pytest.raises(NotClosedUnderUnion) as err:
+        FiniteSpace(63, family)
+    assert err.value.details["witness"] == (1, 2)
 
 
 def test_open_count_matches_opens():
