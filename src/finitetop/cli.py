@@ -83,24 +83,22 @@ def _dumps(obj):
     a mask below 0 or with a bit at MAX_POINTS or past raises ValueError.
     A list or tuple of plain ints is written in one join; a bool or an
     int subclass among the items sends them item by item, since
-    json.dumps writes those otherwise.  An object, or a list that holds
-    other containers, met again at a depth where it was written before
-    is copied as text: a report that shares one verdict among many
-    cycles writes it once.  Joined lists and PointSets are never kept,
-    and are written anew to the same bytes when met again.  A document
-    that contains itself ends in RecursionError, where json.dumps raises
-    ValueError.
+    json.dumps writes those otherwise.  An object, not a list, met again
+    at a depth where it was written before is copied as text, so a verdict
+    shared by many cycles is written once; written anew, it makes the
+    datum commands 45% slower (BENCH_36.json extra.audit.object_memo).  A
+    document that contains itself ends in RecursionError, where json.dumps
+    raises ValueError.
     """
     out = []
     put = out.append
     breaks = ["\n"]
     index_texts = {}  # depth of a PointSets -> the texts of its indices
-    # (id, depth) -> (start, end) of the container's chunks in out, then its
+    # (id, depth) -> (start, end) of the object's chunks in out, then its
     # text once it is met again; held keeps every id in use for the call,
     # and the memo holds ints alone, which the garbage collector skips
     memo = {}
     held = []
-    written = 0
 
     def value(v, depth, lead):
         # lead, the text before v on its line, and v as one chunk if it can
@@ -144,31 +142,12 @@ def _dumps(obj):
             for m in masks]) + breaks[depth] + "]"
 
     def container(o, depth):
-        nonlocal written
-        key = (id(o), depth)
-        seen = memo.get(key)
-        if seen is not None:
-            if type(seen) is tuple:
-                seen = memo[key] = "".join(out[seen[0]:seen[1]])
-            put(seen)
-            return
-        written += 1
-        before = written
-        start = len(out)
         if len(breaks) == depth + 1:
             breaks.append(breaks[depth] + "  ")
         inner = breaks[depth + 1]
         sep = "," + inner
-        if isinstance(o, dict):
-            head = "{" + inner
-            for k, v in sorted(o.items()):
-                key_text = _string(k if type(k) is str else _key_text(k))
-                value(v, depth + 1, head + key_text + ": ")
-                head = sep
-            put(breaks[depth] + "}")
-        else:
-            types = set(map(type, o))
-            if types == _INT:  # not one bool: True is not 1
+        if not isinstance(o, dict):
+            if set(map(type, o)) == _INT:  # not one bool: True is not 1
                 put("[" + inner + sep.join(map(int.__repr__, o)) + breaks[depth] + "]")
                 return
             head = "[" + inner
@@ -176,11 +155,23 @@ def _dumps(obj):
                 value(v, depth + 1, head)
                 head = sep
             put(breaks[depth] + "]")
-        # lists of scalars alone are many and met once each: keeping them
-        # costs memory
-        if written > before or isinstance(o, dict):
-            memo[key] = (start, len(out))
-            held.append(o)
+            return
+        key = (id(o), depth)
+        seen = memo.get(key)
+        if seen is not None:
+            if type(seen) is tuple:
+                seen = memo[key] = "".join(out[seen[0]:seen[1]])
+            put(seen)
+            return
+        start = len(out)
+        head = "{" + inner
+        for k, v in sorted(o.items()):
+            key_text = _string(k if type(k) is str else _key_text(k))
+            value(v, depth + 1, head + key_text + ": ")
+            head = sep
+        put(breaks[depth] + "}")
+        memo[key] = (start, len(out))
+        held.append(o)
 
     value(obj, 0, "")
     return "".join(out)
@@ -379,7 +370,8 @@ def _cmd_ktheory(args):
 
 @cache
 def build_parser():
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process: uncached, the datum
+    commands take 33% longer (BENCH_36.json extra.audit.build_parser)."""
     parser = argparse.ArgumentParser(
         prog="finitetop",
         description="Finite topological spaces, lattice actions, and "

@@ -154,8 +154,8 @@ def _canonical(rows, sizes):
     choices, orders, twins = [], 1, 1
     for _, group in itertools.groupby(order, key=keys.__getitem__):
         group = tuple(group)
-        # a lone point has one order; building its twin key anyway made
-        # random queries about 40% slower
+        # a lone point has one order; building its twin key anyway makes the
+        # census queries 29% slower (BENCH_36.json extra.audit.lone_point)
         if len(group) == 1:
             choices.append((group,))
             continue
@@ -243,7 +243,8 @@ def _poset_level(k):
     Each poset on k points is a poset on k - 1 points with a new maximal
     point above one of its down-sets (the up-sets of the opposite order);
     the first poset grown of each form represents its class.  The level is
-    cached, so a process grows it once; k never exceeds CENSUS_CAP.
+    cached, as uncached the census slices of a fresh process take 2.4 times
+    as long (BENCH_36.json extra.audit.poset_level); k <= CENSUS_CAP.
     """
     if k == 0:
         form, aut = _canonical((), ())
@@ -257,12 +258,6 @@ def _poset_level(k):
             form, aut = _canonical(new, (1,) * k)
             grown.setdefault(form, (form, new, aut))
     return tuple(grown.values())
-
-
-@cache
-def _connected_level(k):
-    """The classes of _poset_level(k) that are connected, decided once."""
-    return tuple(c for c in _poset_level(k) if len(_components(c[1])) == 1)
 
 
 def _compositions(n, k):
@@ -284,17 +279,18 @@ def census(n, connected=False, t0=False):
     n! / (prod s_i! * |Aut_s|) labeled spaces.  The posets come from the
     levels every call shares; on n points the one composition is all
     ones, whose form and |Aut| the level holds, so a T0 slice canonizes
-    nothing once its level is grown.  A connected slice reads the
-    connected classes of each level, also kept once per process.
+    nothing once its level is grown.  A connected slice skips each class
+    that is not connected, decided anew on every call.
     """
     _require_nonnegative(n)
     if n > CENSUS_CAP:
         raise CapExceeded(f"census capped at {CENSUS_CAP} points", n=n,
                           cap=CENSUS_CAP)
     count, forms = 0, set()
-    level = _connected_level if connected else _poset_level
     for k in ([n] if t0 else range(n + 1)):
-        for form, rows, aut in level(k):
+        for form, rows, aut in _poset_level(k):
+            if connected and len(_components(rows)) != 1:
+                continue
             for sizes in _compositions(n, k):
                 if k < n:
                     form, aut = _canonical(rows, sizes)

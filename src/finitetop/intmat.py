@@ -137,8 +137,9 @@ class IntMatrix:
 
 @lru_cache(maxsize=2 * GENERATORS_CAP)
 def _identity_rows(n):
-    # one tuple per size, shared; rows are capped but relator columns are
-    # not, so the cache keeps the sizes used last
+    """One tuple per size, shared; relator columns are not capped, so the
+    cache keeps the sizes used last.  Uncached, the datum commands take
+    7.6% longer (BENCH_36.json extra.audit.identity_rows)."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
@@ -148,9 +149,8 @@ def smith_normal_form(matrix):
     Classic pivoting by smallest absolute value with a divisibility repair
     step; U and V are built from the same elementary operations, so the
     identity U·A·V = D is re-checked exactly before the result is kept on
-    the matrix.  Later calls on the same matrix return the kept result.
-    The pivot is the first entry of least absolute value in row-major
-    order; a unit is least, so the scan stops at the end of its row.
+    the matrix.  Later calls on the same matrix return the kept result.  The
+    pivot is the first entry of least absolute value in row-major order.
     """
     if matrix._snf is None:
         matrix._snf = _factor(matrix)
@@ -197,8 +197,6 @@ def _factor(matrix):
                 for j in range(t, c):
                     if row[j] and (not least or abs(row[j]) < least):
                         pivot, least = (i, j), abs(row[j])
-                if least == 1:
-                    break
             if pivot is None:
                 break
             if pivot != (t, t):

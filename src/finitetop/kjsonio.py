@@ -123,7 +123,8 @@ def datum_from_json(obj):
     groups = {}
 
     def carrier(key):
-        # a key that is not a string may not hash; carrier_from_key refuses it
+        # a key that is not a string may not hash; carrier_from_key refuses it;
+        # parsed anew, keys slow datum commands 11% (BENCH_36.json extra.audit.carriers)
         mask = masks.get(key) if type(key) is str else None
         if mask is None:
             mask = masks[key] = carrier_from_key(key, space.size)
@@ -197,7 +198,8 @@ def datum_report_to_json(report):
     verify_datum shares one verdict per distinct node, one for all exact
     nodes, and one CycleReport per tuple of verdicts, so node objects are
     keyed by the verdicts' identities and cycle objects by the reports':
-    shared, each is written once.  Each carrier's key is named once.
+    shared, each is written once.  Each carrier's key is named once, else
+    datum commands are 6.4% slower (BENCH_36.json extra.audit.names).
     """
     nodes = {}
     cycles = {}

@@ -103,7 +103,8 @@ class GradedGroup(namedtuple("GradedGroup", "even odd")):
 
 def _stray_column(columns, span):
     """Index of the first of the columns outside the column span of span, or
-    None.  A zero column lies in every span, so only the others are tested."""
+    None.  A zero column lies in every span, so only the others are tested;
+    testing it makes datum checks 5.9% slower (BENCH_36.json extra.audit.zero_skip)."""
     for j, column in enumerate(columns):
         if any(column) and _diagonal_solution(span, column) is None:
             return j
@@ -143,7 +144,8 @@ class GroupHom:
         its column span, and the first domain.generators rows of its kernel
         generate the kernel of the map modulo domain relations.  Out of a
         zero group it is the codomain's relations, into a free group the
-        matrix: the same objects, so their factorisations are shared.
+        matrix: the same objects, so their factorisations are shared; else
+        datum checks are 3.8% slower (BENCH_36.json extra.audit.reach_shortcuts).
         """
         if not self.matrix.cols:
             return self.codomain.relations
@@ -426,7 +428,8 @@ class FiltratedKDatum:
 
 
 class DatumReport(namedtuple("DatumReport", "results")):
-    """results holds ((u, y), CycleReport) pairs; ok reads each distinct one once."""
+    """results holds ((u, y), CycleReport) pairs; ok reads each distinct one
+    once, else datum checks are 3.4% slower (BENCH_36.json extra.audit.ok_dedup)."""
 
     __slots__ = ()
 
@@ -446,7 +449,8 @@ def verify_datum(datum):
     verdict kept for this call only under the identities of its two maps.
     Pairs that share one SixTermCycle, or whose cycles meet equal
     verdicts, share one CycleReport, built for the first of them alone:
-    each distinct cycle is decided once.
+    each distinct cycle is decided once, else the datum commands are 6.2%
+    slower (BENCH_36.json extra.audit.reports).
     """
     verdicts = {}
     reports = {}

@@ -60,7 +60,8 @@ def family_key(mask):
 
 
 def sorted_family(masks):
-    """The masks as a list in family_key order, by two sorts keyed in C."""
+    """The masks as a list in family_key order, by two sorts keyed in C; one
+    sort makes census space reads 10% slower (BENCH_36.json extra.audit.two_sorts)."""
     out = sorted(masks)
     out.sort(key=int.bit_count)
     return out
@@ -117,6 +118,8 @@ def _minimal_opens(size, family, members):
     row inside it, so _join lists the up-sets of transitive rows.  F is
     accepted when _join builds exactly F: every set built holds the rows
     of its points and each row is in F, so then the rows are transitive.
+    By the fold alone census space reads are 97% slower (BENCH_36.json
+    extra.audit.up_sets).
     """
     full = (1 << size) - 1
     if family and (min(family) < 0 or max(family) > full):

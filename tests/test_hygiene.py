@@ -283,6 +283,30 @@ def test_library_scans_no_power_set():
     assert scans == []
 
 
+def is_cache(decorator):
+    """Whether a decorator is functools' cache or lru_cache, called or not."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr in ("cache", "lru_cache")
+    return isinstance(decorator, ast.Name) and decorator.id in ("cache", "lru_cache")
+
+
+def test_each_cache_names_the_bench_file_that_keeps_it():
+    # a cache stays on a committed measurement, not on a guess: its
+    # docstring names a BENCH_ file at the root of the repository
+    cached, unkept = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(is_cache, node.decorator_list))):
+                cached.append(node.name)
+                files = re.findall(r"BENCH_\d+\.json", ast.get_docstring(node) or "")
+                if not files or not all((ROOT / f).is_file() for f in files):
+                    unkept.append(f"{path.name}:{node.name}")
+    assert cached and unkept == []
+
+
 def exit_code(value):
     """Whether a returned expression is a bare exit code."""
     if isinstance(value, ast.IfExp):

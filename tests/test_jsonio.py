@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -154,6 +155,28 @@ def test_well_formed_opens_are_read_without_a_per_entry_step(monkeypatch):
         got = jsonio.space_from_json(doc)
         assert got.rows == alexandrov_topology(space.rows).rows
         assert got.opens == space.opens
+
+
+def test_space_read_drops_its_opens_before_the_family_is_checked(monkeypatch):
+    # the opens lists of a large document are many: they go before the
+    # family's up-sets are built, not on top of them
+    class Opens(list):
+        pass
+
+    refs, dead = [], []
+
+    def document():
+        opens = Opens([[], [0], [0, 1]])
+        refs.append(weakref.ref(opens))
+        return {"size": 2, "opens": opens}
+
+    def checked(*args):
+        dead.append(refs[0]() is None)
+        return FiniteSpace(*args)
+
+    monkeypatch.setattr(jsonio, "FiniteSpace", checked)
+    space = jsonio.space_from_json(document())  # an assert would keep it
+    assert space == FiniteSpace.sierpinski() and dead == [True]
 
 
 def test_space_size_cap(monkeypatch):
